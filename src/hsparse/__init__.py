@@ -13,7 +13,7 @@ from .blocks import (RANK_TOL, ZERO_BLOCK_TOL, BlockDictionary,
                      BlockStructure, BlockVector, ConcentrationCertificate,
                      NumericalAnomaly, best_concentration_set, block_least_squares,
                      block_sigma, concentration_epsilon, cross_block_norm,
-                     h0_norm, h1_norm, uniform_structure)
+                     cross_norm_table, h0_norm, h1_norm, uniform_structure)
 from .coherence import (CoherenceReport, block_coherences, coherence_report,
                         hilbert_coherence, mutual_hilbert_coherence,
                         spark_exhaustive)
@@ -35,9 +35,9 @@ __all__ = [
     "NumericalAnomaly", "RecoveryResult", "RANK_TOL", "ZERO_BLOCK_TOL",
     "best_concentration_set", "block_coherences", "block_least_squares",
     "block_sigma", "coherence_report", "complex_standard_normal",
-    "concentration_epsilon", "cross_block_norm", "dirichlet_coherence",
-    "fourier_basis", "guarantee_check", "gup_audit", "h0_norm", "h1_norm",
-    "hbp_solve", "hilbert_coherence", "homp", "hp0_exhaustive",
+    "concentration_epsilon", "cross_block_norm", "cross_norm_table",
+    "dirichlet_coherence", "fourier_basis", "guarantee_check", "gup_audit",
+    "h0_norm", "h1_norm", "hbp_solve", "hilbert_coherence", "homp", "hp0_exhaustive",
     "identity_basis", "identity_dft_pair", "kernel_sample",
     "kernel_uncertainty_audit", "multicoset_matrix",
     "mutual_hilbert_coherence", "picket_fence", "random_block_dictionary",

@@ -75,6 +75,17 @@ class BlockStructure:
                            self._offsets[i] + self.sizes[i]) for i in blocks]
         return np.concatenate(parts) if parts else np.empty(0, dtype=int)
 
+    def padded_columns(self) -> np.ndarray:
+        """Column indices of each block as rows of width max(sizes), padded with -1."""
+        width = max(self.sizes)
+        cols = np.add.outer(self._offsets, np.arange(width))
+        cols[np.arange(width) >= np.array(self.sizes)[:, None]] = -1
+        return cols
+
+    def norms(self, x) -> np.ndarray:
+        """l2 norm of each block of the flat vector x."""
+        return np.sqrt(np.add.reduceat(np.abs(x) ** 2, self._offsets))
+
 
 def uniform_structure(n: int, d: int = 1) -> BlockStructure:
     """n blocks of equal size d."""
@@ -102,8 +113,7 @@ class BlockVector:
         return self.entries[self.structure.block_slice(i)]
 
     def block_norms(self) -> np.ndarray:
-        sq = np.abs(self.entries) ** 2
-        return np.sqrt(np.add.reduceat(sq, self.structure.offsets))
+        return self.structure.norms(self.entries)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
@@ -201,6 +211,25 @@ def cross_block_norm(D: BlockDictionary, i: int, j: int) -> float:
     """Spectral norm of the cross-Gram of column blocks i and j."""
     gram = D.block(i).conj().T @ D.block(j)
     return float(np.linalg.svd(gram, compute_uv=False)[0])
+
+
+def cross_norm_table(D1: BlockDictionary, D2: BlockDictionary | None = None) -> np.ndarray:
+    """Spectral norms of all cross-Gram tiles D1_i^H D2_j as an n1 x n2 array.
+
+    One Gram product covers every pair.  Blocks are zero-padded to the widest
+    block (index -1 reads the appended zero row/column), which leaves each
+    tile's largest singular value unchanged, so one batched SVD serves any
+    block structure.  Tiles that are a single row or column are vectors and
+    take their l2 norm instead, which is far cheaper than an SVD.
+    """
+    D2 = D1 if D2 is None else D2
+    gram = np.pad(D1.matrix.conj().T @ D2.matrix, ((0, 1), (0, 1)))
+    rows = D1.structure.padded_columns()
+    cols = D2.structure.padded_columns()
+    tiles = gram[rows[:, None, :, None], cols[None, :, None, :]]
+    if 1 in tiles.shape[2:]:
+        return np.sqrt(np.sum(np.abs(tiles) ** 2, axis=(2, 3)))
+    return np.linalg.svd(tiles, compute_uv=False)[..., 0]
 
 
 def best_concentration_set(v: BlockVector, k: int) -> ConcentrationCertificate:

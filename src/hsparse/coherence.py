@@ -17,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockDictionary, block_sigma, cross_block_norm
+from .blocks import BlockDictionary, cross_norm_table
+# Unused here; bench/spans.py rebinds this name, so bench/run.py --trace 1 needs it.
+from .blocks import cross_block_norm  # noqa: F401
 
 # Relative singular-value cutoff declaring a stacked sub-matrix rank deficient.
 SPARK_DEFICIENCY_TOL = 1e-10
 # Subset enumeration beyond this many blocks must be requested explicitly.
 SPARK_ENUMERATION_CAP = 20
-# Batched-SVD chunk: keeps peak memory of subset stacks modest.
-_SVD_CHUNK = 4096
+# Block subsets per batched SVD: streaming them keeps peak memory flat.
+_SUBSET_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -88,20 +90,16 @@ class CoherenceReport:
 def hilbert_coherence(D: BlockDictionary) -> float:
     """Largest cross-block spectral norm over squared block injectivity.
 
-    The denominator is indexed by the first block of the pair, so both
-    orderings of every pair are scanned.  For unit-norm columns in size-1
-    blocks this reduces to the classical maximum inner-product coherence.
+    The denominator is indexed by the row block of each off-diagonal entry
+    of the cross-norm table, which holds both orderings of every pair.  For
+    unit-norm columns in size-1 blocks this reduces to the classical maximum
+    inner-product coherence.
     """
-    n = D.n_blocks
-    if n < 2:
+    if D.n_blocks < 2:
         raise ValueError("coherence undefined for a single subspace")
-    smin = [block_sigma(D, i)[0] for i in range(n)]
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            cross = cross_block_norm(D, i, j)
-            best = max(best, cross / smin[i] ** 2, cross / smin[j] ** 2)
-    return best
+    cross = cross_norm_table(D)
+    np.fill_diagonal(cross, 0.0)
+    return float((cross / D.block_sigma_min()[:, None] ** 2).max())
 
 
 def mutual_hilbert_coherence(D1: BlockDictionary, D2: BlockDictionary) -> float:
@@ -109,16 +107,8 @@ def mutual_hilbert_coherence(D1: BlockDictionary, D2: BlockDictionary) -> float:
     if D1.shape[0] != D2.shape[0]:
         raise ValueError(
             f"dictionaries map into different spaces: {D1.shape[0]} vs {D2.shape[0]} rows")
-    smin1 = [block_sigma(D1, i)[0] for i in range(D1.n_blocks)]
-    smin2 = [block_sigma(D2, j)[0] for j in range(D2.n_blocks)]
-    best = 0.0
-    for i in range(D1.n_blocks):
-        cross_all = D1.block(i).conj().T @ D2.matrix
-        for j in range(D2.n_blocks):
-            gram = cross_all[:, D2.structure.block_slice(j)]
-            cross = float(np.linalg.svd(gram, compute_uv=False)[0])
-            best = max(best, cross / (smin1[i] * smin2[j]))
-    return best
+    scale = np.outer(D1.block_sigma_min(), D2.block_sigma_min())
+    return float((cross_norm_table(D1, D2) / scale).max())
 
 
 def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
@@ -137,10 +127,7 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     n = D.n_blocks
     if n < 2:
         raise ValueError("coherence undefined for a single subspace")
-    mu_block = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            mu_block = max(mu_block, cross_block_norm(D, i, j) / d)
+    mu_block = float(cross_norm_table(D)[np.triu_indices(n, 1)].max()) / d
     nu = 0.0
     if d > 1:
         for ell in range(n):
@@ -152,28 +139,14 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     return mu_block, nu, mu_hat
 
 
-def _stack_deficient(D: BlockDictionary, blocks, tol: float) -> bool:
-    """True when the stacked column blocks have a nontrivial kernel."""
-    cols = D.structure.column_indices(blocks)
-    stack = D.matrix[:, cols]
-    m, k = stack.shape
-    if k > m:
+def _any_deficient(matrix: np.ndarray, cols: np.ndarray, tol: float) -> bool:
+    """True when some row of cols (column indices, -1 padded) picks a rank-deficient stack."""
+    widths = np.count_nonzero(cols >= 0, axis=1)
+    if widths.max() > matrix.shape[0]:
         return True
-    s = np.linalg.svd(stack, compute_uv=False)
-    return bool(s[-1] <= tol * s[0])
-
-
-def _any_deficient_uniform(D: BlockDictionary, k: int, d: int, tol: float) -> bool:
-    """Batched deficiency scan over all k-subsets for uniform block size d."""
-    m = D.shape[0]
-    n = D.n_blocks
-    width = k * d
-    if width > m:
-        return True
-    combos = np.array(list(itertools.combinations(range(n), k)))
-    cols = (combos[:, :, None] * d + np.arange(d)[None, None, :]).reshape(len(combos), width)
-    for lo in range(0, len(cols), _SVD_CHUNK):
-        stacks = np.moveaxis(D.matrix[:, cols[lo:lo + _SVD_CHUNK]], 1, 0)
+    for width in np.unique(widths):
+        group = cols[widths == width]
+        stacks = np.moveaxis(matrix[:, group[group >= 0].reshape(-1, width)], 1, 0)
         s = np.linalg.svd(stacks, compute_uv=False)
         if np.any(s[:, -1] <= tol * s[:, 0]):
             return True
@@ -184,28 +157,25 @@ def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
                      cap: int = SPARK_ENUMERATION_CAP) -> int | None:
     """Fewest blocks a nonzero kernel vector of D can occupy.
 
-    Scans block subsets by increasing cardinality (lexicographic within each
-    cardinality) and returns the first cardinality whose stacked columns are
-    rank deficient, i.e. admit a kernel vector occupying exactly those
-    blocks.  A stack that is wider than it is tall is deficient outright.
-    Returns None when no subset up to all n blocks is deficient: the kernel
-    is trivial (numerically {0}).
+    Scans block subsets by increasing cardinality and returns the first
+    cardinality with some subset whose stacked columns are rank deficient,
+    i.e. admit a kernel vector occupying exactly those blocks.  A stack that
+    is wider than it is tall is deficient outright.  Returns None when no
+    subset up to all n blocks is deficient: the kernel is trivial
+    (numerically {0}).
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     n = D.n_blocks
     if n > cap:
         raise ValueError("exhaustive spark infeasible; raise cap explicitly")
-    sizes = D.structure.sizes
-    uniform = len(set(sizes)) == 1
+    padded = D.structure.padded_columns()
     for k in range(1, n + 1):
-        if uniform:
-            if _any_deficient_uniform(D, k, sizes[0], tol):
+        subsets = itertools.combinations(range(n), k)
+        while chunk := list(itertools.islice(subsets, _SUBSET_CHUNK)):
+            cols = padded[np.array(chunk)].reshape(len(chunk), -1)
+            if _any_deficient(D.matrix, cols, tol):
                 return k
-        else:
-            for combo in itertools.combinations(range(n), k):
-                if _stack_deficient(D, combo, tol):
-                    return k
     return None
 
 

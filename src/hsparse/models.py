@@ -81,7 +81,8 @@ def dirichlet_coherence(n: int, m: int) -> float:
     return best
 
 
-def _unitary_dft(n: int) -> np.ndarray:
+def unitary_dft(n: int) -> np.ndarray:
+    """The n-point DFT matrix exp(-2 pi i jk / n) / sqrt(n)."""
     grid = np.outer(np.arange(n), np.arange(n))
     return np.exp(-2j * np.pi * grid / n) / np.sqrt(n)
 
@@ -97,14 +98,14 @@ def fourier_basis(n: int) -> BlockDictionary:
     """The unitary DFT basis as an n x n dictionary with size-1 blocks."""
     if n < 2:
         raise ValueError("need dimension at least 2")
-    return BlockDictionary(_unitary_dft(n), uniform_structure(n))
+    return BlockDictionary(unitary_dft(n), uniform_structure(n))
 
 
 def identity_dft_pair(n: int) -> BlockDictionary:
     """Concatenation [I_n | F_n] with size-1 blocks; coherence 1/sqrt(n)."""
     if n < 2:
         raise ValueError("need dimension at least 2")
-    mat = np.hstack([np.eye(n, dtype=np.complex128), _unitary_dft(n)])
+    mat = np.hstack([np.eye(n, dtype=np.complex128), unitary_dft(n)])
     return BlockDictionary(mat, uniform_structure(2 * n))
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (RANK_TOL, ZERO_BLOCK_TOL, BlockDictionary, BlockVector,
-                     block_least_squares, h1_norm)
+from .blocks import (RANK_TOL, ZERO_BLOCK_TOL, BlockDictionary, BlockStructure,
+                     BlockVector, block_least_squares, h1_norm)
 from .coherence import SPARK_ENUMERATION_CAP, CoherenceReport
 
 STATUS_EXACT = "exact"
@@ -152,18 +152,17 @@ def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None,
     # Feasibility of the affine set: y must lie in the numerical range.
     range_gap = float(np.linalg.norm(mat @ (pinv @ yv) - yv))
     scale = max(float(np.linalg.norm(yv)), 1.0)
-    offsets = D.structure.offsets
     sizes = np.asarray(D.structure.sizes)
 
     def prox(t: np.ndarray) -> np.ndarray:
-        nb = np.sqrt(np.add.reduceat(np.abs(t) ** 2, offsets))
+        nb = D.structure.norms(t)
         factor = np.maximum(0.0, 1.0 - 1.0 / (params.rho * np.maximum(nb, 1e-300)))
         return np.repeat(factor, sizes) * t
 
     if range_gap > 1e-9 * scale:
         sol = BlockVector(pinv @ yv, D.structure)
         return _result(D, sol, yv, 0, STATUS_INFEASIBLE,
-                       support_tol=_bp_support_tol(pinv @ yv, offsets))
+                       support_tol=_bp_support_tol(pinv @ yv, D.structure))
 
     u = np.zeros(D.structure.dim, dtype=np.complex128)
     w = np.zeros_like(u)
@@ -190,11 +189,11 @@ def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None,
             status = STATUS_EXACT
     sol = BlockVector(u, D.structure)
     return _result(D, sol, yv, iterations, status,
-                   support_tol=_bp_support_tol(u, offsets))
+                   support_tol=_bp_support_tol(u, D.structure))
 
 
-def _bp_support_tol(u: np.ndarray, offsets) -> float:
-    norms = np.sqrt(np.add.reduceat(np.abs(u) ** 2, offsets))
+def _bp_support_tol(u: np.ndarray, structure: BlockStructure) -> float:
+    norms = structure.norms(u)
     peak = float(norms.max()) if norms.size else 0.0
     return max(ZERO_BLOCK_TOL, BP_SUPPORT_REL_TOL * peak)
 
@@ -219,7 +218,6 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
         raise ValueError(f"measurement length {yv.size} does not match {D.shape[0]} rows")
     stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
     smin = D.block_sigma_min()
-    offsets = D.structure.offsets
 
     solution = BlockVector.zeros(D.structure)
     residual = yv.copy()
@@ -229,7 +227,7 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
         if iterations >= max_iter or len(selected) == D.n_blocks:
             return _result(D, solution, yv, iterations, STATUS_MAX_ITER)
         corr = D.matrix.conj().T @ residual
-        weights = np.sqrt(np.add.reduceat(np.abs(corr) ** 2, offsets)) / smin
+        weights = D.structure.norms(corr) / smin
         if selected:
             weights[selected] = -np.inf
         selected.append(int(np.argmax(weights)))

@@ -21,7 +21,7 @@ from .blocks import (BlockDictionary, BlockVector, NumericalAnomaly,
                      best_concentration_set, concentration_epsilon,
                      uniform_structure)
 from .coherence import hilbert_coherence, mutual_hilbert_coherence
-from .models import complex_standard_normal, _unitary_dft
+from .models import complex_standard_normal, unitary_dft
 
 # Numerical-rank cutoff for the kernel basis.
 KERNEL_RANK_TOL = 1e-12
@@ -185,6 +185,6 @@ def picket_fence(n: int) -> tuple[BlockVector, BlockVector, tuple[int, ...], tup
     comb[::p] = 1.0
     structure = uniform_structure(n)
     u = BlockVector(comb, structure)
-    v = BlockVector(_unitary_dft(n).conj().T @ comb, structure)
+    v = BlockVector(unitary_dft(n).conj().T @ comb, structure)
     support = tuple(range(0, n, p))
     return u, v, support, support

@@ -3,8 +3,8 @@ import pytest
 
 from hsparse import (BlockDictionary, BlockStructure, BlockVector,
                      best_concentration_set, block_least_squares, block_sigma,
-                     concentration_epsilon, cross_block_norm, h0_norm, h1_norm,
-                     uniform_structure)
+                     concentration_epsilon, cross_block_norm, cross_norm_table,
+                     h0_norm, h1_norm, uniform_structure)
 
 
 def vec(entries, *sizes):
@@ -122,6 +122,25 @@ class TestCrossBlockNorm:
             for j in range(3):
                 assert cross_block_norm(D, i, j) == pytest.approx(
                     cross_block_norm(D, j, i), abs=1e-12)
+
+    def test_table_matches_pairwise_norms_for_nonuniform_blocks(self):
+        rng = np.random.default_rng(3)
+        mat = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+        D = BlockDictionary(mat, BlockStructure((1, 2, 3) * 2))
+        oracle = [[cross_block_norm(D, i, j) for j in range(6)] for i in range(6)]
+        np.testing.assert_allclose(cross_norm_table(D), oracle, rtol=0, atol=1e-13)
+
+    def test_table_of_two_dictionaries_with_different_structures(self):
+        rng = np.random.default_rng(4)
+        mat = rng.standard_normal((6, 11)) + 1j * rng.standard_normal((6, 11))
+        D1 = BlockDictionary(mat[:, :5], BlockStructure((2, 3)))
+        D2 = BlockDictionary(mat[:, 5:], BlockStructure((1, 1, 4)))
+        # reference: the pair norms inside the concatenated dictionary
+        both = BlockDictionary(mat, BlockStructure((2, 3, 1, 1, 4)))
+        oracle = [[cross_block_norm(both, i, 2 + j) for j in range(3)] for i in range(2)]
+        table = cross_norm_table(D1, D2)
+        assert table.shape == (2, 3)
+        np.testing.assert_allclose(table, oracle, rtol=0, atol=1e-13)
 
 
 class TestConcentration:

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hsparse import (BlockDictionary, BlockStructure, block_coherences,
-                     coherence_report, hilbert_coherence,
+                     coherence_report, cross_block_norm, hilbert_coherence,
                      mutual_hilbert_coherence, spark_exhaustive,
                      identity_dft_pair, multicoset_matrix, MultiCosetSpec,
                      random_block_dictionary, uniform_structure)
@@ -171,6 +173,20 @@ class TestSparkExhaustive:
         # 4 rows: any stack wider than 4 columns is deficient; generic
         # narrower stacks are not.  Blocks 0+3 -> width 5.
         assert spark_exhaustive(D) == kernel_spark_oracle_blocks(D)
+        # 5 rows, all three blocks stack to width 5: only the SVD can find
+        # the planted dependency column 4 = column 0 + column 2.
+        mat = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        mat[:, 4] = mat[:, 0] + mat[:, 2]
+        D = BlockDictionary(mat, BlockStructure((2, 1, 2)))
+        assert spark_exhaustive(D) == kernel_spark_oracle_blocks(D) == 3
+
+    def test_deficient_subset_in_second_chunk(self):
+        # the only deficient 3-subset, (11, 12, 13), is the last of 364
+        rng = np.random.default_rng(5)
+        mat = rng.standard_normal((6, 14)) + 1j * rng.standard_normal((6, 14))
+        mat[:, 13] = mat[:, 11] + mat[:, 12]
+        D = BlockDictionary(mat, uniform_structure(14))
+        assert spark_exhaustive(D) == 3
 
     def test_cap_enforced(self):
         D = unit_norm_dict(4, 21, 0)
@@ -200,6 +216,31 @@ def kernel_spark_oracle_blocks(D):
             if np.linalg.matrix_rank(cols, tol=1e-10 * smax) < cols.shape[1]:
                 return k
     return None
+
+
+def pairwise_hilbert_coherence(D):
+    """Reference: the per-pair loop over cross_block_norm."""
+    smin = D.block_sigma_min()
+    best = 0.0
+    for i, j in itertools.combinations(range(D.n_blocks), 2):
+        cross = cross_block_norm(D, i, j)
+        best = max(best, cross / smin[i] ** 2, cross / smin[j] ** 2)
+    return best
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(2, 6), sizes=st.lists(st.integers(1, 3), min_size=2, max_size=6),
+       seed=st.integers(0, 2**32 - 1), dependent=st.booleans())
+def test_random_nonuniform_dictionaries_match_references(rows, sizes, seed, dependent):
+    assume(max(sizes) <= rows)
+    rng = np.random.default_rng(seed)
+    shape = (rows, sum(sizes))
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if dependent:
+        mat[:, -1] = mat[:, 0] + mat[:, -2]
+    D = BlockDictionary(mat, BlockStructure(tuple(sizes)))
+    assert spark_exhaustive(D) == kernel_spark_oracle_blocks(D)
+    assert hilbert_coherence(D) == pytest.approx(pairwise_hilbert_coherence(D), rel=1e-12)
 
 
 class TestCoherenceReport:
