@@ -12,6 +12,7 @@ objects can be shared freely between threads or worker processes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ import numpy as np
 ZERO_BLOCK_TOL = 1e-10
 # Relative singular-value cutoff for pseudo-inverses and injectivity checks.
 RANK_TOL = 1e-12
+# Block subsets per batch of support_stacks: streaming them keeps peak memory flat.
+_SUBSET_CHUNK = 256
 
 
 class NumericalAnomaly(RuntimeError):
@@ -100,6 +103,8 @@ class BlockVector:
         if arr.size != structure.dim:
             raise ValueError(
                 f"vector length {arr.size} does not match partition of {structure.dim}")
+        if not np.isfinite(arr).all():
+            raise ValueError("block vector has non-finite entries")
         arr.flags.writeable = False
         self.entries = arr
         self.structure = structure
@@ -143,6 +148,8 @@ class BlockDictionary:
                 f"matrix has {mat.shape[1]} columns but partition covers {structure.dim}")
         if mat.shape[0] < max(structure.sizes):
             raise ValueError("need at least as many rows as the widest block")
+        if not np.isfinite(mat).all():
+            raise ValueError("dictionary matrix has non-finite entries")
         sigma = []
         for i in range(structure.n_blocks):
             s = np.linalg.svd(mat[:, structure.block_slice(i)], compute_uv=False)
@@ -169,6 +176,15 @@ class BlockDictionary:
 
     def block_sigma_min(self) -> np.ndarray:
         return np.array([s[0] for s in self._sigma])
+
+    def measurement(self, y) -> np.ndarray:
+        """y as a flat complex vector with one entry per row, all finite."""
+        yv = np.asarray(y, dtype=np.complex128).reshape(-1)
+        if yv.size != self.shape[0]:
+            raise ValueError(f"measurement length {yv.size} does not match {self.shape[0]} rows")
+        if not np.isfinite(yv).all():
+            raise ValueError("measurement has non-finite entries")
+        return yv
 
     def __repr__(self) -> str:
         m, n = self.shape
@@ -275,12 +291,28 @@ def block_least_squares(D: BlockDictionary, support, y,
     idx = sorted({D.structure.check_index(i) for i in support})
     if not idx:
         raise ValueError("support must contain at least one block")
-    yv = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if yv.size != D.shape[0]:
-        raise ValueError(f"measurement length {yv.size} does not match {D.shape[0]} rows")
+    yv = D.measurement(y)
     stacked = np.concatenate([D.block(i) for i in idx], axis=1)
     coef = np.linalg.pinv(stacked, rcond=rank_tol) @ yv
     residual = float(np.linalg.norm(yv - stacked @ coef))
     full = np.zeros(D.structure.dim, dtype=np.complex128)
     full[D.structure.column_indices(idx)] = coef
     return BlockVector(full, D.structure), residual
+
+
+def support_stacks(D: BlockDictionary, k: int):
+    """Every k-subset of blocks with its stacked columns, streamed in batches.
+
+    Yields (supports, stacks): a (B, k) array of block indices and the
+    (B, M, w) column stacks, all of width w.  Subsets are cut into
+    lexicographic chunks of _SUBSET_CHUNK, each split by width.
+    """
+    padded = D.structure.padded_columns()
+    subsets = itertools.combinations(range(D.n_blocks), k)
+    while (chunk := np.array(list(itertools.islice(subsets, _SUBSET_CHUNK)))).size:
+        cols = padded[chunk].reshape(len(chunk), -1)
+        widths = np.count_nonzero(cols >= 0, axis=1)
+        for width in np.unique(widths):
+            group = cols[widths == width]
+            stacks = D.matrix[:, group[group >= 0].reshape(-1, width)]
+            yield chunk[widths == width], np.moveaxis(stacks, 1, 0)

@@ -11,13 +11,12 @@ equality for orthonormal blocks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockDictionary, cross_norm_table
+from .blocks import BlockDictionary, cross_norm_table, support_stacks
 # Unused here; bench/spans.py rebinds this name, so bench/run.py --trace 1 needs it.
 from .blocks import cross_block_norm  # noqa: F401
 
@@ -25,8 +24,6 @@ from .blocks import cross_block_norm  # noqa: F401
 SPARK_DEFICIENCY_TOL = 1e-10
 # Subset enumeration beyond this many blocks must be requested explicitly.
 SPARK_ENUMERATION_CAP = 20
-# Block subsets per batched SVD: streaming them keeps peak memory flat.
-_SUBSET_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -139,14 +136,9 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     return mu_block, nu, mu_hat
 
 
-def _any_deficient(matrix: np.ndarray, cols: np.ndarray, tol: float) -> bool:
-    """True when some row of cols (column indices, -1 padded) picks a rank-deficient stack."""
-    widths = np.count_nonzero(cols >= 0, axis=1)
-    if widths.max() > matrix.shape[0]:
-        return True
-    for width in np.unique(widths):
-        group = cols[widths == width]
-        stacks = np.moveaxis(matrix[:, group[group >= 0].reshape(-1, width)], 1, 0)
+def _deficient(D: BlockDictionary, k: int, tol: float) -> bool:
+    """Whether some k-subset of blocks stacks rank deficient; k is below the width bound."""
+    for _, stacks in support_stacks(D, k):
         s = np.linalg.svd(stacks, compute_uv=False)
         if np.any(s[:, -1] <= tol * s[:, 0]):
             return True
@@ -157,26 +149,34 @@ def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
                      cap: int = SPARK_ENUMERATION_CAP) -> int | None:
     """Fewest blocks a nonzero kernel vector of D can occupy.
 
-    Scans block subsets by increasing cardinality and returns the first
-    cardinality with some subset whose stacked columns are rank deficient,
-    i.e. admit a kernel vector occupying exactly those blocks.  A stack that
-    is wider than it is tall is deficient outright.  Returns None when no
-    subset up to all n blocks is deficient: the kernel is trivial
-    (numerically {0}).
+    A block subset admits a kernel vector occupying exactly those blocks when
+    its stacked columns are rank deficient: wider than tall, or with smallest
+    singular value at most tol times the largest.  Deficiency is monotone
+    under supersets (zero-pad the kernel vector; by interlacing, adding
+    columns only lowers the smallest singular value and raises the largest),
+    so the search bisects over k.  The width bound hi, the fewest blocks whose
+    widest choice has more columns than D has rows, is deficient outright;
+    hi - 1, where generic dictionaries sit, is probed first; then (0, hi) is
+    bisected.  Without a width bound all n blocks are tested, and None means
+    even they are not deficient: the kernel is trivial (numerically {0}).
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     n = D.n_blocks
     if n > cap:
         raise ValueError("exhaustive spark infeasible; raise cap explicitly")
-    padded = D.structure.padded_columns()
-    for k in range(1, n + 1):
-        subsets = itertools.combinations(range(n), k)
-        while chunk := list(itertools.islice(subsets, _SUBSET_CHUNK)):
-            cols = padded[np.array(chunk)].reshape(len(chunk), -1)
-            if _any_deficient(D.matrix, cols, tol):
-                return k
-    return None
+    wide = np.flatnonzero(np.cumsum(sorted(D.structure.sizes, reverse=True)) > D.shape[0])
+    if wide.size == 0 and not _deficient(D, n, tol):
+        return None
+    lo, hi = 0, int(wide[0]) + 1 if wide.size else n
+    probe = hi - 1
+    while hi - lo > 1:
+        if _deficient(D, probe, tol):
+            hi = probe
+        else:
+            lo = probe
+        probe = (lo + hi) // 2
+    return hi
 
 
 def coherence_report(D: BlockDictionary, compute_spark: bool = True,

@@ -139,16 +139,21 @@ def load_correlation_table(path) -> CrossCorrelationTable:
         raw_entries = doc["entries"]
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed correlation table: {err}") from err
+    if not isinstance(raw_entries, list):
+        raise ValueError("malformed correlation table: entries must be a list")
     entries = []
-    for raw in raw_entries:
-        real = np.asarray(raw["real"], dtype=np.float64)
-        imag = np.asarray(raw["imag"], dtype=np.float64)
+    for pos, raw in enumerate(raw_entries):
+        try:
+            real = np.asarray(raw["real"], dtype=np.float64)
+            imag = np.asarray(raw["imag"], dtype=np.float64)
+            left, right = int(raw["left"]), int(raw["right"])
+            lag_offset = int(raw.get("lag_offset", 0))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"malformed correlation table: entry {pos}: {err}") from err
         if real.size != imag.size:
             raise ValueError("correlation sequence real/imag lengths differ")
-        entries.append(CorrelationSequence(
-            left=int(raw["left"]), right=int(raw["right"]),
-            lag_offset=int(raw.get("lag_offset", 0)),
-            values=tuple(real + 1j * imag)))
+        entries.append(CorrelationSequence(left=left, right=right, lag_offset=lag_offset,
+                                           values=tuple(real + 1j * imag)))
     return CrossCorrelationTable(tuple(entries), grid_size=grid)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (RANK_TOL, ZERO_BLOCK_TOL, BlockDictionary, BlockStructure,
-                     BlockVector, block_least_squares, h1_norm)
+                     BlockVector, block_least_squares, h1_norm, support_stacks)
 from .coherence import SPARK_ENUMERATION_CAP, CoherenceReport
 
 STATUS_EXACT = "exact"
@@ -33,6 +33,9 @@ STATUS_NON_UNIQUE = "non-unique"
 # Relative block-norm cutoff for reading a support off a splitting iterate,
 # which is feasible but never exactly block-sparse.
 BP_SUPPORT_REL_TOL = 1e-6
+# Multiple of eps * cond * ||y|| by which p0's batched screen may understate
+# the residual of the per-support refit that decides feasibility.
+_SCREEN_ROUNDING = 100.0
 
 
 @dataclass(frozen=True)
@@ -94,25 +97,41 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
     norm, the status is "non-unique" and the lexicographically first solution
     is returned.  ``max_cardinality`` bounds the search depth; supports up to
     that size exhausted without a feasible fit give status "infeasible".
+    ``iterations`` counts every support of every scanned cardinality.
+
+    Each batch of supports is screened by one batched thin SVD, on the
+    explicit residual ||y - U_r U_r^H y|| with r counting the singular values
+    above RANK_TOL times the largest (the pseudo-inverse's cutoff).  Supports
+    that pass, with an allowance for the refit's rounding, are refitted by
+    ``block_least_squares`` in lexicographic order and admitted on that
+    refit's residual alone.
     """
     n = D.n_blocks
     if n > cap:
         raise ValueError("exhaustive search infeasible; raise cap explicitly")
-    yv = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if yv.size != D.shape[0]:
-        raise ValueError(f"measurement length {yv.size} does not match {D.shape[0]} rows")
-    feas_tol = tol * max(float(np.linalg.norm(yv)), 1.0)
+    yv = D.measurement(y)
+    y_norm = float(np.linalg.norm(yv))
+    feas_tol = tol * max(y_norm, 1.0)
     evaluated = 0
     depth = n if max_cardinality is None else min(int(max_cardinality), n)
 
-    if float(np.linalg.norm(yv)) <= feas_tol:
+    if y_norm <= feas_tol:
         return _result(D, BlockVector.zeros(D.structure), yv, 0, STATUS_EXACT)
 
     for k in range(1, depth + 1):
+        evaluated += math.comb(n, k)
+        passing = []
+        for supports, stacks in support_stacks(D, k):
+            u, s, _ = np.linalg.svd(stacks, full_matrices=False)
+            kept = s > RANK_TOL * s[:, :1]
+            u = u * kept[:, None, :]
+            screened = np.linalg.norm(yv - np.einsum("bmr,br->bm", u, yv @ u.conj()), axis=1)
+            cond = s[:, 0] / np.where(kept, s, np.inf).min(axis=1)
+            slack = _SCREEN_ROUNDING * np.finfo(float).eps * cond * y_norm
+            passing += supports[screened <= feas_tol + slack].tolist()
         feasible: list[BlockVector] = []
-        for combo in itertools.combinations(range(n), k):
-            coeffs, residual = block_least_squares(D, combo, yv)
-            evaluated += 1
+        for support in sorted(passing):
+            coeffs, residual = block_least_squares(D, support, yv)
             if residual <= feas_tol:
                 feasible.append(coeffs)
         if feasible:
@@ -144,9 +163,7 @@ def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None,
     within 1e-6.
     """
     params = params or BpParams()
-    yv = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if yv.size != D.shape[0]:
-        raise ValueError(f"measurement length {yv.size} does not match {D.shape[0]} rows")
+    yv = D.measurement(y)
     mat = D.matrix
     pinv = np.linalg.pinv(mat, rcond=RANK_TOL)
     # Feasibility of the affine set: y must lie in the numerical range.
@@ -213,9 +230,7 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
         max_iter = D.n_blocks
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    yv = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if yv.size != D.shape[0]:
-        raise ValueError(f"measurement length {yv.size} does not match {D.shape[0]} rows")
+    yv = D.measurement(y)
     stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
     smin = D.block_sigma_min()
 

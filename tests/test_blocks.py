@@ -37,6 +37,15 @@ class TestStructure:
         with pytest.raises(ValueError):
             BlockVector(np.ones(5), BlockStructure((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            BlockVector([1.0, bad, 0.0, 1.0], BlockStructure((2, 2)))
+        mat = np.eye(3, dtype=complex)
+        mat[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            BlockDictionary(mat, BlockStructure((1, 2)))
+
 
 class TestNorms:
     def test_h0_zero_vector(self):
@@ -238,3 +247,11 @@ class TestBlockLeastSquares:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError, match="at least one block"):
             block_least_squares(self.build(), [], np.zeros(8))
+
+    def test_measurement_checked(self):
+        y = np.ones(8)
+        with pytest.raises(ValueError, match="does not match"):
+            block_least_squares(self.build(), [0], y[:7])
+        y[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            block_least_squares(self.build(), [0], y)

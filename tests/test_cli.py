@@ -194,6 +194,15 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_non_finite_dictionary_is_validation_error(self, tmp_path, capsys):
+        dict_path = tmp_path / "d.json"
+        dict_path.write_text(json.dumps({"rows": 2, "cols": 2, "block_sizes": [1, 1],
+                                         "real": [1.0, 0.0, float("nan"), 1.0],
+                                         "imag": [0.0, 0.0, 0.0, 0.0]}))
+        code, _, err = run(capsys, "certify", str(dict_path))
+        assert code == 1
+        assert "non-finite" in err
+
     def test_summary_line_on_stderr(self, tmp_path, capsys):
         dict_path = str(tmp_path / "d.json")
         code, _, err = run(capsys, "model", "identity-dft", "--n", "4",

@@ -243,6 +243,29 @@ def test_random_nonuniform_dictionaries_match_references(rows, sizes, seed, depe
     assert hilbert_coherence(D) == pytest.approx(pairwise_hilbert_coherence(D), rel=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(3, 7), sizes=st.lists(st.integers(1, 2), min_size=4, max_size=9),
+       seed=st.integers(0, 2**32 - 1), partners=st.integers(1, 3))
+def test_spark_below_width_bound_matches_oracle(rows, sizes, seed, partners):
+    """A kernel vector on the last partners + 1 blocks, the latest subsets in
+    lexicographic order, puts the spark below the width bound, so the search
+    has to bisect past its first probe."""
+    widest = np.cumsum(sorted(sizes, reverse=True))
+    width_bound = int(np.argmax(widest > rows)) + 1 if widest[-1] > rows else len(sizes)
+    assume(partners + 1 < width_bound)
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(sizes))
+    shape = (rows, structure.dim)
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    first = structure.offsets[len(sizes) - 1 - partners]
+    mixing = rng.standard_normal(structure.dim - 1 - first)
+    mat[:, -1] = mat[:, first:-1] @ mixing
+    D = BlockDictionary(mat, structure)
+    spark = spark_exhaustive(D)
+    assert spark == kernel_spark_oracle_blocks(D)
+    assert spark < width_bound
+
+
 class TestCoherenceReport:
     def test_identity_dft_pair_numbers(self):
         rep = coherence_report(identity_dft_pair(4))

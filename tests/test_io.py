@@ -114,6 +114,20 @@ class TestCorrelationTable:
         with pytest.raises(ValueError, match="lengths differ"):
             load_correlation_table(path)
 
+    @pytest.mark.parametrize("entries", [
+        [5],
+        [None],
+        [{"left": 0, "right": 1, "real": [1.0]}],
+        [{"right": 1, "real": [1.0], "imag": [0.0]}],
+        [{"left": [0], "right": 1, "real": [1.0], "imag": [0.0]}],
+        5,
+    ])
+    def test_malformed_entry_rejected(self, tmp_path, entries):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"grid_size": 4, "entries": entries}))
+        with pytest.raises(ValueError, match="malformed correlation table"):
+            load_correlation_table(path)
+
 
 class TestCsvCells:
     def test_cell_types(self):

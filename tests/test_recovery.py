@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hsparse import (BlockDictionary, BlockStructure, BpParams, BlockVector,
                      coherence_report, complex_standard_normal, guarantee_check,
@@ -61,6 +65,63 @@ class TestHp0:
             hp0_exhaustive(D, np.zeros(16) + 1.0)
         _, y = planted(D, (3,), seed=0)
         assert hp0_exhaustive(D, y, cap=32).support == (3,)
+
+
+def p0_reference(D, y, tol=1e-8, max_cardinality=None):
+    """Reference: one pinv fit per support, scanned by increasing cardinality.
+
+    Returns (status, support, iterations, solution entries).
+    """
+    n = D.n_blocks
+    feas_tol = tol * max(np.linalg.norm(y), 1.0)
+    depth = n if max_cardinality is None else min(max_cardinality, n)
+    evaluated = 0
+    for k in range(1, depth + 1):
+        feasible = []
+        for combo in itertools.combinations(range(n), k):
+            stacked = np.hstack([D.block(i) for i in combo])
+            coef = np.linalg.pinv(stacked, rcond=1e-12) @ y
+            evaluated += 1
+            if np.linalg.norm(y - stacked @ coef) <= feas_tol:
+                full = np.zeros(D.structure.dim, dtype=complex)
+                full[D.structure.column_indices(combo)] = coef
+                feasible.append(full)
+        if feasible:
+            distinct = any(np.linalg.norm(a - b) > tol
+                           for a, b in itertools.combinations(feasible, 2))
+            norms = D.structure.norms(feasible[0])
+            support = tuple(int(i) for i in np.flatnonzero(norms > 1e-10))
+            return ("non-unique" if distinct else "exact"), support, evaluated, feasible[0]
+    return "infeasible", (), evaluated, np.zeros(D.structure.dim, dtype=complex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(2, 6), sizes=st.lists(st.integers(1, 3), min_size=2, max_size=7),
+       seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(["planted", "duplicate", "unstructured"]),
+       depth=st.one_of(st.none(), st.integers(1, 3)))
+def test_p0_matches_per_support_reference(rows, sizes, seed, case, depth):
+    """Planted, duplicate-block (non-unique), unstructured (infeasible up to a
+    shallow depth, or fitted only by stacks wider than the rows) measurements."""
+    assume(max(sizes) <= rows)
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(sizes))
+    shape = (rows, structure.dim)
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if case == "duplicate":
+        twins = [i for i in range(1, len(sizes)) if sizes[i] == sizes[0]]
+        assume(twins)
+        mat[:, structure.block_slice(twins[-1])] = mat[:, structure.block_slice(0)]
+    D = BlockDictionary(mat, structure)
+    if case == "unstructured":
+        y = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    else:
+        s = min(int(rng.integers(1, 3)), len(sizes))
+        _, y = planted(D, sorted(rng.choice(len(sizes), s, replace=False)), seed=seed % 1000)
+    got = hp0_exhaustive(D, y, max_cardinality=depth)
+    status, support, iterations, solution = p0_reference(D, y, max_cardinality=depth)
+    assert (got.status, got.support, got.iterations) == (status, support, iterations)
+    assert np.array_equal(got.solution.entries, solution)
 
 
 class TestHbp:
@@ -202,6 +263,17 @@ class TestGuaranteeCheck:
         rep = coherence_report(identity_dft_pair(4), compute_spark=False)
         with pytest.raises(ValueError, match="spark"):
             guarantee_check(rep, 1)
+
+
+@pytest.mark.parametrize("solve", [hp0_exhaustive, hbp_solve, homp])
+def test_non_finite_measurement_rejected(solve):
+    D = identity_dft_pair(8)
+    _, y = planted(D, (3,), seed=0)
+    y[2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(D, y)
+    with pytest.raises(ValueError, match="does not match"):
+        solve(D, y[:7])
 
 
 class TestSolverAgreement:
