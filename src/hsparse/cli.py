@@ -18,10 +18,8 @@ from . import io as hio
 from .blocks import NumericalAnomaly
 from .coherence import (SPARK_DEFICIENCY_TOL, SPARK_ENUMERATION_CAP,
                         coherence_report, spark_exhaustive)
-from .experiments import (ExperimentConfig, build_dictionary,
-                          run_certify, run_phase_transition)
-from .models import MultiCosetSpec, multicoset_matrix
-from .recovery import BpParams, hbp_solve, homp, hp0_exhaustive
+from .experiments import (ALGORITHMS, TOLERANCE_KEYS, ExperimentConfig, build_dictionary,
+                          run_algorithm, run_certify, run_phase_transition)
 from .uncertainty import gup_audit, kernel_uncertainty_audit, picket_fence
 
 EXIT_OK = 0
@@ -30,7 +28,7 @@ EXIT_ANOMALY = 2
 EXIT_IO = 3
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     """Validation failure surfaced with exit code 1."""
 
 
@@ -75,15 +73,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("recover", help="solve one recovery instance")
-    p.add_argument("--algo", required=True, choices=("p0", "bp", "omp"))
+    p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--obs", required=True, help="measurement vector file")
-    p.add_argument("--tol-res", type=float, default=1e-10, help="omp stop tolerance")
-    p.add_argument("--tol-p0", type=float, default=1e-8, help="p0 feasibility tolerance")
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--tol-primal", type=float, default=1e-9)
-    p.add_argument("--tol-dual", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol-res", dest="omp_tol_res", type=float, help="omp stop tolerance")
+    p.add_argument("--tol-p0", dest="p0_tol", type=float, help="p0 feasibility tolerance")
+    p.add_argument("--rho", dest="bp_rho", type=float)
+    p.add_argument("--tol-primal", dest="bp_tol_primal", type=float)
+    p.add_argument("--tol-dual", dest="bp_tol_dual", type=float)
+    p.add_argument("--max-iter", dest="bp_max_iter", type=int)
     p.add_argument("--cap", type=int, default=SPARK_ENUMERATION_CAP)
     p.add_argument("--out", help="prefix: writes <out>.json and <out>.solution.json")
 
@@ -126,10 +124,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="deterministic recovery sweep")
     p.add_argument("--config", help="JSON config; its keys override flags")
     p.add_argument("--dict", dest="dictionary", help="dictionary file when no config")
-    p.add_argument("--algos", type=str, default="p0,bp,omp")
-    p.add_argument("--s-min", type=int, default=1)
-    p.add_argument("--s-max", type=int, default=1)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--algos", type=str, default=",".join(ALGORITHMS))
+    p.add_argument("--s-min", type=int)
+    p.add_argument("--s-max", type=int)
+    p.add_argument("--trials", type=int)
     p.add_argument("--out", help="output prefix for CSV and JSON sidecar")
 
     p = sub.add_parser("certify", help="thresholds and coherence-ordering verdict")
@@ -163,14 +161,9 @@ def _cmd_recover(args, touched) -> int:
     D = hio.load_block_dictionary(args.dictionary)
     y = hio.load_measurement(args.obs)
     touched += [args.dictionary, args.obs]
-    if args.algo == "p0":
-        result = hp0_exhaustive(D, y, tol=args.tol_p0, cap=args.cap)
-    elif args.algo == "omp":
-        result = homp(D, y, tol_res=args.tol_res)
-    else:
-        params = BpParams(rho=args.rho, tol_primal=args.tol_primal,
-                          tol_dual=args.tol_dual, max_iter=args.max_iter)
-        result = hbp_solve(D, y, params)
+    tolerances = {key: value for key, value in vars(args).items()
+                  if key in TOLERANCE_KEYS and value is not None}
+    result = run_algorithm(args.algo, D, y, tolerances, cap=args.cap)
     doc = {
         "algorithm": args.algo,
         "status": result.status,
@@ -178,26 +171,24 @@ def _cmd_recover(args, touched) -> int:
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
     }
+    _emit(doc, args.out and args.out + ".json", touched)
     if args.out:
-        hio.write_document(args.out + ".json", doc)
         hio.save_block_vector(args.out + ".solution.json", result.solution)
-        touched += [args.out + ".json", args.out + ".solution.json"]
-    else:
-        sys.stdout.write(hio.dumps_document(doc))
+        touched.append(args.out + ".solution.json")
     return EXIT_OK
 
 
 def _cmd_model(args, touched) -> int:
     if args.model_kind == "multicoset":
-        spec = MultiCosetSpec(args.n, _int_list(args.rows), args.period)
-        D = multicoset_matrix(spec)
+        source = {"kind": "multicoset", "n": args.n,
+                  "rows": _int_list(args.rows), "period": args.period}
     elif args.model_kind == "identity-dft":
-        D = build_dictionary({"kind": "identity_dft", "n": args.n})
+        source = {"kind": "identity_dft", "n": args.n}
     else:
-        D = build_dictionary({"kind": "random", "rows": args.rows,
-                              "block_sizes": _int_list(args.block_sizes),
-                              "seed": args.seed, "normalize": args.normalize})
-    hio.save_block_dictionary(args.out, D)
+        source = {"kind": "random", "rows": args.rows,
+                  "block_sizes": _int_list(args.block_sizes),
+                  "seed": args.seed, "normalize": args.normalize}
+    hio.save_block_dictionary(args.out, build_dictionary(source))
     touched.append(args.out)
     return EXIT_OK
 
@@ -238,16 +229,11 @@ def _cmd_uncertainty(args, touched) -> int:
 
 
 def _cmd_experiment(args, touched) -> int:
-    flags = {
-        "dictionary": {"kind": "file", "path": args.dictionary} if args.dictionary else None,
-        "algorithms": [a for a in args.algos.split(",") if a],
-        "s_min": args.s_min,
-        "s_max": args.s_max,
-        "trials": args.trials,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    merged = {k: v for k, v in flags.items() if v is not None}
+    merged = {name: getattr(args, name) for name in ("s_min", "s_max", "trials", "seed", "out")
+              if getattr(args, name) is not None}
+    merged["algorithms"] = [a for a in args.algos.split(",") if a]
+    if args.dictionary:
+        merged["dictionary"] = {"kind": "file", "path": args.dictionary}
     if args.config:
         doc = hio.load_document(args.config)
         touched.append(args.config)
@@ -258,9 +244,7 @@ def _cmd_experiment(args, touched) -> int:
     records = run_phase_transition(config)
     if config.out:
         touched += [config.out + ".csv", config.out + ".json"]
-    failures = sum(1 for r in records if not r.success)
-    summary = {"trials": len(records), "failures": failures}
-    sys.stdout.write(hio.dumps_document(summary))
+    _emit({"trials": len(records), "failures": sum(not r.success for r in records)}, None, touched)
     return EXIT_OK
 
 
@@ -292,9 +276,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         seed = args.seed
         code = _COMMANDS[args.command](args, touched)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        code = EXIT_VALIDATION
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         code = EXIT_VALIDATION

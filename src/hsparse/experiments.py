@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import io as hio
 from .blocks import BlockDictionary, BlockVector, h1_norm
-from .coherence import coherence_report
+from .coherence import SPARK_ENUMERATION_CAP, coherence_report
 from .models import (MultiCosetSpec, complex_standard_normal, identity_dft_pair,
                      multicoset_matrix, random_block_dictionary)
 from .recovery import BpParams, RecoveryResult, hbp_solve, homp, hp0_exhaustive
@@ -25,6 +25,15 @@ from .recovery import BpParams, RecoveryResult, hbp_solve, homp, hp0_exhaustive
 ALGORITHMS = ("bp", "omp", "p0")
 # Exact-recovery tolerances entering the success verdict.
 SUCCESS_TOL = {"p0": 1e-6, "omp": 1e-6, "bp": 1e-5}
+# Config ``tolerances`` key -> (algorithm, solver parameter it sets, type).
+TOLERANCE_KEYS = {
+    "p0_tol": ("p0", "tol", float),
+    "omp_tol_res": ("omp", "tol_res", float),
+    "bp_rho": ("bp", "rho", float),
+    "bp_tol_primal": ("bp", "tol_primal", float),
+    "bp_tol_dual": ("bp", "tol_dual", float),
+    "bp_max_iter": ("bp", "max_iter", int),
+}
 
 # Columns written to CSV, in order.  Wall time stays in memory only: files
 # must be byte-identical across reruns of the same configuration.
@@ -67,8 +76,11 @@ class ExperimentConfig:
 
     ``dictionary`` names either a file ({"kind": "file", "path": ...}) or a
     constructor ({"kind": "identity_dft" | "multicoset" | "random", ...}).
-    ``tolerances`` may override solver defaults: keys bp_rho, bp_tol_primal,
-    bp_tol_dual, bp_max_iter, omp_tol_res, p0_tol.
+    ``tolerances`` maps TOLERANCE_KEYS (p0_tol, omp_tol_res, bp_rho,
+    bp_tol_primal, bp_tol_dual, bp_max_iter; ``recover`` sets them with
+    --tol-p0, --tol-res, --rho, --tol-primal, --tol-dual, --max-iter) to finite
+    numbers, integral for bp_max_iter and the integer fields (3.0 reads as 3);
+    omitted options take the solver's default.
     """
 
     dictionary: dict
@@ -81,6 +93,14 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for name in ("s_min", "s_max", "trials", "seed"):
+            setattr(self, name, _number(name, getattr(self, name), int))
+        if not isinstance(self.tolerances, dict):
+            raise ValueError("tolerances must be an object")
+        for key, value in self.tolerances.items():
+            if key not in TOLERANCE_KEYS:
+                raise ValueError(f"unknown tolerances key {key!r}; known: {sorted(TOLERANCE_KEYS)}")
+            _number(key, value, TOLERANCE_KEYS[key][2])
         self.algorithms = tuple(sorted(set(self.algorithms)))
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
@@ -94,29 +114,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, doc: dict) -> "ExperimentConfig":
-        known = {"dictionary", "algorithms", "s_min", "s_max", "trials",
-                 "seed", "tolerances", "out"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "dictionary" not in doc:
             raise ValueError("config needs a dictionary source")
-        kwargs = dict(doc)
-        if "algorithms" in kwargs:
-            kwargs["algorithms"] = tuple(kwargs["algorithms"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     def to_mapping(self) -> dict:
-        return {
-            "dictionary": dict(self.dictionary),
-            "algorithms": list(self.algorithms),
-            "s_min": self.s_min,
-            "s_max": self.s_max,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tolerances": dict(self.tolerances),
-            "out": self.out,
-        }
+        return {**asdict(self), "algorithms": list(self.algorithms)}
+
+
+def _number(name: str, value, kind: type):
+    """value as kind (int or float); it must be a finite number kind keeps exactly."""
+    try:
+        if not isinstance(value, bool) and -math.inf < value < math.inf and kind(value) == value:
+            return kind(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
 
 
 def build_dictionary(source: dict) -> BlockDictionary:
@@ -159,19 +175,20 @@ def plant_signal(D: BlockDictionary, s: int, master_seed: int,
     return BlockVector(entries, D.structure), support
 
 
-def _run_algorithm(algo: str, D: BlockDictionary, y: np.ndarray, s: int,
-                   tols: dict, h1_ref: float | None) -> RecoveryResult:
+def run_algorithm(algo: str, D: BlockDictionary, y: np.ndarray, tolerances: dict,
+                  cap: int = SPARK_ENUMERATION_CAP, max_cardinality: int | None = None,
+                  h1_reference: float | None = None) -> RecoveryResult:
+    """Call solver ``algo`` with the options ``tolerances`` sets for it (see
+    TOLERANCE_KEYS); options not given keep the solver's default."""
+    opts = {param: _number(key, tolerances[key], kind)
+            for key, (owner, param, kind) in TOLERANCE_KEYS.items()
+            if owner == algo and key in tolerances}
     if algo == "p0":
-        return hp0_exhaustive(D, y, tol=tols.get("p0_tol", 1e-8),
-                              cap=D.n_blocks, max_cardinality=s)
+        return hp0_exhaustive(D, y, cap=cap, max_cardinality=max_cardinality, **opts)
     if algo == "omp":
-        return homp(D, y, tol_res=tols.get("omp_tol_res", 1e-10))
+        return homp(D, y, **opts)
     if algo == "bp":
-        params = BpParams(rho=tols.get("bp_rho", 1.0),
-                          tol_primal=tols.get("bp_tol_primal", 1e-9),
-                          tol_dual=tols.get("bp_tol_dual", 1e-9),
-                          max_iter=int(tols.get("bp_max_iter", 100_000)))
-        return hbp_solve(D, y, params, h1_reference=h1_ref)
+        return hbp_solve(D, y, BpParams(**opts), h1_reference=h1_reference)
     raise ValueError(f"unknown algorithm: {algo!r}")
 
 
@@ -201,7 +218,8 @@ def run_phase_transition(config: ExperimentConfig) -> list[TrialRecord]:
             h1_ref = None
             for algo in order:
                 t0 = time.perf_counter()
-                result = _run_algorithm(algo, D, y, s, config.tolerances, h1_ref)
+                result = run_algorithm(algo, D, y, config.tolerances, cap=n,
+                                       max_cardinality=s, h1_reference=h1_ref)
                 wall = time.perf_counter() - t0
                 if algo == "p0":
                     h1_ref = h1_norm(result.solution)
@@ -227,7 +245,7 @@ def write_outputs(config: ExperimentConfig, D: BlockDictionary,
     lines += [",".join(r.csv_row()) for r in records]
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    report = coherence_report(D, compute_spark=D.n_blocks <= 20)
+    report = coherence_report(D)
     sidecar = {
         "seed": config.seed,
         "config": config.to_mapping(),
@@ -247,7 +265,7 @@ def max_guaranteed_sparsity(threshold: float | None, n_blocks: int) -> int | str
 
 
 def run_certify(D: BlockDictionary, compute_spark: bool = True,
-                spark_cap: int = 20) -> dict:
+                spark_cap: int = SPARK_ENUMERATION_CAP) -> dict:
     """Certification document: report, guaranteed sparsity levels, ordering.
 
     For uniform block sizes the composite-vs-subspace coherence comparison is

@@ -14,7 +14,6 @@ coherence-based) under which all three provably return the planted signal.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -104,7 +103,8 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
     above RANK_TOL times the largest (the pseudo-inverse's cutoff).  Supports
     that pass, with an allowance for the refit's rounding, are refitted by
     ``block_least_squares`` in lexicographic order and admitted on that
-    refit's residual alone.
+    refit's residual alone; refitting stops at the first admitted solution
+    farther than tol from an earlier one, which settles "non-unique".
     """
     n = D.n_blocks
     if n > cap:
@@ -132,14 +132,14 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
         feasible: list[BlockVector] = []
         for support in sorted(passing):
             coeffs, residual = block_least_squares(D, support, yv)
-            if residual <= feas_tol:
-                feasible.append(coeffs)
+            if residual > feas_tol:
+                continue
+            if any(float(np.linalg.norm(a.entries - coeffs.entries)) > tol
+                   for a in feasible):
+                return _result(D, feasible[0], yv, evaluated, STATUS_NON_UNIQUE)
+            feasible.append(coeffs)
         if feasible:
-            distinct = any(
-                float(np.linalg.norm(a.entries - b.entries)) > tol
-                for a, b in itertools.combinations(feasible, 2))
-            status = STATUS_NON_UNIQUE if distinct else STATUS_EXACT
-            return _result(D, feasible[0], yv, evaluated, status)
+            return _result(D, feasible[0], yv, evaluated, STATUS_EXACT)
     return _result(D, BlockVector.zeros(D.structure), yv, evaluated, STATUS_INFEASIBLE)
 
 

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from hsparse import BlockDictionary, BlockVector, identity_dft_pair, uniform_structure
+from hsparse import (BlockDictionary, BlockVector, BpParams, hbp_solve, homp,
+                     hp0_exhaustive, identity_dft_pair, uniform_structure)
 from hsparse.cli import main
 from hsparse.io import (load_block_dictionary, load_block_vector,
-                        save_block_dictionary, save_block_vector,
-                        save_measurement)
+                        load_measurement, save_block_dictionary,
+                        save_block_vector, save_measurement)
 
 
 def run(capsys, *argv):
@@ -76,6 +77,40 @@ class TestRecover:
         assert doc["support"] == [6]
         solution = load_block_vector(out_prefix + ".solution.json")
         assert np.linalg.norm(solution.entries - truth) <= 1e-5
+
+    # Each recover option against a direct solver call with that option; every
+    # value is chosen so that the result differs from the solver's default.
+    @pytest.mark.parametrize("algo, flags, direct", [
+        ("p0", ["--tol-p0", "1.0"], lambda D, y: hp0_exhaustive(D, y, tol=1.0)),
+        ("omp", ["--tol-res", "0.9"], lambda D, y: homp(D, y, tol_res=0.9)),
+        ("bp", ["--rho", "4"], lambda D, y: hbp_solve(D, y, BpParams(rho=4.0))),
+        ("bp", ["--tol-primal", "1e-4"],
+         lambda D, y: hbp_solve(D, y, BpParams(tol_primal=1e-4))),
+        ("bp", ["--tol-dual", "1e-4"],
+         lambda D, y: hbp_solve(D, y, BpParams(tol_dual=1e-4))),
+        ("bp", ["--max-iter", "3"], lambda D, y: hbp_solve(D, y, BpParams(max_iter=3))),
+    ], ids=["tol-p0", "tol-res", "rho", "tol-primal", "tol-dual", "max-iter"])
+    def test_option_reaches_solver(self, algo, flags, direct, tmp_path, capsys):
+        D = identity_dft_pair(8)
+        truth = np.zeros(16, dtype=complex)
+        truth[[1, 12]] = [1.5 - 0.5j, 0.8 + 0.3j]
+        dict_path = str(tmp_path / "d.json")
+        obs_path = str(tmp_path / "y.json")
+        save_block_dictionary(dict_path, D)
+        save_measurement(obs_path, D.matrix @ truth)
+        argv = ["recover", "--algo", algo, "--dict", dict_path, "--obs", obs_path]
+
+        code, out, _ = run(capsys, *argv, *flags)
+        assert code == 0
+        expected = direct(D, load_measurement(obs_path))
+        assert json.loads(out) == {
+            "algorithm": algo, "status": expected.status,
+            "support": list(expected.support), "iterations": expected.iterations,
+            "residual_norm": expected.residual_norm}
+        _, default_out, _ = run(capsys, *argv)
+        assert json.loads(default_out) != json.loads(out)
+        if flags[0] == "--max-iter":
+            assert (expected.status, expected.iterations) == ("max-iterations", 3)
 
 
 class TestUncertaintyCommands:
@@ -166,6 +201,22 @@ class TestExperimentAndCertify:
         assert code == 0
         assert json.loads(out)["trials"] == 3   # one algorithm, three trials
 
+    def test_config_tolerances_reach_solver(self, tmp_path, capsys):
+        csv_text = []
+        for max_iter in (3, 3.0):
+            config = {"dictionary": {"kind": "identity_dft", "n": 8}, "algorithms": ["bp"],
+                      "s_max": 2, "trials": 2, "tolerances": {"bp_max_iter": max_iter},
+                      "out": str(tmp_path / "sweep")}
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(config))
+            code, _, _ = run(capsys, "experiment", "--config", str(cfg_path))
+            assert code == 0
+            csv_text.append((tmp_path / "sweep.csv").read_text())
+        assert csv_text[0] == csv_text[1]
+        rows = [row.split(",") for row in csv_text[0].splitlines()]
+        column = rows[0].index("iterations")
+        assert len(rows) == 5 and max(int(row[column]) for row in rows[1:]) == 3
+
     def test_certify(self, tmp_path, capsys):
         dict_path = str(tmp_path / "d.json")
         run(capsys, "model", "identity-dft", "--n", "16", "--out", dict_path)
@@ -193,6 +244,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "experiment", "--config", str(cfg))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("override", [
+        {"tolerances": {"bp_max_iters": 3}},
+        {"tolerances": {"p0_tol": "abc"}},
+        {"tolerances": [1e-8]},
+        {"tolerances": {"bp_max_iter": 2.5}},
+        {"tolerances": {"bp_rho": float("nan")}},
+        {"trials": "3"},
+        {"s_max": "2"},
+        {"seed": True},
+    ], ids=["unknown-key", "string-value", "list", "fractional-max-iter", "nan",
+            "string-trials", "string-s-max", "bool-seed"])
+    def test_malformed_config_is_validation_error(self, override, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dictionary": {"kind": "identity_dft", "n": 4},
+                                   "algorithms": ["bp"], **override}))
+        code, _, err = run(capsys, "experiment", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "hsparse: exit=1" in err
 
     def test_non_finite_dictionary_is_validation_error(self, tmp_path, capsys):
         dict_path = tmp_path / "d.json"

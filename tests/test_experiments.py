@@ -33,6 +33,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(s_min=3, s_max=2)
 
+    @pytest.mark.parametrize("name", ["s_min", "s_max", "trials", "seed"])
+    @pytest.mark.parametrize("value", ["1", True, 1.5, None, float("inf")])
+    def test_rejects_non_integer_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            small_config(**{name: value})
+
+    def test_integral_floats_read_as_integers(self):
+        config = small_config(s_max=2.0, trials=3.0, tolerances={"bp_max_iter": 50.0})
+        assert (config.s_max, config.trials) == (2, 3)
+        assert type(config.trials) is int
+        assert config.tolerances == {"bp_max_iter": 50.0}   # recorded as given
+
+    @pytest.mark.parametrize("tolerances, match", [
+        ({"p0_tolerance": 1e-8}, "unknown tolerances key"),
+        ({"omp_tol_res": "1e-10"}, "omp_tol_res must be a finite number"),
+        ({"bp_max_iter": 2.5}, "bp_max_iter must be an integer"),
+        ({"bp_tol_dual": float("inf")}, "bp_tol_dual must be a finite number"),
+        ({"bp_rho": False}, "bp_rho must be a finite number"),
+        ([("p0_tol", 1e-8)], "tolerances must be an object"),
+    ])
+    def test_rejects_malformed_tolerances(self, tolerances, match):
+        with pytest.raises(ValueError, match=match):
+            small_config(tolerances=tolerances)
+
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_mapping({"dictionary": {"kind": "identity_dft", "n": 4},

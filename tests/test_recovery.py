@@ -1,14 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hsparse.recovery as recovery
 from hsparse import (BlockDictionary, BlockStructure, BpParams, BlockVector,
                      coherence_report, complex_standard_normal, guarantee_check,
                      h1_norm, hbp_solve, homp, hp0_exhaustive,
-                     identity_dft_pair, uniform_structure)
+                     identity_dft_pair, random_block_dictionary,
+                     uniform_structure)
 
 
 def planted(D, support, seed):
@@ -47,6 +50,21 @@ class TestHp0:
         r = hp0_exhaustive(D, np.array([1.0, 0, 0]))
         assert r.status == "non-unique"
         assert r.support == (0,)   # lexicographically first of the tied supports
+
+    def test_non_unique_stops_refitting(self, monkeypatch):
+        # A generic measurement in 6 rows is fitted exactly by every one of the
+        # C(14, 6) = 3,003 supports of size 6; the second refit already differs
+        # from the first, which settles "non-unique".
+        fit = recovery.block_least_squares
+        calls = []
+        monkeypatch.setattr(recovery, "block_least_squares",
+                            lambda *args: calls.append(args) or fit(*args))
+        D = random_block_dictionary(6, (1,) * 14, 3)
+        r = hp0_exhaustive(D, np.random.default_rng(5).standard_normal(6))
+        assert r.status == "non-unique"
+        assert r.iterations == sum(math.comb(14, k) for k in range(1, 7)) == 6475
+        assert r.support == (0, 1, 2, 3, 4, 5)
+        assert len(calls) <= 2
 
     def test_unreachable_measurement_is_infeasible(self):
         D = BlockDictionary(np.eye(3)[:, :2], uniform_structure(2))
