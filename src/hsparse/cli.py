@@ -20,7 +20,8 @@ from .coherence import (SPARK_DEFICIENCY_TOL, SPARK_ENUMERATION_CAP,
                         coherence_report, spark_exhaustive)
 from .experiments import (ALGORITHMS, TOLERANCE_KEYS, ExperimentConfig, build_dictionary,
                           run_algorithm, run_certify, run_phase_transition)
-from .uncertainty import gup_audit, kernel_uncertainty_audit, picket_fence
+from .uncertainty import (IMAGE_MATCH_TOL, KERNEL_RESIDUAL_TOL, gup_audit,
+                          kernel_uncertainty_audit, picket_fence)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -106,7 +107,7 @@ def _build_parser() -> _Parser:
     q = unc.add_parser("audit-kernel")
     q.add_argument("--dict", dest="dictionary", required=True)
     q.add_argument("--vector", required=True)
-    q.add_argument("--tol-kernel", type=float, default=1e-10)
+    q.add_argument("--tol-kernel", type=float, default=KERNEL_RESIDUAL_TOL)
     q.add_argument("--out")
     q = unc.add_parser("audit-pair")
     q.add_argument("--dict-a", required=True)
@@ -115,7 +116,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--v", required=True)
     q.add_argument("--set-u", required=True, help="comma list of block indices")
     q.add_argument("--set-v", required=True)
-    q.add_argument("--tol-match", type=float, default=1e-9)
+    q.add_argument("--tol-match", type=float, default=IMAGE_MATCH_TOL)
     q.add_argument("--out")
     q = unc.add_parser("picket-fence")
     q.add_argument("--n", type=int, required=True)
@@ -237,6 +238,8 @@ def _cmd_experiment(args, touched) -> int:
     if args.config:
         doc = hio.load_document(args.config)
         touched.append(args.config)
+        if not isinstance(doc, dict):
+            raise _CliError("experiment config must be a JSON object")
         merged.update(doc)   # config wins over flags, flags over defaults
     if "dictionary" not in merged:
         raise _CliError("experiment needs a dictionary (config key or --dict)")

@@ -24,18 +24,19 @@ from .blocks import cross_block_norm  # noqa: F401
 SPARK_DEFICIENCY_TOL = 1e-10
 # Subset enumeration beyond this many blocks must be requested explicitly.
 SPARK_ENUMERATION_CAP = 20
+# Relative spread of column norms that the composite family accepts as equal.
+UNIT_COLUMN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """All coherence and threshold quantities for one dictionary.
+    """Measured coherence quantities of one dictionary; thresholds derive from them.
 
-    ``spark`` is None when the kernel is trivial (no nonzero kernel vector)
-    or when the enumeration was skipped; the two cases are told apart by
-    ``spark_trivial`` / ``spark_computed``.  A trivial kernel enters
-    threshold arithmetic as n_blocks + 1.  ``mu_hat`` is None either when
-    block sizes are not uniform or when its denominator is nonpositive
-    (``mu_hat_invalid`` marks the latter).
+    ``spark`` is None when the enumeration was skipped and ``math.inf`` when
+    the kernel is trivial (Donoho and Elad, 2003): no nonzero kernel vector
+    exists, so every sparsity level is unique.  ``mu_block``/``nu``/``mu_hat``
+    are None when the composite family does not apply; ``mu_hat`` alone is
+    None when its denominator is nonpositive.
     """
 
     n_blocks: int
@@ -43,26 +44,28 @@ class CoherenceReport:
     mu_block: float | None
     nu: float | None
     mu_hat: float | None
-    mu_hat_invalid: bool
-    spark: int | None
-    spark_trivial: bool
-    spark_computed: bool
-    threshold_spark: float | None
-    threshold_coherence: float
-    spark_lower_bound: float
+    spark: int | float | None
 
-    def spark_numeric(self) -> float | None:
-        """Spark as a number for threshold arithmetic; None when skipped."""
-        if not self.spark_computed:
-            return None
-        return float(self.n_blocks + 1) if self.spark_trivial else float(self.spark)
+    @property
+    def spark_lower_bound(self) -> float:
+        """1 + 1/mu_h, the least spark the coherence allows."""
+        return 1.0 + 1.0 / self.mu_h if self.mu_h > 0 else math.inf
+
+    @property
+    def threshold_coherence(self) -> float:
+        """Every s below this is recoverable by the coherence condition."""
+        return self.spark_lower_bound / 2.0
+
+    @property
+    def threshold_spark(self) -> float | None:
+        """Every s below spark/2 is recoverable; None when spark was skipped."""
+        return None if self.spark is None else self.spark / 2.0
 
     def spark_bound_ok(self, slack: float = 1e-9) -> bool | None:
         """Whether spark >= 1 + 1/mu_h holds; None when spark was skipped."""
-        value = self.spark_numeric()
-        if value is None:
+        if self.spark is None:
             return None
-        return value >= self.spark_lower_bound - slack
+        return self.spark >= self.spark_lower_bound - slack
 
     def to_mapping(self) -> dict:
         """Flat key/value view used by reports and the CLI."""
@@ -70,14 +73,11 @@ class CoherenceReport:
         if self.mu_block is not None:
             out["mu_block"] = self.mu_block
             out["nu"] = self.nu
-            out["mu_hat"] = "invalid" if self.mu_hat_invalid else self.mu_hat
-        if not self.spark_computed:
+            out["mu_hat"] = "invalid" if self.mu_hat is None else self.mu_hat
+        if self.spark is None:
             out["spark"] = "not-computed"
-        elif self.spark_trivial:
-            out["spark"] = "trivial-kernel"
         else:
-            out["spark"] = self.spark
-        if self.threshold_spark is not None:
+            out["spark"] = "trivial-kernel" if math.isinf(self.spark) else self.spark
             out["threshold_spark"] = self.threshold_spark
         out["threshold_coherence"] = self.threshold_coherence
         out["spark_lower_bound"] = self.spark_lower_bound
@@ -111,11 +111,12 @@ def mutual_hilbert_coherence(D1: BlockDictionary, D2: BlockDictionary) -> float:
 def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     """Composite block-coherence family (mu_block, nu, mu_hat).
 
-    Defined for uniform block size d only.  mu_block is the largest
-    cross-block spectral norm over d; nu is the largest within-block
-    inner product between distinct columns; mu_hat combines them as
-    d * mu_block / (1 - (d-1) * nu) and is None when that denominator is
-    nonpositive (the composite bound then guarantees nothing).
+    Defined for uniform block size d and unit-norm columns (Eldar, Kuppinger
+    and Boelcskei, 2010): computed on D scaled to unit columns, which needs
+    column norms equal within UNIT_COLUMN_TOL.  mu_block is the largest
+    cross-block spectral norm over d; nu the largest within-block inner
+    product of distinct columns; mu_hat = d * mu_block / (1 - (d-1) * nu),
+    None when that denominator is nonpositive (the bound guarantees nothing).
     """
     sizes = set(D.structure.sizes)
     if len(sizes) != 1:
@@ -124,13 +125,17 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     n = D.n_blocks
     if n < 2:
         raise ValueError("coherence undefined for a single subspace")
-    mu_block = float(cross_norm_table(D)[np.triu_indices(n, 1)].max()) / d
+    norms = np.linalg.norm(D.matrix, axis=0)
+    if norms.max() - norms.min() > UNIT_COLUMN_TOL * norms.max():
+        raise ValueError("composite block coherence requires equal column norms")
+    scale = float(np.mean(norms ** 2))   # every Gram entry carries one squared norm
+    mu_block = float(cross_norm_table(D)[np.triu_indices(n, 1)].max()) / scale / d
     nu = 0.0
     if d > 1:
         for ell in range(n):
             gram = np.abs(D.block(ell).conj().T @ D.block(ell))
             np.fill_diagonal(gram, 0.0)
-            nu = max(nu, float(gram.max()))
+            nu = max(nu, float(gram.max()) / scale)
     denom = 1.0 - (d - 1) * nu
     mu_hat = d * mu_block / denom if denom > 0 else None
     return mu_block, nu, mu_hat
@@ -182,43 +187,19 @@ def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
 def coherence_report(D: BlockDictionary, compute_spark: bool = True,
                      spark_tol: float = SPARK_DEFICIENCY_TOL,
                      spark_cap: int = SPARK_ENUMERATION_CAP) -> CoherenceReport:
-    """Aggregate every coherence/threshold quantity into one report.
+    """Measure mu_h, the composite family and the spark of D in one report.
 
-    The spark enumeration is skipped (flagged, not an error) when
-    compute_spark is False or the block count exceeds spark_cap.
+    The spark is None when compute_spark is False or the block count exceeds
+    spark_cap, and ``math.inf`` when the kernel is trivial.
     """
-    n = D.n_blocks
     mu_h = hilbert_coherence(D)
     try:
         mu_block, nu, mu_hat = block_coherences(D)
-        mu_hat_invalid = mu_hat is None
     except ValueError:
         mu_block = nu = mu_hat = None
-        mu_hat_invalid = False
-
     spark = None
-    spark_trivial = False
-    spark_computed = False
-    threshold_spark = None
-    if compute_spark and n <= spark_cap:
+    if compute_spark and D.n_blocks <= spark_cap:
         spark = spark_exhaustive(D, tol=spark_tol, cap=spark_cap)
-        spark_computed = True
-        spark_trivial = spark is None
-        threshold_spark = ((n + 1) / 2.0) if spark_trivial else spark / 2.0
-
-    threshold_coherence = (1.0 + 1.0 / mu_h) / 2.0 if mu_h > 0 else math.inf
-    spark_lower_bound = 1.0 + 1.0 / mu_h if mu_h > 0 else math.inf
-    return CoherenceReport(
-        n_blocks=n,
-        mu_h=mu_h,
-        mu_block=mu_block,
-        nu=nu,
-        mu_hat=mu_hat,
-        mu_hat_invalid=mu_hat_invalid,
-        spark=spark,
-        spark_trivial=spark_trivial,
-        spark_computed=spark_computed,
-        threshold_spark=threshold_spark,
-        threshold_coherence=threshold_coherence,
-        spark_lower_bound=spark_lower_bound,
-    )
+        if spark is None:
+            spark = math.inf
+    return CoherenceReport(D.n_blocks, mu_h, mu_block, nu, mu_hat, spark)

@@ -101,6 +101,10 @@ class ExperimentConfig:
             if key not in TOLERANCE_KEYS:
                 raise ValueError(f"unknown tolerances key {key!r}; known: {sorted(TOLERANCE_KEYS)}")
             _number(key, value, TOLERANCE_KEYS[key][2])
+        if not isinstance(self.algorithms, (list, tuple)):
+            raise ValueError(f"algorithms must be a list, got {self.algorithms!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
         self.algorithms = tuple(sorted(set(self.algorithms)))
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
@@ -268,18 +272,14 @@ def run_certify(D: BlockDictionary, compute_spark: bool = True,
                 spark_cap: int = SPARK_ENUMERATION_CAP) -> dict:
     """Certification document: report, guaranteed sparsity levels, ordering.
 
-    For uniform block sizes the composite-vs-subspace coherence comparison is
-    included with a verdict: "equal" (orthonormal-block case), "improved"
-    (strict inequality), "invalid" (composite bound vacuous), or "violated",
-    which flags a numerical anomaly.
+    For uniform block sizes and equal column norms the composite-vs-subspace
+    coherence comparison is included with a verdict: "equal" (orthonormal-block
+    case), "improved" (strict inequality), "invalid" (composite bound vacuous),
+    or "violated", which flags a numerical anomaly.
     """
     report = coherence_report(D, compute_spark=compute_spark, spark_cap=spark_cap)
     doc = report.to_mapping()
-    spark_threshold = None
-    if report.spark_computed:
-        # A trivial kernel guarantees every sparsity level up to n.
-        spark_threshold = math.inf if report.spark_trivial else report.spark / 2.0
-    doc["max_guaranteed_s_spark"] = max_guaranteed_sparsity(spark_threshold,
+    doc["max_guaranteed_s_spark"] = max_guaranteed_sparsity(report.threshold_spark,
                                                             report.n_blocks)
     doc["max_guaranteed_s_coherence"] = max_guaranteed_sparsity(
         report.threshold_coherence, report.n_blocks)
@@ -287,7 +287,7 @@ def run_certify(D: BlockDictionary, compute_spark: bool = True,
     if bound_ok is not None:
         doc["spark_bound_ok"] = bound_ok
     if report.mu_block is not None:
-        if report.mu_hat_invalid:
+        if report.mu_hat is None:
             verdict = "invalid"
         elif abs(report.mu_h - report.mu_hat) <= 1e-10:
             verdict = "equal"

@@ -32,6 +32,8 @@ STATUS_NON_UNIQUE = "non-unique"
 # Relative block-norm cutoff for reading a support off a splitting iterate,
 # which is feasible but never exactly block-sparse.
 BP_SUPPORT_REL_TOL = 1e-6
+# Relative pseudo-inverse residual above which bp reports y "infeasible".
+BP_RANGE_TOL = 1e-9
 # Multiple of eps * cond * ||y|| by which p0's batched screen may understate
 # the residual of the per-support refit that decides feasibility.
 _SCREEN_ROUNDING = 100.0
@@ -109,6 +111,8 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
     n = D.n_blocks
     if n > cap:
         raise ValueError("exhaustive search infeasible; raise cap explicitly")
+    if not tol >= 0:   # also rejects NaN
+        raise ValueError("tol must be nonnegative")
     yv = D.measurement(y)
     y_norm = float(np.linalg.norm(yv))
     feas_tol = tol * max(y_norm, 1.0)
@@ -176,7 +180,7 @@ def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None,
         factor = np.maximum(0.0, 1.0 - 1.0 / (params.rho * np.maximum(nb, 1e-300)))
         return np.repeat(factor, sizes) * t
 
-    if range_gap > 1e-9 * scale:
+    if range_gap > BP_RANGE_TOL * scale:
         sol = BlockVector(pinv @ yv, D.structure)
         return _result(D, sol, yv, 0, STATUS_INFEASIBLE,
                        support_tol=_bp_support_tol(pinv @ yv, D.structure))
@@ -230,6 +234,8 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
         max_iter = D.n_blocks
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not tol_res >= 0:   # also rejects NaN
+        raise ValueError("tol_res must be nonnegative")
     yv = D.measurement(y)
     stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
     smin = D.block_sigma_min()
@@ -255,15 +261,12 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
 def guarantee_check(report: CoherenceReport, s: int) -> tuple[bool, bool]:
     """Evaluate the two sufficient recovery conditions for block sparsity s.
 
-    Returns (spark_ok, coherence_ok): s < spark/2 and s < (1 + 1/mu_h)/2,
-    both strict.  A trivial kernel or zero coherence makes the corresponding
-    condition hold for every s.
+    Returns (spark_ok, coherence_ok): s < threshold_spark (spark/2) and
+    s < threshold_coherence ((1 + 1/mu_h)/2), both strict.  A trivial kernel
+    (infinite spark) or zero coherence makes the condition hold for every s.
     """
     if s < 0:
         raise ValueError("sparsity level must be nonnegative")
-    if not report.spark_computed:
+    if report.spark is None:
         raise ValueError("report carries no spark; rerun with compute_spark")
-    spark_ok = True if report.spark_trivial else s < report.spark / 2.0
-    coherence_ok = True if math.isinf(report.threshold_coherence) \
-        else s < report.threshold_coherence
-    return spark_ok, coherence_ok
+    return s < report.threshold_spark, s < report.threshold_coherence

@@ -13,7 +13,7 @@ the identity/Fourier pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,6 +27,10 @@ from .models import complex_standard_normal, unitary_dft
 KERNEL_RANK_TOL = 1e-12
 # Comparison slack when evaluating the (exact) theorem inequalities.
 AUDIT_SLACK = 1e-9
+# Relative residual ||D v|| / ||v|| up to which v counts as a kernel vector.
+KERNEL_RESIDUAL_TOL = 1e-10
+# Relative gap up to which two sampled images count as one measurement.
+IMAGE_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,18 +65,7 @@ class GupAudit:
     anomaly: bool = False
 
     def to_mapping(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "eps_u": self.eps_u,
-            "eps_v": self.eps_v,
-            "mu_phi": self.mu_phi,
-            "mu_psi": self.mu_psi,
-            "mu_mutual": self.mu_mutual,
-            "holds": self.holds,
-            "slack": self.slack,
-            "anomaly": self.anomaly,
-        }
+        return asdict(self)
 
 
 def kernel_sample(D: BlockDictionary, seed: int) -> BlockVector:
@@ -98,7 +91,7 @@ def kernel_sample(D: BlockDictionary, seed: int) -> BlockVector:
 
 
 def kernel_uncertainty_audit(D: BlockDictionary, v: BlockVector,
-                             tol_kernel: float = 1e-10) -> list[KernelBound]:
+                             tol_kernel: float = KERNEL_RESIDUAL_TOL) -> list[KernelBound]:
     """Concentration profile of a kernel vector against the coherence bound.
 
     For each k = 1..n the best k-block set is found, its epsilon computed,
@@ -128,7 +121,7 @@ def kernel_uncertainty_audit(D: BlockDictionary, v: BlockVector,
 
 def gup_audit(D1: BlockDictionary, D2: BlockDictionary, u: BlockVector,
               v: BlockVector, set_u, set_v,
-              tol_match: float = 1e-9) -> GupAudit:
+              tol_match: float = IMAGE_MATCH_TOL) -> GupAudit:
     """Audit the product bound |U||V| >= rhs for signals with equal images.
 
     The concentration defects are recomputed from the supplied sets rather

@@ -11,6 +11,10 @@ from hsparse.io import (load_block_dictionary, load_block_vector,
                         save_block_vector, save_measurement)
 
 
+# Random Gaussian 64 x 4: injective, with mu_h about 0.16 once columns are unit.
+_TALL = np.random.default_rng(0).standard_normal((64, 4))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -225,6 +229,29 @@ class TestExperimentAndCertify:
         doc = json.loads(out)
         assert doc["max_guaranteed_s_coherence"] == 2
 
+    @pytest.mark.parametrize("matrix", [
+        np.eye(4),
+        _TALL / np.linalg.norm(_TALL, axis=0),
+    ], ids=["identity", "injective-small-coherence"])
+    def test_certify_trivial_kernel(self, matrix, tmp_path, capsys):
+        """An injective dictionary has infinite spark, which meets any 1 + 1/mu_h."""
+        dict_path = str(tmp_path / "d.json")
+        save_block_dictionary(dict_path, BlockDictionary(matrix, uniform_structure(4)))
+        code, out, _ = run(capsys, "certify", dict_path)
+        doc = json.loads(out)
+        assert code == 0 and doc["mu_h"] < 1 / 4   # so 1 + 1/mu_h > n + 1
+        assert doc["spark"] == "trivial-kernel" and doc["threshold_spark"] == "inf"
+        assert doc["spark_bound_ok"] is True
+        assert doc["max_guaranteed_s_spark"] == 4
+
+    def test_certify_multicoset_model(self, tmp_path, capsys):
+        """The composite family reads the model's scaled columns as unit columns."""
+        dict_path = str(tmp_path / "coset.json")
+        run(capsys, "model", "multicoset", "--n", "8", "--rows", "1,2,3", "--out", dict_path)
+        code, out, _ = run(capsys, "certify", dict_path)
+        assert code == 0
+        assert json.loads(out)["mu_comparison"] == "equal"
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):
@@ -254,12 +281,18 @@ class TestExitCodes:
         {"trials": "3"},
         {"s_max": "2"},
         {"seed": True},
+        {"algorithms": 5},
+        {"out": 5},
+        [1, 2],
+        {"algorithms": ["p0"], "tolerances": {"p0_tol": -1}},
+        {"algorithms": ["omp"], "tolerances": {"omp_tol_res": -1}},
     ], ids=["unknown-key", "string-value", "list", "fractional-max-iter", "nan",
-            "string-trials", "string-s-max", "bool-seed"])
+            "string-trials", "string-s-max", "bool-seed", "number-algorithms",
+            "number-out", "top-level-list", "negative-p0-tol", "negative-omp-tol-res"])
     def test_malformed_config_is_validation_error(self, override, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"dictionary": {"kind": "identity_dft", "n": 4},
-                                   "algorithms": ["bp"], **override}))
+        doc = {"dictionary": {"kind": "identity_dft", "n": 4}, "algorithms": ["bp"]}
+        cfg.write_text(json.dumps(override if isinstance(override, list) else {**doc, **override}))
         code, _, err = run(capsys, "experiment", "--config", str(cfg))
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err

@@ -7,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsparse import (BlockDictionary, BlockStructure, block_coherences,
-                     coherence_report, cross_block_norm, hilbert_coherence,
-                     mutual_hilbert_coherence, spark_exhaustive,
+                     coherence_report, cross_block_norm, guarantee_check,
+                     hilbert_coherence, mutual_hilbert_coherence, spark_exhaustive,
                      identity_dft_pair, multicoset_matrix, MultiCosetSpec,
                      random_block_dictionary, uniform_structure)
+from hsparse.experiments import run_certify
 
 
 def unit_norm_dict(m, n, seed):
@@ -138,6 +139,23 @@ class TestBlockCoherences:
         _, _, mu_hat = block_coherences(D)
         assert mu_hat is not None
         assert hilbert_coherence(D) < mu_hat - 1e-3
+
+    def test_computed_on_unit_columns(self):
+        D = random_block_dictionary(16, (2,) * 8, 319)
+        scaled = BlockDictionary(3.0 * D.matrix, D.structure)
+        assert block_coherences(scaled) == pytest.approx(block_coherences(D), rel=1e-12)
+        # Multicoset columns all have norm sqrt(5)/16; on unit columns the
+        # size-1 composite coherence is mu_h itself.
+        coset = multicoset_matrix(MultiCosetSpec(16, (1, 2, 3, 4, 5)))
+        _, _, mu_hat = block_coherences(coset)
+        assert mu_hat == pytest.approx(hilbert_coherence(coset), abs=1e-10)
+
+    def test_equal_column_norms_required(self):
+        D = random_block_dictionary(8, (2,) * 4, 3, normalize="none")
+        with pytest.raises(ValueError, match="equal column norms"):
+            block_coherences(D)
+        rep = coherence_report(D)
+        assert rep.mu_block is None and "mu_hat" not in rep.to_mapping()
 
     def test_uniform_size_required(self):
         rng = np.random.default_rng(9)
@@ -281,8 +299,8 @@ class TestCoherenceReport:
         rep = coherence_report(D)
         assert rep.mu_h == pytest.approx(0.0, abs=1e-14)
         assert math.isinf(rep.threshold_coherence)
-        assert rep.spark_trivial and rep.spark is None
-        assert rep.spark_numeric() == 5.0
+        assert math.isinf(rep.spark) and math.isinf(rep.threshold_spark)
+        assert rep.spark_bound_ok()
         mapping = rep.to_mapping()
         assert mapping["spark"] == "trivial-kernel"
         assert math.isinf(mapping["threshold_coherence"])
@@ -296,8 +314,8 @@ class TestCoherenceReport:
 
     def test_spark_skippable(self):
         rep = coherence_report(identity_dft_pair(4), compute_spark=False)
-        assert not rep.spark_computed
-        assert rep.spark_numeric() is None
+        assert rep.spark is None and rep.threshold_spark is None
+        assert rep.spark_bound_ok() is None
         assert rep.to_mapping()["spark"] == "not-computed"
 
     def test_spark_bound_on_random_unit_norm_dictionaries(self):
@@ -311,3 +329,34 @@ class TestCoherenceReport:
         rep = coherence_report(D)
         assert rep.mu_block is None and rep.nu is None and rep.mu_hat is None
         assert "mu_hat" not in rep.to_mapping()
+
+
+def spark_law_dictionary(shape, sizes, extra_rows, seed):
+    """Small random unit-column dictionaries: generic (few rows, so often a
+    nontrivial kernel), tall and injective, or orthonormal columns plus a tiny
+    perturbation, so that mu_h < 1/n and 1 + 1/mu_h exceeds n + 1."""
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(sizes))
+    cols = structure.dim
+    rows = {"generic": max(sizes) + extra_rows, "tall": 3 * cols,
+            "near-orthogonal": cols + extra_rows}[shape]
+    mat = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if shape == "near-orthogonal":
+        mat = np.linalg.qr(mat)[0] + 1e-3 / cols * mat
+    mat /= np.linalg.norm(mat, axis=0, keepdims=True)
+    return BlockDictionary(mat, structure)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(["generic", "tall", "near-orthogonal"]),
+       sizes=st.lists(st.integers(1, 2), min_size=2, max_size=6),
+       extra_rows=st.integers(0, 5), seed=st.integers(0, 2**16))
+def test_one_spark_law(shape, sizes, extra_rows, seed):
+    """spark >= 1 + 1/mu_h holds, and the spark guarantee of guarantee_check
+    holds for exactly the levels run_certify reports, trivial kernels included."""
+    D = spark_law_dictionary(shape, sizes, extra_rows, seed)
+    rep = coherence_report(D)
+    assert rep.spark_bound_ok()
+    top = run_certify(D)["max_guaranteed_s_spark"]
+    for s in range(D.n_blocks + 1):
+        assert guarantee_check(rep, s)[0] == (s <= top)

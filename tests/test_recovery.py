@@ -208,6 +208,17 @@ class TestHbp:
             BpParams(tol_primal=1.5)
 
 
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+@pytest.mark.parametrize("solve, option", [(hp0_exhaustive, "tol"), (homp, "tol_res")])
+def test_negative_tolerance_rejected(solve, option, value):
+    """Rejected up front; -1 used to end a full search "infeasible" (p0) or
+    "max-iterations" (omp), and NaN "infeasible" (p0) or "exact" at zero (omp)."""
+    D = identity_dft_pair(8)
+    _, y = planted(D, (1, 9), seed=0)
+    with pytest.raises(ValueError, match=f"{option} must be nonnegative"):
+        solve(D, y, **{option: value})
+
+
 class TestHomp:
     def test_zero_measurement(self):
         D = identity_dft_pair(4)
