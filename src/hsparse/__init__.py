@@ -21,8 +21,8 @@ from .models import (CorrelationSequence, CrossCorrelationTable, MultiCosetSpec,
                      complex_standard_normal, dirichlet_coherence, fourier_basis,
                      identity_basis, identity_dft_pair, multicoset_matrix,
                      random_block_dictionary, si_mutual_coherence)
-from .recovery import (BpParams, RecoveryResult, guarantee_check, hbp_solve,
-                       homp, hp0_exhaustive)
+from .recovery import (BpParams, RecoveryResult, SolverContext, guarantee_check,
+                       hbp_solve, homp, hp0_exhaustive)
 from .uncertainty import (GupAudit, KernelBound, gup_audit, kernel_sample,
                           kernel_uncertainty_audit, picket_fence)
 
@@ -41,5 +41,5 @@ __all__ = [
     "identity_basis", "identity_dft_pair", "kernel_sample",
     "kernel_uncertainty_audit", "multicoset_matrix",
     "mutual_hilbert_coherence", "picket_fence", "random_block_dictionary",
-    "si_mutual_coherence", "spark_exhaustive", "uniform_structure",
+    "si_mutual_coherence", "SolverContext", "spark_exhaustive", "uniform_structure",
 ]

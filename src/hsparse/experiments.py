@@ -20,7 +20,8 @@ from .blocks import BlockDictionary, BlockVector, h1_norm
 from .coherence import SPARK_ENUMERATION_CAP, coherence_report
 from .models import (MultiCosetSpec, complex_standard_normal, identity_dft_pair,
                      multicoset_matrix, random_block_dictionary)
-from .recovery import BpParams, RecoveryResult, hbp_solve, homp, hp0_exhaustive
+from .recovery import (BpParams, RecoveryResult, SolverContext, hbp_solve, homp,
+                       hp0_exhaustive)
 
 ALGORITHMS = ("bp", "omp", "p0")
 # Exact-recovery tolerances entering the success verdict.
@@ -139,26 +140,35 @@ def _number(name: str, value, kind: type):
     raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
 
 
+def _integers(name: str, values) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(_number(name, v, int) for v in values)
+
+
 def build_dictionary(source: dict) -> BlockDictionary:
     """Materialize a dictionary source description."""
     if not isinstance(source, dict) or "kind" not in source:
         raise ValueError('dictionary source needs a "kind"')
     kind = source["kind"]
     if kind == "file":
+        if not isinstance(source.get("path"), str):
+            raise ValueError(f"path must be a path string, got {source.get('path')!r}")
         return hio.load_block_dictionary(source["path"])
     if kind == "identity_dft":
-        return identity_dft_pair(int(source["n"]))
+        return identity_dft_pair(_number("n", source["n"], int))
     if kind == "multicoset":
         rows = source.get("rows")
         if rows is None:
-            rows = list(range(1, int(source["m"]) + 1))
-        spec = MultiCosetSpec(int(source["n"]), tuple(int(r) for r in rows),
-                              float(source.get("period", 1.0)))
+            rows = list(range(1, _number("m", source["m"], int) + 1))
+        spec = MultiCosetSpec(_number("n", source["n"], int), _integers("rows", rows),
+                              _number("period", source.get("period", 1.0), float))
         return multicoset_matrix(spec)
     if kind == "random":
         return random_block_dictionary(
-            int(source["rows"]), tuple(int(d) for d in source["block_sizes"]),
-            int(source["seed"]), source.get("normalize", "columns"))
+            _number("rows", source["rows"], int),
+            _integers("block_sizes", source["block_sizes"]),
+            _number("seed", source["seed"], int), source.get("normalize", "columns"))
     raise ValueError(f"unknown dictionary kind: {kind!r}")
 
 
@@ -181,18 +191,29 @@ def plant_signal(D: BlockDictionary, s: int, master_seed: int,
 
 def run_algorithm(algo: str, D: BlockDictionary, y: np.ndarray, tolerances: dict,
                   cap: int = SPARK_ENUMERATION_CAP, max_cardinality: int | None = None,
-                  h1_reference: float | None = None) -> RecoveryResult:
+                  h1_reference: float | None = None,
+                  context: SolverContext | None = None) -> RecoveryResult:
     """Call solver ``algo`` with the options ``tolerances`` sets for it (see
-    TOLERANCE_KEYS); options not given keep the solver's default."""
+    TOLERANCE_KEYS); options not given keep the solver's default.
+
+    ``context`` is a SolverContext built for D and shared by every call on D
+    (a sweep keeps one for its whole run): it holds the factors that depend
+    only on D (p0's screening bases, within recovery.CONTEXT_CACHE_BYTES;
+    bp's pseudo-inverse; omp's adjoint and block sigma_min), each computed
+    on first use.  Without one, the solver builds a throwaway context and
+    does the whole computation for this call alone.
+    """
     opts = {param: _number(key, tolerances[key], kind)
             for key, (owner, param, kind) in TOLERANCE_KEYS.items()
             if owner == algo and key in tolerances}
     if algo == "p0":
-        return hp0_exhaustive(D, y, cap=cap, max_cardinality=max_cardinality, **opts)
+        return hp0_exhaustive(D, y, cap=cap, max_cardinality=max_cardinality,
+                              context=context, **opts)
     if algo == "omp":
-        return homp(D, y, **opts)
+        return homp(D, y, context=context, **opts)
     if algo == "bp":
-        return hbp_solve(D, y, BpParams(**opts), h1_reference=h1_reference)
+        return hbp_solve(D, y, BpParams(**opts), h1_reference=h1_reference,
+                         context=context)
     raise ValueError(f"unknown algorithm: {algo!r}")
 
 
@@ -206,12 +227,17 @@ def evaluate_trial(result: RecoveryResult, truth: BlockVector,
 
 
 def run_phase_transition(config: ExperimentConfig) -> list[TrialRecord]:
-    """Run the sweep; write CSV and a JSON sidecar when config.out is set."""
+    """Run the sweep; write CSV and a JSON sidecar when config.out is set.
+
+    All solves share one SolverContext, so the factors that depend only on
+    the dictionary are computed once per sweep rather than once per trial.
+    """
     D = build_dictionary(config.dictionary)
     n = D.n_blocks
     if config.s_max > n:
         raise ValueError(f"s_max {config.s_max} exceeds {n} blocks")
     records: list[TrialRecord] = []
+    context = SolverContext(D)
     # p0 first so its objective can qualify the relaxation result as exact.
     order = [a for a in ("p0", "omp", "bp") if a in config.algorithms]
 
@@ -223,7 +249,8 @@ def run_phase_transition(config: ExperimentConfig) -> list[TrialRecord]:
             for algo in order:
                 t0 = time.perf_counter()
                 result = run_algorithm(algo, D, y, config.tolerances, cap=n,
-                                       max_cardinality=s, h1_reference=h1_ref)
+                                       max_cardinality=s, h1_reference=h1_ref,
+                                       context=context)
                 wall = time.perf_counter() - t0
                 if algo == "p0":
                     h1_ref = h1_norm(result.solution)

@@ -8,6 +8,10 @@ Three solvers for y = Phi v with v occupying few blocks:
 * ``homp``: greedy block selection with injectivity-weighted residual
   correlations.
 
+All three read the factors that depend only on the dictionary from a
+``SolverContext``; a sweep shares one across its trials, and a solver given
+none builds a throwaway one.
+
 ``guarantee_check`` evaluates the two sufficient conditions (spark-based and
 coherence-based) under which all three provably return the planted signal.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +42,10 @@ BP_RANGE_TOL = 1e-9
 # Multiple of eps * cond * ||y|| by which p0's batched screen may understate
 # the residual of the per-support refit that decides feasibility.
 _SCREEN_ROUNDING = 100.0
+# Bytes of p0 screening bases one SolverContext keeps.  A cardinality whose
+# bases would take the total past it is screened from bases computed afresh
+# chunk by chunk, as without a context, so memory stays bounded.
+CONTEXT_CACHE_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -65,12 +74,92 @@ class BpParams:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if self.rho <= 0 or self.tol_primal <= 0 or self.tol_dual <= 0:
+        # Negated comparisons, so that NaN fails them too.
+        if not (self.rho > 0 and self.tol_primal > 0 and self.tol_dual > 0):
             raise ValueError("splitting parameters must be positive")
-        if self.tol_primal >= 1 or self.tol_dual >= 1:
+        if not (self.tol_primal < 1 and self.tol_dual < 1):
             raise ValueError("tolerances must be below 1")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
+
+
+class SolverContext:
+    """Factors of one dictionary that every solve on it can reuse.
+
+    Each factor is computed on first use and kept for the context's
+    lifetime; a sweep builds one per dictionary and passes it to every solve.
+    Filling is not locked, so each thread needs its own context.  Results
+    are bit-identical with or without sharing, because each factor is the
+    expression the solver would otherwise evaluate per call:
+
+    * ``screening_bases(k)``: p0's batched screening bases for every
+      k-subset of blocks.  Kept while the context's total stays within
+      CONTEXT_CACHE_BYTES; past it they are streamed afresh per call;
+    * ``pinv``: bp's pseudo-inverse of the whole matrix;
+    * ``adjoint`` and ``sigma_min``: omp's conjugate transpose of the matrix
+      and smallest singular value of each block.
+    """
+
+    def __init__(self, D: BlockDictionary):
+        self.dictionary = D
+        self._bases: dict[int, list] = {}
+        self._cached_bytes = 0
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self.dictionary.matrix, rcond=RANK_TOL)
+
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        return self.dictionary.matrix.conj().T
+
+    @cached_property
+    def sigma_min(self) -> np.ndarray:
+        return self.dictionary.block_sigma_min()
+
+    def screening_bases(self, k: int):
+        """(supports, u, u_conj, cond) per chunk of ``support_stacks(D, k)``.
+
+        u holds each stack's left singular vectors, those for singular values
+        at or below RANK_TOL times the largest zeroed (the pseudo-inverse's
+        cutoff), so ||y - u u^H y|| is the residual of the least-squares fit
+        on that support; cond is the largest over the smallest kept singular
+        value.
+        """
+        if k in self._bases:
+            return self._bases[k]
+        bases = map(_screening_basis, support_stacks(self.dictionary, k))
+        need = _bases_bytes(self.dictionary, k)
+        if self._cached_bytes + need > CONTEXT_CACHE_BYTES:
+            return bases
+        self._bases[k] = list(bases)
+        self._cached_bytes += need
+        return self._bases[k]
+
+
+def _context_for(D: BlockDictionary, context: SolverContext | None) -> SolverContext:
+    """context, checked to belong to D, or a throwaway one for D."""
+    if context is None:
+        return SolverContext(D)
+    if context.dictionary is not D:
+        raise ValueError("solver context belongs to another dictionary")
+    return context
+
+
+def _screening_basis(chunk):
+    supports, stacks = chunk
+    u, s, _ = np.linalg.svd(stacks, full_matrices=False)
+    kept = s > RANK_TOL * s[:, :1]
+    u = u * kept[:, None, :]
+    cond = s[:, 0] / np.where(kept, s, np.inf).min(axis=1)
+    return supports, u, u.conj(), cond
+
+
+def _bases_bytes(D: BlockDictionary, k: int) -> int:
+    """Upper bound on the bytes of the screening bases of all k-subsets."""
+    rows = D.shape[0]
+    widest = sum(sorted(D.structure.sizes)[-k:])
+    return math.comb(D.n_blocks, k) * (2 * rows * min(rows, widest) * 16 + 8 * (k + 1))
 
 
 def _support_of(v: BlockVector, tol: float) -> tuple[int, ...]:
@@ -88,7 +177,8 @@ def _result(D: BlockDictionary, solution: BlockVector, y: np.ndarray,
 
 def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
                    cap: int = SPARK_ENUMERATION_CAP,
-                   max_cardinality: int | None = None) -> RecoveryResult:
+                   max_cardinality: int | None = None, *,
+                   context: SolverContext | None = None) -> RecoveryResult:
     """Fewest-occupied-blocks recovery by exhaustive support search.
 
     Supports are scanned by increasing cardinality (lexicographic within a
@@ -107,12 +197,16 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
     ``block_least_squares`` in lexicographic order and admitted on that
     refit's residual alone; refitting stops at the first admitted solution
     farther than tol from an earlier one, which settles "non-unique".
+    The bases U_r come from ``context.screening_bases``, so a shared context
+    computes them once per cardinality for all measurements, as long as they
+    fit in CONTEXT_CACHE_BYTES; larger ones are recomputed on every call.
     """
     n = D.n_blocks
     if n > cap:
         raise ValueError("exhaustive search infeasible; raise cap explicitly")
     if not tol >= 0:   # also rejects NaN
         raise ValueError("tol must be nonnegative")
+    context = _context_for(D, context)
     yv = D.measurement(y)
     y_norm = float(np.linalg.norm(yv))
     feas_tol = tol * max(y_norm, 1.0)
@@ -125,12 +219,8 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
     for k in range(1, depth + 1):
         evaluated += math.comb(n, k)
         passing = []
-        for supports, stacks in support_stacks(D, k):
-            u, s, _ = np.linalg.svd(stacks, full_matrices=False)
-            kept = s > RANK_TOL * s[:, :1]
-            u = u * kept[:, None, :]
-            screened = np.linalg.norm(yv - np.einsum("bmr,br->bm", u, yv @ u.conj()), axis=1)
-            cond = s[:, 0] / np.where(kept, s, np.inf).min(axis=1)
+        for supports, u, u_conj, cond in context.screening_bases(k):
+            screened = np.linalg.norm(yv - np.einsum("bmr,br->bm", u, yv @ u_conj), axis=1)
             slack = _SCREEN_ROUNDING * np.finfo(float).eps * cond * y_norm
             passing += supports[screened <= feas_tol + slack].tolist()
         feasible: list[BlockVector] = []
@@ -148,11 +238,13 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
 
 
 def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None,
-              h1_reference: float | None = None) -> RecoveryResult:
+              h1_reference: float | None = None, *,
+              context: SolverContext | None = None) -> RecoveryResult:
     """Mixed-norm minimization subject to Phi u = y via splitting.
 
     Alternates (1) projection of the current point onto the affine feasible
-    set through a precomputed pseudo-inverse, (2) blockwise shrinkage
+    set through the pseudo-inverse ``context.pinv`` (computed once per
+    context), (2) blockwise shrinkage
     w_i = max(0, 1 - 1/(rho ||t_i||)) t_i of t = u + lambda (the proximal
     step of the sum-of-block-norms objective; the complex block is scaled by
     a real factor), and (3) the multiplier update lambda += u - w.  Stops
@@ -169,7 +261,7 @@ def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None,
     params = params or BpParams()
     yv = D.measurement(y)
     mat = D.matrix
-    pinv = np.linalg.pinv(mat, rcond=RANK_TOL)
+    pinv = _context_for(D, context).pinv
     # Feasibility of the affine set: y must lie in the numerical range.
     range_gap = float(np.linalg.norm(mat @ (pinv @ yv) - yv))
     scale = max(float(np.linalg.norm(yv)), 1.0)
@@ -220,7 +312,8 @@ def _bp_support_tol(u: np.ndarray, structure: BlockStructure) -> float:
 
 
 def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
-         max_iter: int | None = None) -> RecoveryResult:
+         max_iter: int | None = None, *,
+         context: SolverContext | None = None) -> RecoveryResult:
     """Greedy block pursuit with injectivity-weighted selection.
 
     Each iteration picks the block maximizing ||block^H r|| / sigma_min(block)
@@ -228,7 +321,8 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
     numerically stale correlation cannot stall the loop), refits by least
     squares on the enlarged support, and updates the residual.  Stops once
     ||r|| <= tol_res * max(||y||, 1); running out of iterations or blocks
-    gives status "max-iterations".
+    gives status "max-iterations".  The adjoint and the per-block sigma_min
+    come from ``context`` and are kept there for its lifetime.
     """
     if max_iter is None:
         max_iter = D.n_blocks
@@ -236,9 +330,10 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
         raise ValueError("max_iter must be at least 1")
     if not tol_res >= 0:   # also rejects NaN
         raise ValueError("tol_res must be nonnegative")
+    context = _context_for(D, context)
     yv = D.measurement(y)
     stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
-    smin = D.block_sigma_min()
+    adjoint, smin = context.adjoint, context.sigma_min
 
     solution = BlockVector.zeros(D.structure)
     residual = yv.copy()
@@ -247,7 +342,7 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
     while float(np.linalg.norm(residual)) > stop:
         if iterations >= max_iter or len(selected) == D.n_blocks:
             return _result(D, solution, yv, iterations, STATUS_MAX_ITER)
-        corr = D.matrix.conj().T @ residual
+        corr = adjoint @ residual
         weights = D.structure.norms(corr) / smin
         if selected:
             weights[selected] = -np.inf

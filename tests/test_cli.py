@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import hsparse.experiments as experiments
 from hsparse import (BlockDictionary, BlockVector, BpParams, hbp_solve, homp,
-                     hp0_exhaustive, identity_dft_pair, uniform_structure)
+                     hp0_exhaustive, identity_dft_pair, random_block_dictionary,
+                     uniform_structure)
 from hsparse.cli import main
 from hsparse.io import (load_block_dictionary, load_block_vector,
                         load_measurement, save_block_dictionary,
@@ -115,6 +117,38 @@ class TestRecover:
         assert json.loads(default_out) != json.loads(out)
         if flags[0] == "--max-iter":
             assert (expected.status, expected.iterations) == ("max-iterations", 3)
+
+    @pytest.mark.parametrize("algo", ["p0", "omp", "bp"])
+    def test_recover_matches_experiment(self, algo, tmp_path, capsys, monkeypatch):
+        """Every planted measurement of a sweep, whose solves share one solver
+        context, gets the status and iterations from recover that it got in
+        the sweep."""
+        solve, seen = experiments.run_algorithm, []
+        monkeypatch.setattr(experiments, "run_algorithm",
+                            lambda *args, **kw: seen.append(solve(*args, **kw)) or seen[-1])
+        D = random_block_dictionary(6, (1, 2, 1, 2, 1, 1, 2), 3)
+        dict_path = str(tmp_path / "d.json")
+        obs_path = str(tmp_path / "y.json")
+        save_block_dictionary(dict_path, D)
+        config = {"dictionary": {"kind": "file", "path": dict_path}, "algorithms": [algo],
+                  "s_min": 1, "s_max": 2, "trials": 3, "seed": 4,
+                  "out": str(tmp_path / "sweep")}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code, _, _ = run(capsys, "experiment", "--config", str(tmp_path / "c.json"))
+        assert code == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(seen) == 6
+        D = load_block_dictionary(dict_path)
+        for row, swept in zip(rows, seen):
+            record = experiments.parse_trial_row(row.split(","))
+            truth, _ = experiments.plant_signal(D, record.s, 4, record.trial)
+            save_measurement(obs_path, D.matrix @ truth.entries)
+            code, out, _ = run(capsys, "recover", "--algo", algo, "--dict", dict_path,
+                               "--obs", obs_path)
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["status"], doc["iterations"]) == (swept.status, swept.iterations)
+            assert doc["iterations"] == record.iterations
 
 
 class TestUncertaintyCommands:
@@ -286,9 +320,16 @@ class TestExitCodes:
         [1, 2],
         {"algorithms": ["p0"], "tolerances": {"p0_tol": -1}},
         {"algorithms": ["omp"], "tolerances": {"omp_tol_res": -1}},
+        {"dictionary": {"kind": "random", "rows": 4, "block_sizes": 5, "seed": 0}},
+        {"dictionary": {"kind": "multicoset", "n": 8, "rows": 3}},
+        {"dictionary": {"kind": "identity_dft", "n": [4]}},
+        {"dictionary": {"kind": "multicoset", "n": 8, "rows": [1, 2], "period": [1]}},
+        {"dictionary": {"kind": "file", "path": 0}},
     ], ids=["unknown-key", "string-value", "list", "fractional-max-iter", "nan",
             "string-trials", "string-s-max", "bool-seed", "number-algorithms",
-            "number-out", "top-level-list", "negative-p0-tol", "negative-omp-tol-res"])
+            "number-out", "top-level-list", "negative-p0-tol", "negative-omp-tol-res",
+            "number-block-sizes", "number-multicoset-rows", "list-n", "list-period",
+            "number-path"])
     def test_malformed_config_is_validation_error(self, override, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         doc = {"dictionary": {"kind": "identity_dft", "n": 4}, "algorithms": ["bp"]}

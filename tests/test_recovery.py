@@ -207,6 +207,12 @@ class TestHbp:
         with pytest.raises(ValueError):
             BpParams(tol_primal=1.5)
 
+    @pytest.mark.parametrize("field", ["rho", "tol_primal", "tol_dual"])
+    def test_nan_params_rejected(self, field):
+        # NaN used to pass every range check and run the full 100,000 iterations.
+        with pytest.raises(ValueError):
+            BpParams(**{field: float("nan")})
+
 
 @pytest.mark.parametrize("value", [-1.0, float("nan")])
 @pytest.mark.parametrize("solve, option", [(hp0_exhaustive, "tol"), (homp, "tol_res")])
@@ -269,6 +275,59 @@ class TestHomp:
         r = homp(D, y, max_iter=1)
         assert r.status == "max-iterations"
         assert r.iterations == 1
+
+
+SOLVERS = {"p0": hp0_exhaustive, "bp": hbp_solve, "omp": homp}
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["cached", "streamed"])
+@settings(max_examples=20, deadline=None)
+@given(algo=st.sampled_from(sorted(SOLVERS)), rows=st.integers(2, 5),
+       sizes=st.lists(st.integers(1, 3), min_size=2, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_context_matches_fresh_solves(streamed, algo, rows, sizes, seed):
+    """Measurements solved in shuffled order through one SolverContext give
+    bit for bit what a fresh solve of each gives.  p0's depths differ between
+    measurements, so each reuses bases another scanned first; with a zero
+    cache budget they are streamed instead of kept."""
+    assume(max(sizes) <= rows)
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(sizes))
+    shape = (rows, structure.dim)
+    D = BlockDictionary(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                        structure)
+    jobs = [(rng.standard_normal(rows) + 1j * rng.standard_normal(rows), 3)]
+    for depth in (1, 2, 3, 2):
+        s = min(int(rng.integers(1, 3)), len(sizes))
+        _, y = planted(D, sorted(rng.choice(len(sizes), s, replace=False)),
+                       seed=int(rng.integers(1000)))
+        jobs.append((y, depth))
+
+    def solve(y, depth, **kw):
+        if algo == "p0":
+            return hp0_exhaustive(D, y, max_cardinality=depth, **kw)
+        if algo == "bp":
+            return hbp_solve(D, y, BpParams(max_iter=300), **kw)
+        return homp(D, y, **kw)
+
+    fresh = [solve(y, depth) for y, depth in jobs]
+    with pytest.MonkeyPatch.context() as patch:
+        if streamed:
+            patch.setattr(recovery, "CONTEXT_CACHE_BYTES", 0)
+        context = recovery.SolverContext(D)
+        for i in rng.permutation(len(jobs)):
+            got = solve(*jobs[i], context=context)
+            assert (got.status, got.support, got.iterations) == (
+                fresh[i].status, fresh[i].support, fresh[i].iterations)
+            assert np.array_equal(got.solution.entries, fresh[i].solution.entries)
+            assert got.residual_norm == fresh[i].residual_norm
+
+
+@pytest.mark.parametrize("algo", sorted(SOLVERS))
+def test_context_of_another_dictionary_rejected(algo):
+    D = identity_dft_pair(4)
+    with pytest.raises(ValueError, match="another dictionary"):
+        SOLVERS[algo](D, np.ones(4), context=recovery.SolverContext(identity_dft_pair(4)))
 
 
 class TestGuaranteeCheck:
