@@ -22,7 +22,7 @@ from .models import (CorrelationSequence, CrossCorrelationTable, MultiCosetSpec,
                      identity_basis, identity_dft_pair, multicoset_matrix,
                      random_block_dictionary, si_mutual_coherence)
 from .recovery import (BpParams, RecoveryResult, SolverContext, guarantee_check,
-                       hbp_solve, homp, hp0_exhaustive)
+                       hbp_solve, hbp_solve_batch, homp, hp0_exhaustive)
 from .uncertainty import (GupAudit, KernelBound, gup_audit, kernel_sample,
                           kernel_uncertainty_audit, picket_fence)
 
@@ -37,8 +37,8 @@ __all__ = [
     "block_sigma", "coherence_report", "complex_standard_normal",
     "concentration_epsilon", "cross_block_norm", "cross_norm_table",
     "dirichlet_coherence", "fourier_basis", "guarantee_check", "gup_audit",
-    "h0_norm", "h1_norm", "hbp_solve", "hilbert_coherence", "homp", "hp0_exhaustive",
-    "identity_basis", "identity_dft_pair", "kernel_sample",
+    "h0_norm", "h1_norm", "hbp_solve", "hbp_solve_batch", "hilbert_coherence",
+    "homp", "hp0_exhaustive", "identity_basis", "identity_dft_pair", "kernel_sample",
     "kernel_uncertainty_audit", "multicoset_matrix",
     "mutual_hilbert_coherence", "picket_fence", "random_block_dictionary",
     "si_mutual_coherence", "SolverContext", "spark_exhaustive", "uniform_structure",

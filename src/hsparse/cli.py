@@ -164,7 +164,7 @@ def _cmd_recover(args, touched) -> int:
     touched += [args.dictionary, args.obs]
     tolerances = {key: value for key, value in vars(args).items()
                   if key in TOLERANCE_KEYS and value is not None}
-    result = run_algorithm(args.algo, D, y, tolerances, cap=args.cap)
+    [result] = run_algorithm(args.algo, D, [y], tolerances, cap=args.cap)
     doc = {
         "algorithm": args.algo,
         "status": result.status,

@@ -10,7 +10,6 @@ produce byte-identical output files.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -20,8 +19,10 @@ from .blocks import BlockDictionary, BlockVector, h1_norm
 from .coherence import SPARK_ENUMERATION_CAP, coherence_report
 from .models import (MultiCosetSpec, complex_standard_normal, identity_dft_pair,
                      multicoset_matrix, random_block_dictionary)
-from .recovery import (BpParams, RecoveryResult, SolverContext, hbp_solve, homp,
-                       hp0_exhaustive)
+from .recovery import (BpParams, RecoveryResult, SolverContext, hbp_solve_batch,
+                       homp, hp0_exhaustive)
+# bench/spans.py times the per-solve names it finds in this module.
+from .recovery import hbp_solve  # noqa: F401
 
 ALGORITHMS = ("bp", "omp", "p0")
 # Exact-recovery tolerances entering the success verdict.
@@ -35,9 +36,11 @@ TOLERANCE_KEYS = {
     "bp_tol_dual": ("bp", "tol_dual", float),
     "bp_max_iter": ("bp", "max_iter", int),
 }
+# Trials of one level solved together; a level with more is run in batches
+# of this many, so a sweep's memory does not grow with its trial count.
+_TRIAL_BATCH = 256
 
-# Columns written to CSV, in order.  Wall time stays in memory only: files
-# must be byte-identical across reruns of the same configuration.
+# Columns written to CSV, in order.
 CSV_FIELDS = ("s", "trial", "algorithm", "success", "rel_error",
               "support_match", "iterations", "residual_norm")
 
@@ -54,14 +57,13 @@ class TrialRecord:
     support_match: bool
     iterations: int
     residual_norm: float
-    wall_time_s: float = 0.0
 
     def csv_row(self) -> list[str]:
         return [hio.csv_cell(getattr(self, name)) for name in CSV_FIELDS]
 
 
 def parse_trial_row(row: list[str]) -> TrialRecord:
-    """Rebuild a TrialRecord from its CSV cells (wall time is not stored)."""
+    """Rebuild a TrialRecord from its CSV cells."""
     if len(row) != len(CSV_FIELDS):
         raise ValueError(f"expected {len(CSV_FIELDS)} cells, got {len(row)}")
     return TrialRecord(
@@ -189,31 +191,33 @@ def plant_signal(D: BlockDictionary, s: int, master_seed: int,
     return BlockVector(entries, D.structure), support
 
 
-def run_algorithm(algo: str, D: BlockDictionary, y: np.ndarray, tolerances: dict,
+def run_algorithm(algo: str, D: BlockDictionary, ys, tolerances: dict,
                   cap: int = SPARK_ENUMERATION_CAP, max_cardinality: int | None = None,
-                  h1_reference: float | None = None,
-                  context: SolverContext | None = None) -> RecoveryResult:
-    """Call solver ``algo`` with the options ``tolerances`` sets for it (see
-    TOLERANCE_KEYS); options not given keep the solver's default.
+                  h1_references=None,
+                  context: SolverContext | None = None) -> list[RecoveryResult]:
+    """Solve each measurement in ys with solver ``algo``, given the options
+    ``tolerances`` sets for it (see TOLERANCE_KEYS); options not given keep
+    the solver's default.  Returns one result per measurement, in order.
 
-    ``context`` is a SolverContext built for D and shared by every call on D
-    (a sweep keeps one for its whole run): it holds the factors that depend
-    only on D (p0's screening bases, within recovery.CONTEXT_CACHE_BYTES;
-    bp's pseudo-inverse; omp's adjoint and block sigma_min), each computed
-    on first use.  Without one, the solver builds a throwaway context and
-    does the whole computation for this call alone.
+    p0 and omp solve the measurements one by one; bp solves them all in one
+    ``hbp_solve_batch`` call, with ``h1_references`` (one per measurement,
+    or None) qualifying its results as "exact".  ``context`` is a
+    SolverContext built for D and shared by every call on D (a sweep keeps
+    one for its whole run): it holds the factors that depend only on D
+    (p0's screening bases, within recovery.CONTEXT_CACHE_BYTES; bp's
+    pseudo-inverse; omp's adjoint and block sigma_min), each computed on
+    first use.  Without one, each solver call builds a throwaway context.
     """
     opts = {param: _number(key, tolerances[key], kind)
             for key, (owner, param, kind) in TOLERANCE_KEYS.items()
             if owner == algo and key in tolerances}
     if algo == "p0":
-        return hp0_exhaustive(D, y, cap=cap, max_cardinality=max_cardinality,
-                              context=context, **opts)
+        return [hp0_exhaustive(D, y, cap=cap, max_cardinality=max_cardinality,
+                               context=context, **opts) for y in ys]
     if algo == "omp":
-        return homp(D, y, context=context, **opts)
+        return [homp(D, y, context=context, **opts) for y in ys]
     if algo == "bp":
-        return hbp_solve(D, y, BpParams(**opts), h1_reference=h1_reference,
-                         context=context)
+        return hbp_solve_batch(D, ys, BpParams(**opts), h1_references, context=context)
     raise ValueError(f"unknown algorithm: {algo!r}")
 
 
@@ -231,6 +235,9 @@ def run_phase_transition(config: ExperimentConfig) -> list[TrialRecord]:
 
     All solves share one SolverContext, so the factors that depend only on
     the dictionary are computed once per sweep rather than once per trial.
+    The trials of a level are planted together, at most _TRIAL_BATCH at a
+    time, and each algorithm gets them in one ``run_algorithm`` call, so bp
+    solves them as one batch.
     """
     D = build_dictionary(config.dictionary)
     n = D.n_blocks
@@ -238,29 +245,29 @@ def run_phase_transition(config: ExperimentConfig) -> list[TrialRecord]:
         raise ValueError(f"s_max {config.s_max} exceeds {n} blocks")
     records: list[TrialRecord] = []
     context = SolverContext(D)
-    # p0 first so its objective can qualify the relaxation result as exact.
+    # p0 first so its objectives can qualify the relaxation results as exact.
     order = [a for a in ("p0", "omp", "bp") if a in config.algorithms]
 
     for s in range(config.s_min, config.s_max + 1):
-        for trial in range(config.trials):
-            truth, support = plant_signal(D, s, config.seed, trial)
-            y = D.matrix @ truth.entries
-            h1_ref = None
+        for first in range(0, config.trials, _TRIAL_BATCH):
+            trials = range(first, min(first + _TRIAL_BATCH, config.trials))
+            planted = [plant_signal(D, s, config.seed, trial) for trial in trials]
+            ys = [D.matrix @ truth.entries for truth, _ in planted]
+            h1_refs = None
             for algo in order:
-                t0 = time.perf_counter()
-                result = run_algorithm(algo, D, y, config.tolerances, cap=n,
-                                       max_cardinality=s, h1_reference=h1_ref,
-                                       context=context)
-                wall = time.perf_counter() - t0
+                results = run_algorithm(algo, D, ys, config.tolerances, cap=n,
+                                        max_cardinality=s, h1_references=h1_refs,
+                                        context=context)
                 if algo == "p0":
-                    h1_ref = h1_norm(result.solution)
-                success, rel_error, support_match = evaluate_trial(
-                    result, truth, support, algo)
-                records.append(TrialRecord(
-                    s=s, trial=trial, algorithm=algo, success=success,
-                    rel_error=rel_error, support_match=support_match,
-                    iterations=result.iterations,
-                    residual_norm=result.residual_norm, wall_time_s=wall))
+                    h1_refs = [h1_norm(result.solution) for result in results]
+                for trial, (truth, support), result in zip(trials, planted, results):
+                    success, rel_error, support_match = evaluate_trial(
+                        result, truth, support, algo)
+                    records.append(TrialRecord(
+                        s=s, trial=trial, algorithm=algo, success=success,
+                        rel_error=rel_error, support_match=support_match,
+                        iterations=result.iterations,
+                        residual_norm=result.residual_norm))
     records.sort(key=lambda r: (r.s, r.trial, r.algorithm))
 
     if config.out:

@@ -3,8 +3,9 @@
 Three solvers for y = Phi v with v occupying few blocks:
 
 * ``hp0_exhaustive``: fewest-occupied-blocks search by support enumeration;
-* ``hbp_solve``: mixed-norm relaxation (sum of block l2 norms) solved by
-  alternating-direction splitting;
+* ``hbp_solve_batch``: mixed-norm relaxation (sum of block l2 norms) solved
+  by alternating-direction splitting, one loop over a batch of measurements;
+  ``hbp_solve`` is its batch of one;
 * ``homp``: greedy block selection with injectivity-weighted residual
   correlations.
 
@@ -240,69 +241,104 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
 def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None,
               h1_reference: float | None = None, *,
               context: SolverContext | None = None) -> RecoveryResult:
-    """Mixed-norm minimization subject to Phi u = y via splitting.
+    """Mixed-norm minimization subject to Phi u = y: ``hbp_solve_batch``
+    of the one measurement y (see there)."""
+    return hbp_solve_batch(D, [y], params, [h1_reference], context=context)[0]
 
-    Alternates (1) projection of the current point onto the affine feasible
-    set through the pseudo-inverse ``context.pinv`` (computed once per
-    context), (2) blockwise shrinkage
+
+def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
+                    h1_references=None, *,
+                    context: SolverContext | None = None) -> list[RecoveryResult]:
+    """Mixed-norm minimization subject to Phi u = y for each measurement in
+    ys, by one splitting loop over the columns of Y = [y_1 ... y_T].
+
+    Each column alternates (1) projection of the current point onto its
+    affine feasible set through the pseudo-inverse ``context.pinv``
+    (computed once per context), (2) blockwise shrinkage
     w_i = max(0, 1 - 1/(rho ||t_i||)) t_i of t = u + lambda (the proximal
     step of the sum-of-block-norms objective; the complex block is scaled by
-    a real factor), and (3) the multiplier update lambda += u - w.  Stops
-    when ||u - w|| <= tol_primal * max(||u||, 1) and the w step moved less
-    than tol_dual relatively.
+    a real factor), and (3) the multiplier update lambda += u - w.  A column
+    stops when ||u - w|| <= tol_primal * max(||u||, 1) and the w step moved
+    less than tol_dual relatively; it is then frozen and dropped from the
+    active set, so each step is one matrix product over the columns still
+    running.  A column whose y lies outside the numerical range of Phi
+    (relative pseudo-inverse residual above BP_RANGE_TOL) is not iterated:
+    its status is "infeasible" and its solution pinv(Phi) y.
 
-    The returned solution is the feasible iterate u, so the measurement
-    equation holds to projection accuracy at any exit.  Its support is read
-    with a relative block-norm cutoff since u is never exactly block-sparse.
-    Status is "converged", or "exact" when ``h1_reference`` (e.g. the
-    objective of an independent fewest-blocks solve) is supplied and matched
-    within 1e-6.
+    Every column gets its own RecoveryResult, in the order of ys, with the
+    status and iteration count of a solve of that column alone.  The
+    solution is the feasible iterate u, so the measurement equation holds
+    to projection accuracy at any exit; its support is read with a relative
+    block-norm cutoff since u is never exactly block-sparse.  Status is
+    "converged", "max-iterations", or "exact" when ``h1_references`` (one
+    entry per measurement, each None or e.g. the objective of an
+    independent fewest-blocks solve of that measurement) supplies a value
+    the converged objective matches within 1e-6.
     """
     params = params or BpParams()
-    yv = D.measurement(y)
+    Y = np.empty((D.shape[0], len(ys)), dtype=np.complex128)
+    for j, y in enumerate(ys):
+        Y[:, j] = D.measurement(y)
+    if h1_references is None:
+        h1_references = [None] * len(ys)
+    if len(h1_references) != len(ys):
+        raise ValueError(f"{len(h1_references)} h1 references for {len(ys)} measurements")
     mat = D.matrix
     pinv = _context_for(D, context).pinv
-    # Feasibility of the affine set: y must lie in the numerical range.
-    range_gap = float(np.linalg.norm(mat @ (pinv @ yv) - yv))
-    scale = max(float(np.linalg.norm(yv)), 1.0)
     sizes = np.asarray(D.structure.sizes)
 
     def prox(t: np.ndarray) -> np.ndarray:
         nb = D.structure.norms(t)
         factor = np.maximum(0.0, 1.0 - 1.0 / (params.rho * np.maximum(nb, 1e-300)))
-        return np.repeat(factor, sizes) * t
+        return np.repeat(factor, sizes, axis=0) * t
 
-    if range_gap > BP_RANGE_TOL * scale:
-        sol = BlockVector(pinv @ yv, D.structure)
-        return _result(D, sol, yv, 0, STATUS_INFEASIBLE,
-                       support_tol=_bp_support_tol(pinv @ yv, D.structure))
+    def column_norms(x: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(x, axis=0)
 
-    u = np.zeros(D.structure.dim, dtype=np.complex128)
+    # Feasibility of each affine set: y must lie in the numerical range.
+    least_norm = pinv @ Y
+    range_gap = column_norms(mat @ least_norm - Y)
+    infeasible = range_gap > BP_RANGE_TOL * np.maximum(column_norms(Y), 1.0)
+
+    U = least_norm   # the answer for infeasible columns; the rest are overwritten
+    iterations = [0 if gap else params.max_iter for gap in infeasible]
+    status = [STATUS_INFEASIBLE if gap else STATUS_MAX_ITER for gap in infeasible]
+    active = np.flatnonzero(~infeasible)
+    y = Y[:, active]
+    u = np.zeros((D.structure.dim, active.size), dtype=np.complex128)
     w = np.zeros_like(u)
     lam = np.zeros_like(u)
-    status = STATUS_MAX_ITER
-    iterations = params.max_iter
     for it in range(1, params.max_iter + 1):
+        if not active.size:
+            break
         t = w - lam
-        u = t - pinv @ (mat @ t - yv)
+        u = t - pinv @ (mat @ t - y)
         w_new = prox(u + lam)
-        dual_move = float(np.linalg.norm(w_new - w))
+        dual_move = column_norms(w_new - w)
         w = w_new
         lam = lam + u - w
-        primal_gap = float(np.linalg.norm(u - w))
-        if (primal_gap <= params.tol_primal * max(float(np.linalg.norm(u)), 1.0)
-                and dual_move <= params.tol_dual * max(float(np.linalg.norm(w)), 1.0)):
-            status = STATUS_CONVERGED
-            iterations = it
-            break
+        primal_gap = column_norms(u - w)
+        done = ((primal_gap <= params.tol_primal * np.maximum(column_norms(u), 1.0))
+                & (dual_move <= params.tol_dual * np.maximum(column_norms(w), 1.0)))
+        if done.any():
+            finished = active[done]
+            U[:, finished] = u[:, done]
+            for j in finished:
+                iterations[j], status[j] = it, STATUS_CONVERGED
+            running = ~done
+            active, y, u, w, lam = (active[running], y[:, running], u[:, running],
+                                    w[:, running], lam[:, running])
+    U[:, active] = u
 
-    if status == STATUS_CONVERGED and h1_reference is not None:
-        sol_h1 = h1_norm(BlockVector(u, D.structure))
-        if abs(sol_h1 - h1_reference) <= 1e-6 * max(1.0, abs(h1_reference)):
-            status = STATUS_EXACT
-    sol = BlockVector(u, D.structure)
-    return _result(D, sol, yv, iterations, status,
-                   support_tol=_bp_support_tol(u, D.structure))
+    results = []
+    for j, h1_reference in enumerate(h1_references):
+        sol = BlockVector(U[:, j], D.structure)
+        if status[j] == STATUS_CONVERGED and h1_reference is not None:
+            if abs(h1_norm(sol) - h1_reference) <= 1e-6 * max(1.0, abs(h1_reference)):
+                status[j] = STATUS_EXACT
+        results.append(_result(D, sol, Y[:, j], iterations[j], status[j],
+                               support_tol=_bp_support_tol(U[:, j], D.structure)))
+    return results
 
 
 def _bp_support_tol(u: np.ndarray, structure: BlockStructure) -> float:

@@ -121,11 +121,16 @@ class TestRecover:
     @pytest.mark.parametrize("algo", ["p0", "omp", "bp"])
     def test_recover_matches_experiment(self, algo, tmp_path, capsys, monkeypatch):
         """Every planted measurement of a sweep, whose solves share one solver
-        context, gets the status and iterations from recover that it got in
-        the sweep."""
+        context and whose bp solves run a level at a time, gets the status
+        and iterations from recover that it got in the sweep."""
         solve, seen = experiments.run_algorithm, []
-        monkeypatch.setattr(experiments, "run_algorithm",
-                            lambda *args, **kw: seen.append(solve(*args, **kw)) or seen[-1])
+
+        def capture(*args, **kw):
+            results = solve(*args, **kw)
+            seen.extend(results)
+            return results
+
+        monkeypatch.setattr(experiments, "run_algorithm", capture)
         D = random_block_dictionary(6, (1, 2, 1, 2, 1, 1, 2), 3)
         dict_path = str(tmp_path / "d.json")
         obs_path = str(tmp_path / "y.json")

@@ -1,9 +1,11 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from hsparse import identity_basis, identity_dft_pair
+from hsparse import experiments, identity_basis, identity_dft_pair
 from hsparse.experiments import (ExperimentConfig, build_dictionary,
                                  max_guaranteed_sparsity, parse_trial_row,
                                  plant_signal, run_certify,
@@ -153,6 +155,40 @@ class TestPhaseTransition:
         assert csv_lines[0] == "s,trial,algorithm,success,rel_error," \
                                "support_match,iterations,residual_norm"
         assert len(csv_lines) == 1 + 9
+
+
+def test_trial_batches_match_one_batch(tmp_path, monkeypatch):
+    """A level split into batches of 3 trials (3 + 3 + 1) gives the files and
+    bp statuses of the level solved as one batch.  Past the threshold of
+    identity_dft(4) some bp solves miss the p0 objective, so "converged"
+    and "exact" both occur and each trial must get its own p0 objective."""
+    solve, statuses = experiments.run_algorithm, []
+
+    def capture(algo, *args, **kw):
+        results = solve(algo, *args, **kw)
+        if algo == "bp":
+            statuses[-1] += [r.status for r in results]
+        return results
+
+    monkeypatch.setattr(experiments, "run_algorithm", capture)
+    rows = []
+    for batch in (experiments._TRIAL_BATCH, 3):
+        monkeypatch.setattr(experiments, "_TRIAL_BATCH", batch)
+        statuses.append([])
+        out = str(tmp_path / f"batch{batch}")
+        run_phase_transition(small_config(dictionary={"kind": "identity_dft", "n": 4},
+                                          algorithms=("p0", "bp"), s_max=3, trials=7,
+                                          out=out))
+        with open(out + ".csv", encoding="utf-8") as fh:
+            rows.append(list(csv.DictReader(fh)))
+    assert statuses[0] == statuses[1]
+    assert {"exact", "converged"} <= set(statuses[0])
+    assert len(rows[0]) == len(rows[1]) == 42
+    for whole, split in zip(*rows):
+        for name in ("rel_error", "residual_norm"):
+            assert math.isclose(float(whole.pop(name)), float(split.pop(name)),
+                                rel_tol=1e-12, abs_tol=1e-14)
+        assert whole == split
 
 
 class TestMaxGuaranteedSparsity:

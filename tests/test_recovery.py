@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hsparse.recovery as recovery
 from hsparse import (BlockDictionary, BlockStructure, BpParams, BlockVector,
                      coherence_report, complex_standard_normal, guarantee_check,
-                     h1_norm, hbp_solve, homp, hp0_exhaustive,
+                     h1_norm, hbp_solve, hbp_solve_batch, homp, hp0_exhaustive,
                      identity_dft_pair, random_block_dictionary,
                      uniform_structure)
 
@@ -321,6 +321,55 @@ def test_shared_context_matches_fresh_solves(streamed, algo, rows, sizes, seed):
                 fresh[i].status, fresh[i].support, fresh[i].iterations)
             assert np.array_equal(got.solution.entries, fresh[i].solution.entries)
             assert got.residual_norm == fresh[i].residual_norm
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(2, 6), sizes=st.lists(st.integers(1, 3), min_size=2, max_size=5),
+       uniform=st.booleans(), max_iter=st.sampled_from([3, 12, 400]),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_matches_solves_of_one(rows, sizes, uniform, max_iter, seed):
+    """Each column of one hbp_solve_batch call gets the status, support and
+    iterations of solving it alone, and its solution within 1e-12.  A batch
+    mixes planted columns, a zero column (converged after one step) and, on
+    a tall dictionary, a column outside the range; a small max_iter stops
+    some columns while others converge, and each column's h1 reference is
+    None, its own objective ("exact") or an objective it misses."""
+    if uniform:
+        sizes = [sizes[0]] * len(sizes)
+    assume(max(sizes) <= rows)
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(sizes))
+    shape = (rows, structure.dim)
+    D = BlockDictionary(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                        structure)
+    ys = [np.zeros(rows, dtype=complex)]
+    for _ in range(4):
+        s = min(int(rng.integers(1, 3)), len(sizes))
+        ys.append(planted(D, sorted(rng.choice(len(sizes), s, replace=False)),
+                          seed=int(rng.integers(1000)))[1])
+    if rows > structure.dim:
+        ys.append(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
+    ys = [ys[i] for i in rng.permutation(len(ys))]
+    params = BpParams(max_iter=max_iter)
+    context = recovery.SolverContext(D)
+    objectives = [h1_norm(hbp_solve(D, y, params, context=context).solution) for y in ys]
+    references = [[None, h1, h1 + 1.0][int(rng.integers(3))] for h1 in objectives]
+
+    batch = hbp_solve_batch(D, ys, params, references, context=context)
+    assert len(batch) == len(ys)
+    for y, reference, got in zip(ys, references, batch):
+        alone = hbp_solve(D, y, params, reference)
+        assert (got.status, got.support, got.iterations) == (
+            alone.status, alone.support, alone.iterations)
+        gap = np.linalg.norm(got.solution.entries - alone.solution.entries)
+        assert gap <= 1e-12 * np.linalg.norm(alone.solution.entries)
+
+
+def test_batch_rejects_unpaired_references():
+    D = identity_dft_pair(4)
+    with pytest.raises(ValueError, match="2 h1 references for 1 measurements"):
+        hbp_solve_batch(D, [np.ones(4)], h1_references=[None, None])
+    assert hbp_solve_batch(D, []) == []
 
 
 @pytest.mark.parametrize("algo", sorted(SOLVERS))
