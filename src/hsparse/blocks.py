@@ -6,14 +6,17 @@ module holds the partition bookkeeping plus the linear-algebra primitives
 everything else builds on: block norms, per-block and cross-block singular
 values, concentration sets, and least squares on a block support.
 
-All values are immutable after construction and all functions are pure, so
-objects can be shared freely between threads or worker processes.
+Objects keep their arrays read-only and all functions are pure, so objects
+can be shared freely between threads or worker processes.  The table
+``BlockDictionary.cross_norms`` is filled lazily, on first read; its value is
+deterministic, so two threads racing to fill it at worst compute it twice.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,7 +138,7 @@ class BlockDictionary:
 
     Each column block must be injective: its smallest singular value has to be
     bounded away from zero relative to its largest.  Rank-deficient blocks are
-    rejected at construction.  Per-block extreme singular values are cached
+    rejected at construction.  Per-block extreme singular values are stored
     since the coherence and recovery routines reuse them heavily.
     """
 
@@ -150,17 +153,16 @@ class BlockDictionary:
             raise ValueError("need at least as many rows as the widest block")
         if not np.isfinite(mat).all():
             raise ValueError("dictionary matrix has non-finite entries")
-        sigma = []
-        for i in range(structure.n_blocks):
-            s = np.linalg.svd(mat[:, structure.block_slice(i)], compute_uv=False)
-            smin, smax = float(s[-1]), float(s[0])
-            if smax <= 0.0 or smin <= RANK_TOL * smax:
-                raise ValueError(f"column block {i} is not injective")
-            sigma.append((smin, smax))
-        mat.flags.writeable = False
+        # Smallest and largest singular value of each block, one row per block.
+        sigma = np.array([np.linalg.svd(mat[:, structure.block_slice(i)], compute_uv=False)[[-1, 0]]
+                          for i in range(structure.n_blocks)])
+        not_injective = (sigma[:, 1] <= 0.0) | (sigma[:, 0] <= RANK_TOL * sigma[:, 1])
+        if not_injective.any():
+            raise ValueError(f"column block {int(np.argmax(not_injective))} is not injective")
+        mat.flags.writeable = sigma.flags.writeable = False
         self.matrix = mat
         self.structure = structure
-        self._sigma = tuple(sigma)
+        self._sigma = sigma
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -175,7 +177,14 @@ class BlockDictionary:
         return self.matrix[:, self.structure.block_slice(i)]
 
     def block_sigma_min(self) -> np.ndarray:
-        return np.array([s[0] for s in self._sigma])
+        return self._sigma[:, 0]
+
+    @cached_property
+    def cross_norms(self) -> np.ndarray:
+        """cross_norm_table(self), built on first read and read-only, since it is shared."""
+        table = cross_norm_table(self)
+        table.flags.writeable = False
+        return table
 
     def measurement(self, y) -> np.ndarray:
         """y as a flat complex vector with one entry per row, all finite."""
@@ -207,7 +216,7 @@ class ConcentrationCertificate:
 
 def h0_norm(v: BlockVector, tol: float = ZERO_BLOCK_TOL) -> int:
     """Number of blocks whose l2 norm exceeds tol."""
-    if tol < 0:
+    if not tol >= 0:   # also rejects NaN
         raise ValueError("tolerance must be nonnegative")
     return int(np.count_nonzero(v.block_norms() > tol))
 
@@ -220,7 +229,7 @@ def h1_norm(v: BlockVector) -> float:
 def block_sigma(D: BlockDictionary, i: int) -> tuple[float, float]:
     """Smallest and largest singular value of column block i."""
     D.structure.check_index(i)
-    return D._sigma[i]
+    return tuple(D._sigma[i].tolist())
 
 
 def cross_block_norm(D: BlockDictionary, i: int, j: int) -> float:

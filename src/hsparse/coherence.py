@@ -88,15 +88,14 @@ def hilbert_coherence(D: BlockDictionary) -> float:
     """Largest cross-block spectral norm over squared block injectivity.
 
     The denominator is indexed by the row block of each off-diagonal entry
-    of the cross-norm table, which holds both orderings of every pair.  For
-    unit-norm columns in size-1 blocks this reduces to the classical maximum
-    inner-product coherence.
+    of ``D.cross_norms``, which holds both orderings of every pair (shared,
+    so the diagonal is masked).  For unit-norm columns in size-1 blocks this
+    reduces to the classical maximum inner-product coherence.
     """
     if D.n_blocks < 2:
         raise ValueError("coherence undefined for a single subspace")
-    cross = cross_norm_table(D)
-    np.fill_diagonal(cross, 0.0)
-    return float((cross / D.block_sigma_min()[:, None] ** 2).max())
+    scaled = D.cross_norms / D.block_sigma_min()[:, None] ** 2
+    return float(scaled[~np.eye(D.n_blocks, dtype=bool)].max())
 
 
 def mutual_hilbert_coherence(D1: BlockDictionary, D2: BlockDictionary) -> float:
@@ -114,7 +113,7 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     Defined for uniform block size d and unit-norm columns (Eldar, Kuppinger
     and Boelcskei, 2010): computed on D scaled to unit columns, which needs
     column norms equal within UNIT_COLUMN_TOL.  mu_block is the largest
-    cross-block spectral norm over d; nu the largest within-block inner
+    entry of ``D.cross_norms`` over d; nu the largest within-block inner
     product of distinct columns; mu_hat = d * mu_block / (1 - (d-1) * nu),
     None when that denominator is nonpositive (the bound guarantees nothing).
     """
@@ -129,13 +128,11 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     if norms.max() - norms.min() > UNIT_COLUMN_TOL * norms.max():
         raise ValueError("composite block coherence requires equal column norms")
     scale = float(np.mean(norms ** 2))   # every Gram entry carries one squared norm
-    mu_block = float(cross_norm_table(D)[np.triu_indices(n, 1)].max()) / scale / d
-    nu = 0.0
-    if d > 1:
-        for ell in range(n):
-            gram = np.abs(D.block(ell).conj().T @ D.block(ell))
-            np.fill_diagonal(gram, 0.0)
-            nu = max(nu, float(gram.max()) / scale)
+    mu_block = float(D.cross_norms[np.triu_indices(n, 1)].max()) / scale / d
+    blocks = D.matrix.reshape(-1, n, d).transpose(1, 0, 2)
+    grams = np.abs(blocks.conj().transpose(0, 2, 1) @ blocks)
+    grams[:, np.arange(d), np.arange(d)] = 0.0
+    nu = float(grams.max()) / scale
     denom = 1.0 - (d - 1) * nu
     mu_hat = d * mu_block / denom if denom > 0 else None
     return mu_block, nu, mu_hat
@@ -165,7 +162,7 @@ def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
     bisected.  Without a width bound all n blocks are tested, and None means
     even they are not deficient: the kernel is trivial (numerically {0}).
     """
-    if tol < 0:
+    if not tol >= 0:   # also rejects NaN
         raise ValueError("tolerance must be nonnegative")
     n = D.n_blocks
     if n > cap:

@@ -17,6 +17,7 @@ import numpy as np
 from . import io as hio
 from .blocks import BlockDictionary, BlockVector, h1_norm
 from .coherence import SPARK_ENUMERATION_CAP, coherence_report
+from .io import exact_number
 from .models import (MultiCosetSpec, complex_standard_normal, identity_dft_pair,
                      multicoset_matrix, random_block_dictionary)
 from .recovery import (BpParams, RecoveryResult, SolverContext, hbp_solve_batch,
@@ -97,13 +98,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("s_min", "s_max", "trials", "seed"):
-            setattr(self, name, _number(name, getattr(self, name), int))
+            setattr(self, name, exact_number(name, getattr(self, name), int))
         if not isinstance(self.tolerances, dict):
             raise ValueError("tolerances must be an object")
         for key, value in self.tolerances.items():
             if key not in TOLERANCE_KEYS:
                 raise ValueError(f"unknown tolerances key {key!r}; known: {sorted(TOLERANCE_KEYS)}")
-            _number(key, value, TOLERANCE_KEYS[key][2])
+            exact_number(key, value, TOLERANCE_KEYS[key][2])
         if not isinstance(self.algorithms, (list, tuple)):
             raise ValueError(f"algorithms must be a list, got {self.algorithms!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -132,20 +133,10 @@ class ExperimentConfig:
         return {**asdict(self), "algorithms": list(self.algorithms)}
 
 
-def _number(name: str, value, kind: type):
-    """value as kind (int or float); it must be a finite number kind keeps exactly."""
-    try:
-        if not isinstance(value, bool) and -math.inf < value < math.inf and kind(value) == value:
-            return kind(value)
-    except (TypeError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
-
-
 def _integers(name: str, values) -> tuple[int, ...]:
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{name} must be a list of integers, got {values!r}")
-    return tuple(_number(name, v, int) for v in values)
+    return tuple(exact_number(name, v, int) for v in values)
 
 
 def build_dictionary(source: dict) -> BlockDictionary:
@@ -158,19 +149,19 @@ def build_dictionary(source: dict) -> BlockDictionary:
             raise ValueError(f"path must be a path string, got {source.get('path')!r}")
         return hio.load_block_dictionary(source["path"])
     if kind == "identity_dft":
-        return identity_dft_pair(_number("n", source["n"], int))
+        return identity_dft_pair(exact_number("n", source["n"], int))
     if kind == "multicoset":
         rows = source.get("rows")
         if rows is None:
-            rows = list(range(1, _number("m", source["m"], int) + 1))
-        spec = MultiCosetSpec(_number("n", source["n"], int), _integers("rows", rows),
-                              _number("period", source.get("period", 1.0), float))
+            rows = list(range(1, exact_number("m", source["m"], int) + 1))
+        spec = MultiCosetSpec(exact_number("n", source["n"], int), _integers("rows", rows),
+                              exact_number("period", source.get("period", 1.0), float))
         return multicoset_matrix(spec)
     if kind == "random":
         return random_block_dictionary(
-            _number("rows", source["rows"], int),
+            exact_number("rows", source["rows"], int),
             _integers("block_sizes", source["block_sizes"]),
-            _number("seed", source["seed"], int), source.get("normalize", "columns"))
+            exact_number("seed", source["seed"], int), source.get("normalize", "columns"))
     raise ValueError(f"unknown dictionary kind: {kind!r}")
 
 
@@ -205,10 +196,10 @@ def run_algorithm(algo: str, D: BlockDictionary, ys, tolerances: dict,
     SolverContext built for D and shared by every call on D (a sweep keeps
     one for its whole run): it holds the factors that depend only on D
     (p0's screening bases, within recovery.CONTEXT_CACHE_BYTES; bp's
-    pseudo-inverse; omp's adjoint and block sigma_min), each computed on
-    first use.  Without one, each solver call builds a throwaway context.
+    pseudo-inverse; omp's adjoint), each computed on first use.  Without
+    one, each solver call builds a throwaway context.
     """
-    opts = {param: _number(key, tolerances[key], kind)
+    opts = {param: exact_number(key, tolerances[key], kind)
             for key, (owner, param, kind) in TOLERANCE_KEYS.items()
             if owner == algo and key in tolerances}
     if algo == "p0":

@@ -68,6 +68,20 @@ def load_document(path) -> dict:
         return json.load(fh)
 
 
+def exact_number(name: str, value, kind: type):
+    """value as kind (int or float); it must be a finite number kind keeps exactly.
+
+    The one rule for numeric fields read from documents and configs: 3.0
+    reads as 3, while 4.7, true, NaN or a string for an integer field fail.
+    """
+    try:
+        if not isinstance(value, bool) and -math.inf < value < math.inf and kind(value) == value:
+            return kind(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
+
+
 def _array_document(mat: np.ndarray, sizes) -> dict:
     rows, cols = mat.shape
     flat = mat.reshape(-1)
@@ -96,8 +110,8 @@ def save_measurement(path, y) -> None:
 
 def _parse_array(doc: dict) -> tuple[np.ndarray, BlockStructure]:
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        sizes = tuple(int(d) for d in doc["block_sizes"])
+        rows, cols = exact_number("rows", doc["rows"], int), exact_number("cols", doc["cols"], int)
+        sizes = tuple(exact_number("block_sizes", d, int) for d in doc["block_sizes"])
         real = np.asarray(doc["real"], dtype=np.float64)
         imag = np.asarray(doc["imag"], dtype=np.float64)
     except (KeyError, TypeError) as err:
@@ -135,7 +149,7 @@ def load_correlation_table(path) -> CrossCorrelationTable:
     """
     doc = load_document(path)
     try:
-        grid = int(doc["grid_size"])
+        grid = exact_number("grid_size", doc["grid_size"], int)
         raw_entries = doc["entries"]
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed correlation table: {err}") from err
@@ -146,8 +160,9 @@ def load_correlation_table(path) -> CrossCorrelationTable:
         try:
             real = np.asarray(raw["real"], dtype=np.float64)
             imag = np.asarray(raw["imag"], dtype=np.float64)
-            left, right = int(raw["left"]), int(raw["right"])
-            lag_offset = int(raw.get("lag_offset", 0))
+            left = exact_number("left", raw["left"], int)
+            right = exact_number("right", raw["right"], int)
+            lag_offset = exact_number("lag_offset", raw.get("lag_offset", 0), int)
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"malformed correlation table: entry {pos}: {err}") from err
         if real.size != imag.size:

@@ -97,8 +97,8 @@ class SolverContext:
       k-subset of blocks.  Kept while the context's total stays within
       CONTEXT_CACHE_BYTES; past it they are streamed afresh per call;
     * ``pinv``: bp's pseudo-inverse of the whole matrix;
-    * ``adjoint`` and ``sigma_min``: omp's conjugate transpose of the matrix
-      and smallest singular value of each block.
+    * ``adjoint``: omp's conjugate transpose of the matrix; the block
+      ``sigma_min`` it also reads is stored on the dictionary.
     """
 
     def __init__(self, D: BlockDictionary):
@@ -113,10 +113,6 @@ class SolverContext:
     @cached_property
     def adjoint(self) -> np.ndarray:
         return self.dictionary.matrix.conj().T
-
-    @cached_property
-    def sigma_min(self) -> np.ndarray:
-        return self.dictionary.block_sigma_min()
 
     def screening_bases(self, k: int):
         """(supports, u, u_conj, cond) per chunk of ``support_stacks(D, k)``.
@@ -357,8 +353,8 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
     numerically stale correlation cannot stall the loop), refits by least
     squares on the enlarged support, and updates the residual.  Stops once
     ||r|| <= tol_res * max(||y||, 1); running out of iterations or blocks
-    gives status "max-iterations".  The adjoint and the per-block sigma_min
-    come from ``context`` and are kept there for its lifetime.
+    gives status "max-iterations".  The adjoint comes from ``context`` and
+    is kept there for its lifetime.
     """
     if max_iter is None:
         max_iter = D.n_blocks
@@ -369,7 +365,7 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
     context = _context_for(D, context)
     yv = D.measurement(y)
     stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
-    adjoint, smin = context.adjoint, context.sigma_min
+    adjoint, smin = context.adjoint, D.block_sigma_min()
 
     solution = BlockVector.zeros(D.structure)
     residual = yv.copy()

@@ -99,6 +99,8 @@ def kernel_uncertainty_audit(D: BlockDictionary, v: BlockVector,
     hold for a genuine kernel vector; the full profile is returned so a
     violation pinpoints the offending set size.
     """
+    if not tol_kernel >= 0:   # also rejects NaN
+        raise ValueError("tol_kernel must be nonnegative")
     if v.structure != D.structure:
         raise ValueError("vector and dictionary use different block structures")
     vn = v.norm()
@@ -129,6 +131,8 @@ def gup_audit(D1: BlockDictionary, D2: BlockDictionary, u: BlockVector,
     [(1 - eps)(1 + mu) - |set| mu]^+ for each side, scaled by the inverse
     squared mutual coherence.
     """
+    if not tol_match >= 0:   # also rejects NaN
+        raise ValueError("tol_match must be nonnegative")
     if u.structure != D1.structure or v.structure != D2.structure:
         raise ValueError("signal and dictionary block structures disagree")
     if u.norm() <= 0.0 or v.norm() <= 0.0:

@@ -58,8 +58,9 @@ class TestNorms:
         assert h0_norm(vec([1e-14, 0, 0, 1], 2, 2), tol=1e-10) == 1
 
     def test_h0_rejects_negative_tol(self):
-        with pytest.raises(ValueError):
-            h0_norm(vec([1, 0], 2), tol=-1.0)
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                h0_norm(vec([1, 0], 2), tol=tol)
 
     def test_h1_single_block(self):
         assert h1_norm(vec([3, 4], 2)) == pytest.approx(5.0)

@@ -353,6 +353,41 @@ class TestExitCodes:
         assert code == 1
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("field, value, code", [
+        ("rows", 4.7, 1), ("cols", 8.5, 1), ("rows", "4", 1),
+        ("block_sizes", [True] * 8, 1), ("block_sizes", [1.5] * 8, 1),
+        ("rows", 4.0, 0), ("block_sizes", [1.0] * 8, 0),
+    ], ids=["fractional-rows", "fractional-cols", "string-rows", "bool-block-sizes",
+            "fractional-block-sizes", "integral-float-rows", "integral-float-block-sizes"])
+    def test_non_integral_dictionary_field(self, field, value, code, tmp_path, capsys):
+        dict_path = tmp_path / "d.json"
+        save_block_dictionary(dict_path, identity_dft_pair(4))
+        doc = json.loads(dict_path.read_text())
+        dict_path.write_text(json.dumps({**doc, field: value}))
+        got, _, err = run(capsys, "analyze", str(dict_path), "--no-spark")
+        assert got == code
+        assert ("Traceback" not in err) and (code == 0 or f"{field} must be an integer" in err)
+
+    @pytest.mark.parametrize("flag", ["--tol-spark", "--tol-kernel", "--tol-match"])
+    def test_nan_tolerance_is_validation_error(self, flag, tmp_path, capsys):
+        """Each input would pass its check under NaN: a spark of 5 on
+        identity_dft(4) (the true spark is 4), a vector outside the kernel,
+        and two signals whose images differ."""
+        D = identity_dft_pair(4)
+        paths = {k: str(tmp_path / f"{k}.json") for k in ("d", "u", "v")}
+        save_block_dictionary(paths["d"], D)
+        save_block_vector(paths["u"], BlockVector(np.eye(8)[0], D.structure))
+        save_block_vector(paths["v"], BlockVector(np.eye(8)[1], D.structure))
+        argv = {"--tol-spark": ["spark", paths["d"]],
+                "--tol-kernel": ["uncertainty", "audit-kernel", "--dict", paths["d"],
+                                 "--vector", paths["u"]],
+                "--tol-match": ["uncertainty", "audit-pair", "--dict-a", paths["d"],
+                                "--dict-b", paths["d"], "--u", paths["u"], "--v", paths["v"],
+                                "--set-u", "0", "--set-v", "1"]}[flag]
+        code, out, err = run(capsys, *argv, flag, "nan")
+        assert code == 1
+        assert out == "" and "must be nonnegative" in err
+
     def test_summary_line_on_stderr(self, tmp_path, capsys):
         dict_path = str(tmp_path / "d.json")
         code, _, err = run(capsys, "model", "identity-dft", "--n", "4",

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsparse import (BlockDictionary, BlockStructure, block_coherences,
-                     coherence_report, cross_block_norm, guarantee_check,
+                     coherence_report, cross_block_norm, cross_norm_table, guarantee_check,
                      hilbert_coherence, mutual_hilbert_coherence, spark_exhaustive,
                      identity_dft_pair, multicoset_matrix, MultiCosetSpec,
                      random_block_dictionary, uniform_structure)
@@ -360,3 +360,74 @@ def test_one_spark_law(shape, sizes, extra_rows, seed):
     top = run_certify(D)["max_guaranteed_s_spark"]
     for s in range(D.n_blocks + 1):
         assert guarantee_check(rep, s)[0] == (s <= top)
+
+
+def family_oracle(D):
+    """Reference mu_h, mu_block and nu: cross_block_norm per ordered pair and
+    a Gram loop per block, on uniform blocks with equal column norms."""
+    n, d = D.n_blocks, D.structure.sizes[0]
+    smin = [np.linalg.svd(D.block(i), compute_uv=False)[-1] for i in range(n)]
+    scale = np.mean(np.linalg.norm(D.matrix, axis=0) ** 2)
+    pairs = [(i, cross_block_norm(D, i, j)) for i, j in itertools.permutations(range(n), 2)]
+    mu_h = max(cross / smin[i] ** 2 for i, cross in pairs)
+    nu = 0.0
+    for i in range(n):
+        gram = np.abs(D.block(i).conj().T @ D.block(i))
+        np.fill_diagonal(gram, 0.0)
+        nu = max(nu, gram.max() / scale)
+    return mu_h, max(cross for _, cross in pairs) / scale / d, nu
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["equal", "unequal", "mixed"]), rows=st.integers(3, 8),
+       d=st.integers(1, 3), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_report_family_matches_oracle(kind, rows, d, n, seed):
+    """On uniform blocks with equal column norms the report's mu_h, mu_block
+    and nu match the oracle and mu_h <= mu_hat; otherwise the family is None."""
+    assume(rows >= d + (kind == "mixed"))
+    rng = np.random.default_rng(seed)
+    sizes = (d,) * n if kind != "mixed" else (d + 1,) + (d,) * (n - 1)
+    shape = (rows, sum(sizes))
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mat *= rng.uniform(0.5, 3.0) / np.linalg.norm(mat, axis=0)
+    if kind == "unequal":
+        mat[:, -1] *= 1.5
+    D = BlockDictionary(mat, BlockStructure(sizes))
+    rep = coherence_report(D, compute_spark=False)
+    if kind != "equal":
+        assert rep.mu_block is None and rep.nu is None and rep.mu_hat is None
+        return
+    assert (rep.mu_h, rep.mu_block, rep.nu) == pytest.approx(family_oracle(D), rel=0, abs=1e-12)
+    if rep.mu_hat is not None:
+        assert rep.mu_h <= rep.mu_hat + 1e-9
+
+
+def test_report_builds_one_cross_norm_table(monkeypatch):
+    """Every report, certify document and mu_h of a dictionary reads one table."""
+    import hsparse.blocks
+    import hsparse.coherence
+    built = []
+    for module in (hsparse.blocks, hsparse.coherence):   # every name a caller looks up
+        monkeypatch.setattr(module, "cross_norm_table",
+                            lambda *args: built.append(args) or cross_norm_table(*args))
+    dicts = [random_block_dictionary(12, (2,) * 6, 1), identity_dft_pair(4),
+             BlockDictionary(np.random.default_rng(8).standard_normal((6, 5)),
+                             BlockStructure((2, 3)))]
+    for D in dicts:
+        coherence_report(D)
+        run_certify(D, compute_spark=False)
+        hilbert_coherence(D)
+    assert [args[0] for args in built] == dicts
+
+
+def test_cross_norms_is_the_shared_read_only_table():
+    D = random_block_dictionary(10, (1, 2, 3, 2), 4)
+    table = D.cross_norms
+    assert table is D.cross_norms
+    np.testing.assert_array_equal(table, cross_norm_table(D))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
+    assert not D.block_sigma_min().flags.writeable
+    hilbert_coherence(D)   # masks the diagonal rather than writing to the table
+    np.testing.assert_array_equal(D.cross_norms, cross_norm_table(D))

@@ -128,6 +128,27 @@ class TestCorrelationTable:
         with pytest.raises(ValueError, match="malformed correlation table"):
             load_correlation_table(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid_size", 16.5), ("grid_size", True), ("left", 0.5),
+        ("right", True), ("lag_offset", -1.5), ("lag_offset", "2"),
+    ])
+    def test_non_integral_field_rejected(self, tmp_path, field, value):
+        entry = {"left": 0, "right": 1, "lag_offset": -2, "real": [0.5], "imag": [0.0]}
+        doc = {"grid_size": 16, "entries": [entry]}
+        (doc if field == "grid_size" else entry)[field] = value
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=field):
+            load_correlation_table(path)
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"grid_size": 16.0, "entries": [
+            {"left": 0.0, "right": 1.0, "lag_offset": -2.0, "real": [0.5], "imag": [0.0]}]}))
+        table = load_correlation_table(path)
+        assert (table.grid_size, table.entries[0].left, table.entries[0].lag_offset) == (16, 0, -2)
+        assert isinstance(table.grid_size, int)
+
 
 class TestCsvCells:
     def test_cell_types(self):
