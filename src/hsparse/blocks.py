@@ -139,7 +139,8 @@ class BlockDictionary:
     Each column block must be injective: its smallest singular value has to be
     bounded away from zero relative to its largest.  Rank-deficient blocks are
     rejected at construction.  Per-block extreme singular values are stored
-    since the coherence and recovery routines reuse them heavily.
+    since the coherence and recovery routines reuse them heavily; they come
+    from one batched SVD per distinct block size.
     """
 
     def __init__(self, matrix, structure: BlockStructure):
@@ -153,9 +154,15 @@ class BlockDictionary:
             raise ValueError("need at least as many rows as the widest block")
         if not np.isfinite(mat).all():
             raise ValueError("dictionary matrix has non-finite entries")
-        # Smallest and largest singular value of each block, one row per block.
-        sigma = np.array([np.linalg.svd(mat[:, structure.block_slice(i)], compute_uv=False)[[-1, 0]]
-                          for i in range(structure.n_blocks)])
+        # Smallest and largest singular value of each block, one row per block,
+        # from one batched SVD per distinct block size.
+        sizes = np.array(structure.sizes)
+        padded = structure.padded_columns()
+        sigma = np.empty((structure.n_blocks, 2))
+        for d in np.unique(sizes):
+            members = np.flatnonzero(sizes == d)
+            blocks = np.moveaxis(mat[:, padded[members, :d]], 1, 0)
+            sigma[members] = np.linalg.svd(blocks, compute_uv=False)[:, [-1, 0]]
         not_injective = (sigma[:, 1] <= 0.0) | (sigma[:, 0] <= RANK_TOL * sigma[:, 1])
         if not_injective.any():
             raise ValueError(f"column block {int(np.argmax(not_injective))} is not injective")
@@ -245,16 +252,27 @@ def cross_norm_table(D1: BlockDictionary, D2: BlockDictionary | None = None) -> 
     block (index -1 reads the appended zero row/column), which leaves each
     tile's largest singular value unchanged, so one batched SVD serves any
     block structure.  Tiles that are a single row or column are vectors and
-    take their l2 norm instead, which is far cheaper than an SVD.
+    take their l2 norm instead, which is far cheaper than an SVD.  The table
+    of one dictionary (D2 None) is symmetric, since ||A^H B|| = ||B^H A||:
+    only the tiles i <= j are computed, and each value is mirrored.
     """
-    D2 = D1 if D2 is None else D2
+    same = D2 is None
+    D2 = D1 if same else D2
     gram = np.pad(D1.matrix.conj().T @ D2.matrix, ((0, 1), (0, 1)))
-    rows = D1.structure.padded_columns()
-    cols = D2.structure.padded_columns()
-    tiles = gram[rows[:, None, :, None], cols[None, :, None, :]]
-    if 1 in tiles.shape[2:]:
-        return np.sqrt(np.sum(np.abs(tiles) ** 2, axis=(2, 3)))
-    return np.linalg.svd(tiles, compute_uv=False)[..., 0]
+    pairs = (np.triu_indices(D1.n_blocks) if same
+             else tuple(np.indices((D1.n_blocks, D2.n_blocks)).reshape(2, -1)))
+    rows = D1.structure.padded_columns()[pairs[0]]
+    cols = D2.structure.padded_columns()[pairs[1]]
+    tiles = gram[rows[:, :, None], cols[:, None, :]]
+    if 1 in tiles.shape[1:]:
+        norms = np.sqrt(np.sum(np.abs(tiles) ** 2, axis=(1, 2)))
+    else:
+        norms = np.linalg.svd(tiles, compute_uv=False)[:, 0]
+    table = np.empty((D1.n_blocks, D2.n_blocks))
+    table[pairs] = norms
+    if same:
+        table[pairs[::-1]] = norms
+    return table
 
 
 def best_concentration_set(v: BlockVector, k: int) -> ConcentrationCertificate:

@@ -12,6 +12,7 @@ ordering that exact arithmetic forbids failed), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io as hio
@@ -53,7 +54,9 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise _CliError(f"expected a comma-separated integer list: {text!r}") from err
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use; parse_args returns fresh namespaces."""
     parser = _Parser(prog="hsparse",
                      description="Block-sparse recovery toolkit")
     parser.add_argument("--seed", type=int, default=0,

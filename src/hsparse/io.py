@@ -24,7 +24,8 @@ def format_float(x: float) -> str:
         raise ValueError("refusing to serialize NaN")
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text   # JSON reads -0 as the integer 0
 
 
 def _json_value(value, indent: int) -> str:
@@ -82,6 +83,14 @@ def exact_number(name: str, value, kind: type):
     raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
 
 
+def _float_array(name: str, values) -> np.ndarray:
+    """A JSON list of numbers as float64.  One C-level pass over the entry types
+    rejects strings, booleans and nested lists, which np.asarray would accept."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{name} must be a list of numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
 def _array_document(mat: np.ndarray, sizes) -> dict:
     rows, cols = mat.shape
     flat = mat.reshape(-1)
@@ -112,14 +121,14 @@ def _parse_array(doc: dict) -> tuple[np.ndarray, BlockStructure]:
     try:
         rows, cols = exact_number("rows", doc["rows"], int), exact_number("cols", doc["cols"], int)
         sizes = tuple(exact_number("block_sizes", d, int) for d in doc["block_sizes"])
-        real = np.asarray(doc["real"], dtype=np.float64)
-        imag = np.asarray(doc["imag"], dtype=np.float64)
-    except (KeyError, TypeError) as err:
+        real, imag = _float_array("real", doc["real"]), _float_array("imag", doc["imag"])
+    except (KeyError, TypeError, OverflowError) as err:
         raise ValueError(f"malformed array document: {err}") from err
     if real.size != rows * cols or imag.size != rows * cols:
         raise ValueError("array document length disagrees with rows*cols")
-    mat = (real + 1j * imag).reshape(rows, cols)
-    return mat, BlockStructure(sizes)
+    mat = np.empty(rows * cols, dtype=np.complex128)
+    mat.real, mat.imag = real, imag   # real + 1j * imag would turn -0.0 into 0.0
+    return mat.reshape(rows, cols), BlockStructure(sizes)
 
 
 def load_block_dictionary(path) -> BlockDictionary:
@@ -158,17 +167,16 @@ def load_correlation_table(path) -> CrossCorrelationTable:
     entries = []
     for pos, raw in enumerate(raw_entries):
         try:
-            real = np.asarray(raw["real"], dtype=np.float64)
-            imag = np.asarray(raw["imag"], dtype=np.float64)
+            real, imag = _float_array("real", raw["real"]), _float_array("imag", raw["imag"])
             left = exact_number("left", raw["left"], int)
             right = exact_number("right", raw["right"], int)
             lag_offset = exact_number("lag_offset", raw.get("lag_offset", 0), int)
-        except (KeyError, TypeError, ValueError) as err:
+            if real.size != imag.size:
+                raise ValueError("correlation sequence real/imag lengths differ")
+            entries.append(CorrelationSequence(left=left, right=right, lag_offset=lag_offset,
+                                               values=tuple(real + 1j * imag)))
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"malformed correlation table: entry {pos}: {err}") from err
-        if real.size != imag.size:
-            raise ValueError("correlation sequence real/imag lengths differ")
-        entries.append(CorrelationSequence(left=left, right=right, lag_offset=lag_offset,
-                                           values=tuple(real + 1j * imag)))
     return CrossCorrelationTable(tuple(entries), grid_size=grid)
 
 

@@ -154,6 +154,8 @@ class CorrelationSequence:
         object.__setattr__(self, "values", tuple(complex(z) for z in self.values))
         if len(self.values) == 0:
             raise ValueError("correlation sequence must be nonempty")
+        if not np.isfinite(self.values).all():
+            raise ValueError("correlation sequence has non-finite values")
 
 
 @dataclass(frozen=True)

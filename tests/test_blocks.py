@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsparse import (BlockDictionary, BlockStructure, BlockVector,
                      best_concentration_set, block_least_squares, block_sigma,
                      concentration_epsilon, cross_block_norm, cross_norm_table,
                      h0_norm, h1_norm, uniform_structure)
+
+
+def gaussian_dictionary(sizes, extra_rows, seed):
+    """Complex Gaussian dictionary with max(sizes) + extra_rows rows: injective blocks."""
+    rng = np.random.default_rng(seed)
+    shape = (max(sizes) + extra_rows, sum(sizes))
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return BlockDictionary(mat, BlockStructure(tuple(sizes)))
+
+
+# Mixed block sizes 1-3, with all-size-1 structures drawn as often (they take the l2 path).
+block_sizes = st.one_of(st.lists(st.integers(1, 3), min_size=1, max_size=7),
+                        st.integers(1, 7).map(lambda n: [1] * n))
 
 
 def vec(entries, *sizes):
@@ -99,6 +114,23 @@ class TestBlockSigma:
         with pytest.raises(ValueError, match="not injective"):
             BlockDictionary(mat, BlockStructure((2,)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=block_sizes, extra_rows=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_sigma_matches_per_block_svd(self, sizes, extra_rows, seed):
+        """The per-size batched SVDs give the per-block loop's values bit for bit."""
+        D = gaussian_dictionary(sizes, extra_rows, seed)
+        loop = np.array([np.linalg.svd(D.block(i), compute_uv=False)[[-1, 0]]
+                         for i in range(D.n_blocks)])
+        assert np.array_equal(D._sigma, loop)
+
+    def test_first_failing_block_named_across_sizes(self):
+        """Blocks 2 (second of size 2) and 3 (size 1) both fail; the lower index is named."""
+        mat = gaussian_dictionary((2, 1, 2, 1, 2), 2, 0).matrix.copy()
+        mat[:, 4] = 2 * mat[:, 3]   # block 2 = columns 3-4, dependent
+        mat[:, 5] = 0               # block 3 = column 5, zero
+        with pytest.raises(ValueError, match="column block 2 is not injective"):
+            BlockDictionary(mat, BlockStructure((2, 1, 2, 1, 2)))
+
     def test_rejects_too_wide_block(self):
         with pytest.raises(ValueError, match="rows"):
             BlockDictionary(np.ones((1, 2)), BlockStructure((2,)))
@@ -139,6 +171,17 @@ class TestCrossBlockNorm:
         D = BlockDictionary(mat, BlockStructure((1, 2, 3) * 2))
         oracle = [[cross_block_norm(D, i, j) for j in range(6)] for i in range(6)]
         np.testing.assert_allclose(cross_norm_table(D), oracle, rtol=0, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=block_sizes, extra_rows=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_self_table_is_symmetric_and_matches_pair_norms(self, sizes, extra_rows, seed):
+        """The upper-triangle table, mirrored, holds every pair norm in both orderings."""
+        D = gaussian_dictionary(sizes, extra_rows, seed)
+        table = D.cross_norms
+        assert np.array_equal(table, table.T)
+        for i in range(D.n_blocks):
+            for j in range(D.n_blocks):
+                assert table[i, j] == pytest.approx(cross_block_norm(D, i, j), rel=1e-12)
 
     def test_table_of_two_dictionaries_with_different_structures(self):
         rng = np.random.default_rng(4)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hsparse
 import hsparse.experiments as experiments
 from hsparse import (BlockDictionary, BlockVector, BpParams, hbp_solve, homp,
                      hp0_exhaustive, identity_dft_pair, random_block_dictionary,
@@ -388,6 +392,15 @@ class TestExitCodes:
         assert code == 1
         assert out == "" and "must be nonnegative" in err
 
+    def test_string_and_bool_entries_are_validation_errors(self, tmp_path, capsys):
+        dict_path = tmp_path / "d.json"
+        dict_path.write_text(json.dumps({"rows": 2, "cols": 2, "block_sizes": [1, 1],
+                                         "real": ["1", "0", "0", True],
+                                         "imag": [0.0, 0.0, 0.0, 0.0]}))
+        code, out, err = run(capsys, "analyze", str(dict_path), "--no-spark")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "real must be a list of numbers" in err
+
     def test_summary_line_on_stderr(self, tmp_path, capsys):
         dict_path = str(tmp_path / "d.json")
         code, _, err = run(capsys, "model", "identity-dft", "--n", "4",
@@ -396,3 +409,21 @@ class TestExitCodes:
         summary = [line for line in err.splitlines() if line.startswith("hsparse:")]
         assert len(summary) == 1
         assert "seed=0" in summary[0] and dict_path in summary[0]
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    """One process serves several commands, a failing one among them, and each
+    prints what a fresh interpreter prints: no parsed option carries over."""
+    dict_path = str(tmp_path / "d.json")
+    save_block_dictionary(dict_path, identity_dft_pair(4))
+    commands = [["certify", dict_path, "--no-spark"],
+                ["certify", dict_path, "--spark-cap", "many"],
+                ["certify", dict_path]]
+    src = os.path.dirname(os.path.dirname(hsparse.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "hsparse.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and json.loads(out)["spark"] == 4

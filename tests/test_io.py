@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsparse import BlockStructure, BlockVector, identity_dft_pair
+from hsparse import BlockDictionary, BlockStructure, BlockVector, identity_dft_pair
 from hsparse import io as hio
 from hsparse.io import (dumps_document, format_float, load_block_dictionary,
                         load_block_vector, load_correlation_table,
@@ -89,6 +91,60 @@ class TestArrayDocuments:
         with pytest.raises(ValueError, match="single-column"):
             load_block_vector(path)
 
+    @pytest.mark.parametrize("real", [["1", 0, 0, 1], [1.0, 0.0, 0.0, True], [1, 0, 0, None],
+                                      [[1, 0], [0, 1]], "1001", 1.0, [1, 0, 0, 10**400]],
+                             ids=["string", "bool", "null", "nested", "text", "scalar",
+                                  "huge-int"])
+    def test_non_number_entries_rejected(self, tmp_path, real):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 2, "block_sizes": [1, 1],
+                                    "real": real, "imag": [0, 0, 0, 0]}))
+        with pytest.raises(ValueError):
+            load_block_dictionary(path)
+
+
+def exact_floats(limit: float):
+    """Finite doubles up to limit in magnitude, with the edge cases the format
+    must keep drawn often: signed zeros, subnormals and extreme exponents."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, limit, -limit]
+    return st.one_of(st.sampled_from(edges), st.floats(-limit, limit))
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4), data=st.data())
+def test_array_documents_round_trip_bit_exact(tmp_path_factory, sizes, data):
+    """Vectors and dictionaries come back bit for bit, sign of zero included."""
+    structure = BlockStructure(tuple(sizes))
+    dim = structure.dim
+    path = tmp_path_factory.mktemp("io") / "doc.json"
+
+    def draw_entries(limit):
+        parts = data.draw(st.lists(exact_floats(limit), min_size=2 * dim, max_size=2 * dim))
+        entries = np.empty(dim, dtype=np.complex128)
+        entries.real, entries.imag = parts[:dim], parts[dim:]
+        return entries
+
+    vector = BlockVector(draw_entries(1.7976931348623157e308), structure)
+    save_block_vector(path, vector)
+    assert np.array_equal(bits(load_block_vector(path).entries), bits(vector.entries))
+
+    # Drawn values on the first row over a scaled identity per block, so each
+    # block stays injective; 1e300 keeps its SVD clear of overflow.
+    matrix = np.zeros((1 + max(sizes), dim), dtype=np.complex128)
+    matrix[0] = draw_entries(1e300)
+    for i, d in enumerate(sizes):
+        cols = structure.block_slice(i)
+        matrix[1:1 + d, cols] = max(1.0, np.abs(matrix[0, cols]).max()) * np.eye(d)
+    D = BlockDictionary(matrix, structure)
+    save_block_dictionary(path, D)
+    loaded = load_block_dictionary(path)
+    assert np.array_equal(bits(loaded.matrix), bits(D.matrix))
+    assert loaded.structure == D.structure
+
 
 class TestCorrelationTable:
     def test_load(self, tmp_path):
@@ -126,6 +182,15 @@ class TestCorrelationTable:
         path = tmp_path / "table.json"
         path.write_text(json.dumps({"grid_size": 4, "entries": entries}))
         with pytest.raises(ValueError, match="malformed correlation table"):
+            load_correlation_table(path)
+
+    @pytest.mark.parametrize("real", [[float("nan"), 0.5], [0.5, float("inf")], ["0.5", 0.5],
+                                      [True, 0.5]], ids=["nan", "inf", "string", "bool"])
+    def test_non_finite_or_non_number_values_rejected(self, tmp_path, real):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"grid_size": 8, "entries": [
+            {"left": 0, "right": 0, "real": real, "imag": [0.0, 0.0]}]}))
+        with pytest.raises(ValueError, match="malformed correlation table: entry 0"):
             load_correlation_table(path)
 
     @pytest.mark.parametrize("field, value", [

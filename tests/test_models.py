@@ -181,3 +181,8 @@ class TestSiMutualCoherence:
     def test_grid_must_cover_sequences(self):
         with pytest.raises(ValueError, match="grid"):
             table([1.0, 2.0, 3.0], 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf)])
+    def test_non_finite_sequence_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            CorrelationSequence(0, 1, 0, (bad, 0.5))
