@@ -318,21 +318,32 @@ def block_least_squares(D: BlockDictionary, support, y,
     idx = sorted({D.structure.check_index(i) for i in support})
     if not idx:
         raise ValueError("support must contain at least one block")
-    yv = D.measurement(y)
+    full, residual = _fit_support(D, idx, D.measurement(y), rank_tol)
+    return BlockVector(full, D.structure), residual
+
+
+def _fit_support(D: BlockDictionary, idx: list[int], yv: np.ndarray,
+                 rank_tol: float = RANK_TOL) -> tuple[np.ndarray, float]:
+    """``block_least_squares`` without its checks: idx sorted, valid and
+    nonempty, yv a validated measurement; the coefficients come back as a
+    plain array of length D.structure.dim."""
     stacked = np.concatenate([D.block(i) for i in idx], axis=1)
     coef = np.linalg.pinv(stacked, rcond=rank_tol) @ yv
     residual = float(np.linalg.norm(yv - stacked @ coef))
     full = np.zeros(D.structure.dim, dtype=np.complex128)
     full[D.structure.column_indices(idx)] = coef
-    return BlockVector(full, D.structure), residual
+    return full, residual
 
 
 def support_stacks(D: BlockDictionary, k: int):
-    """Every k-subset of blocks with its stacked columns, streamed in batches.
+    """Every k-subset of blocks with the columns of its stack, streamed in batches.
 
-    Yields (supports, stacks): a (B, k) array of block indices and the
-    (B, M, w) column stacks, all of width w.  Subsets are cut into
-    lexicographic chunks of _SUBSET_CHUNK, each split by width.
+    Yields (supports, cols): a (B, k) array of block indices and the (B, w)
+    array of the column indices each subset stacks, all of width w;
+    ``column_stacks(D, cols)`` gathers the (B, M, w) stacks themselves, so a
+    caller that can settle a subset from the indices alone never gathers it.
+    Subsets are cut into lexicographic chunks of _SUBSET_CHUNK, each split
+    by width.
     """
     padded = D.structure.padded_columns()
     subsets = itertools.combinations(range(D.n_blocks), k)
@@ -341,5 +352,9 @@ def support_stacks(D: BlockDictionary, k: int):
         widths = np.count_nonzero(cols >= 0, axis=1)
         for width in np.unique(widths):
             group = cols[widths == width]
-            stacks = D.matrix[:, group[group >= 0].reshape(-1, width)]
-            yield chunk[widths == width], np.moveaxis(stacks, 1, 0)
+            yield chunk[widths == width], group[group >= 0].reshape(-1, width)
+
+
+def column_stacks(D: BlockDictionary, cols: np.ndarray) -> np.ndarray:
+    """The (B, M, w) stacks of D's columns named by the rows of a (B, w) index array."""
+    return np.moveaxis(D.matrix[:, cols], 1, 0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockDictionary, cross_norm_table, support_stacks
+from .blocks import BlockDictionary, column_stacks, cross_norm_table, support_stacks
 # Unused here; bench/spans.py rebinds this name, so bench/run.py --trace 1 needs it.
 from .blocks import cross_block_norm  # noqa: F401
 
@@ -26,6 +26,11 @@ SPARK_DEFICIENCY_TOL = 1e-10
 SPARK_ENUMERATION_CAP = 20
 # Relative spread of column norms that the composite family accepts as equal.
 UNIT_COLUMN_TOL = 1e-12
+# Multiple of eps * (M + (w + 1) ||L||_F^2) that the spark screen subtracts
+# from its bound on lambda_min of a trace-scaled w x w Gram tile: it covers
+# the rounding of D^H D (about M eps), the Cholesky backward error (about
+# (w + 1) eps ||L||_F^2) and the SVD's own rounding of the ratio it judges.
+_CHOLESKY_ROUNDING = 16.0
 
 
 @dataclass(frozen=True)
@@ -138,12 +143,35 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     return mu_block, nu, mu_hat
 
 
-def _deficient(D: BlockDictionary, k: int, tol: float) -> bool:
-    """Whether some k-subset of blocks stacks rank deficient; k is below the width bound."""
-    for _, stacks in support_stacks(D, k):
-        s = np.linalg.svd(stacks, compute_uv=False)
-        if np.any(s[:, -1] <= tol * s[:, 0]):
-            return True
+def _deficient(D: BlockDictionary, gram: np.ndarray, k: int, tol: float) -> bool:
+    """Whether some k-subset of blocks stacks rank deficient; k is below the width bound.
+
+    gram is D^H D.  A stack whose Gram tile, scaled to unit trace, has
+    Cholesky factor L is proven full rank when
+    det / ||L||_F^(2(w-1)) - err > tol^2, with det = prod |L_ii|^2: that
+    bounds lambda_min from below, since every eigenvalue is at most
+    ||L||_F^2, and err bounds the rounding.  The SVD judges only the stacks
+    left unproven; a group whose Cholesky fails leaves all of them unproven.
+    """
+    rows = D.shape[0]
+    for _, cols in support_stacks(D, k):
+        w = cols.shape[1]
+        tiles = gram[cols[:, :, None], cols[:, None, :]]
+        trace = np.einsum("bii->b", tiles).real
+        try:
+            L = np.linalg.cholesky(tiles / trace[:, None, None])
+        except np.linalg.LinAlgError:
+            unproven = cols
+        else:
+            # After the trace scaling every |L_ii| <= 1, so det can only underflow.
+            det = np.prod(np.abs(np.diagonal(L, axis1=1, axis2=2)) ** 2, axis=1)
+            fro = np.sum(np.abs(L) ** 2, axis=(1, 2))
+            err = _CHOLESKY_ROUNDING * np.finfo(float).eps * (rows + (w + 1) * fro)
+            unproven = cols[det / fro ** (w - 1) - err <= tol ** 2]
+        if unproven.size:
+            s = np.linalg.svd(column_stacks(D, unproven), compute_uv=False)
+            if np.any(s[:, -1] <= tol * s[:, 0]):
+                return True
     return False
 
 
@@ -153,27 +181,38 @@ def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
 
     A block subset admits a kernel vector occupying exactly those blocks when
     its stacked columns are rank deficient: wider than tall, or with smallest
-    singular value at most tol times the largest.  Deficiency is monotone
-    under supersets (zero-pad the kernel vector; by interlacing, adding
-    columns only lowers the smallest singular value and raises the largest),
-    so the search bisects over k.  The width bound hi, the fewest blocks whose
-    widest choice has more columns than D has rows, is deficient outright;
-    hi - 1, where generic dictionaries sit, is probed first; then (0, hi) is
-    bisected.  Without a width bound all n blocks are tested, and None means
-    even they are not deficient: the kernel is trivial (numerically {0}).
+    singular value at most tol times the largest (so tol lies in [0, 1)).
+    Deficiency is monotone under supersets (zero-pad the kernel vector; by
+    interlacing, adding columns only lowers the smallest singular value and
+    raises the largest), so the search bisects over k.  The width bound hi,
+    the fewest blocks whose widest choice has more columns than D has rows,
+    is deficient outright; hi - 1, where generic dictionaries sit, is probed
+    first; then (0, hi) is bisected.  Without a width bound all n blocks are
+    tested, and None means even they are not deficient: the kernel is
+    trivial (numerically {0}).
+
+    Each probe screens its stacks first: a batched Cholesky factorisation of
+    their Gram tiles, gathered from one D^H D per call, proves full rank
+    every stack whose determinant bound on sigma_min^2 / sigma_max^2 clears
+    tol^2 by more than the rounding.  The bound needs that ratio above about
+    1e-7, so it proves nothing the SVD would call deficient; only the stacks
+    it leaves unproven are gathered and go to the batched SVD, which decides.
     """
     if not tol >= 0:   # also rejects NaN
         raise ValueError("tolerance must be nonnegative")
+    if tol >= 1:   # sigma_min <= sigma_max always: every subset would read deficient
+        raise ValueError("tolerance must be below 1")
     n = D.n_blocks
     if n > cap:
         raise ValueError("exhaustive spark infeasible; raise cap explicitly")
+    gram = D.matrix.conj().T @ D.matrix
     wide = np.flatnonzero(np.cumsum(sorted(D.structure.sizes, reverse=True)) > D.shape[0])
-    if wide.size == 0 and not _deficient(D, n, tol):
+    if wide.size == 0 and not _deficient(D, gram, n, tol):
         return None
     lo, hi = 0, int(wide[0]) + 1 if wide.size else n
     probe = hi - 1
     while hi - lo > 1:
-        if _deficient(D, probe, tol):
+        if _deficient(D, gram, probe, tol):
             hi = probe
         else:
             lo = probe

@@ -26,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import (RANK_TOL, ZERO_BLOCK_TOL, BlockDictionary, BlockStructure,
-                     BlockVector, block_least_squares, h1_norm, support_stacks)
+                     BlockVector, _fit_support, block_least_squares, column_stacks,
+                     h1_norm, support_stacks)
 from .coherence import SPARK_ENUMERATION_CAP, CoherenceReport
 
 STATUS_EXACT = "exact"
@@ -125,8 +126,10 @@ class SolverContext:
         """
         if k in self._bases:
             return self._bases[k]
-        bases = map(_screening_basis, support_stacks(self.dictionary, k))
-        need = _bases_bytes(self.dictionary, k)
+        D = self.dictionary
+        bases = (_screening_basis(supports, column_stacks(D, cols))
+                 for supports, cols in support_stacks(D, k))
+        need = _bases_bytes(D, k)
         if self._cached_bytes + need > CONTEXT_CACHE_BYTES:
             return bases
         self._bases[k] = list(bases)
@@ -143,8 +146,7 @@ def _context_for(D: BlockDictionary, context: SolverContext | None) -> SolverCon
     return context
 
 
-def _screening_basis(chunk):
-    supports, stacks = chunk
+def _screening_basis(supports, stacks):
     u, s, _ = np.linalg.svd(stacks, full_matrices=False)
     kept = s > RANK_TOL * s[:, :1]
     u = u * kept[:, None, :]
@@ -354,7 +356,8 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
     squares on the enlarged support, and updates the residual.  Stops once
     ||r|| <= tol_res * max(||y||, 1); running out of iterations or blocks
     gives status "max-iterations".  The adjoint comes from ``context`` and
-    is kept there for its lifetime.
+    is kept there for its lifetime.  y is validated once; each refit is
+    ``block_least_squares`` without its per-call checks.
     """
     if max_iter is None:
         max_iter = D.n_blocks
@@ -367,22 +370,24 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
     stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
     adjoint, smin = context.adjoint, D.block_sigma_min()
 
-    solution = BlockVector.zeros(D.structure)
+    solution = np.zeros(D.structure.dim, dtype=np.complex128)
     residual = yv.copy()
     selected: list[int] = []
     iterations = 0
+    status = STATUS_EXACT
     while float(np.linalg.norm(residual)) > stop:
         if iterations >= max_iter or len(selected) == D.n_blocks:
-            return _result(D, solution, yv, iterations, STATUS_MAX_ITER)
+            status = STATUS_MAX_ITER
+            break
         corr = adjoint @ residual
         weights = D.structure.norms(corr) / smin
         if selected:
             weights[selected] = -np.inf
         selected.append(int(np.argmax(weights)))
-        solution, _ = block_least_squares(D, selected, yv)
-        residual = yv - D.matrix @ solution.entries
+        solution, _ = _fit_support(D, sorted(selected), yv)
+        residual = yv - D.matrix @ solution
         iterations += 1
-    return _result(D, solution, yv, iterations, STATUS_EXACT)
+    return _result(D, BlockVector(solution, D.structure), yv, iterations, status)
 
 
 def guarantee_check(report: CoherenceReport, s: int) -> tuple[bool, bool]:

@@ -392,6 +392,18 @@ class TestExitCodes:
         assert code == 1
         assert out == "" and "must be nonnegative" in err
 
+    @pytest.mark.parametrize("command, value", [("spark", "1.5"), ("spark", "1"),
+                                                ("analyze", "1.5"), ("analyze", "inf")])
+    def test_spark_tolerance_of_one_or_more_is_validation_error(self, command, value,
+                                                                tmp_path, capsys):
+        """Every stack has sigma_min <= sigma_max, so such a tolerance would
+        report a spark of 1 for the identity, whose kernel is trivial."""
+        dict_path = str(tmp_path / "d.json")
+        save_block_dictionary(dict_path, BlockDictionary(np.eye(4), uniform_structure(4)))
+        code, out, err = run(capsys, command, dict_path, "--tol-spark", value)
+        assert code == 1
+        assert out == "" and "tolerance must be below 1" in err
+
     def test_string_and_bool_entries_are_validation_errors(self, tmp_path, capsys):
         dict_path = tmp_path / "d.json"
         dict_path.write_text(json.dumps({"rows": 2, "cols": 2, "block_sizes": [1, 1],

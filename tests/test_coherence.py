@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hsparse.coherence as coherence
+from hsparse.blocks import column_stacks, support_stacks
 from hsparse import (BlockDictionary, BlockStructure, block_coherences,
                      coherence_report, cross_block_norm, cross_norm_table, guarantee_check,
                      hilbert_coherence, mutual_hilbert_coherence, spark_exhaustive,
@@ -282,6 +284,107 @@ def test_spark_below_width_bound_matches_oracle(rows, sizes, seed, partners):
     spark = spark_exhaustive(D)
     assert spark == kernel_spark_oracle_blocks(D)
     assert spark < width_bound
+
+
+def svd_only_deficient(D, k, tol):
+    """Reference verdict: the batched SVD of every k-subset stack, no screen."""
+    for _, cols in support_stacks(D, k):
+        s = np.linalg.svd(column_stacks(D, cols), compute_uv=False)
+        if np.any(s[:, -1] <= tol * s[:, 0]):
+            return True
+    return False
+
+
+def below_width_bound(D):
+    """Every k whose widest k-subset still fits in D's rows."""
+    widest = np.cumsum(sorted(D.structure.sizes, reverse=True))
+    return range(1, int(np.count_nonzero(widest <= D.shape[0])) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(2, 7), sizes=st.lists(st.integers(1, 3), min_size=2, max_size=7),
+       seed=st.integers(0, 2**32 - 1), real=st.booleans(), partners=st.integers(1, 3),
+       tol=st.sampled_from([coherence.SPARK_DEFICIENCY_TOL, 1e-4, 0.3]),
+       factor=st.sampled_from([10.0, 0.1, 1.25, 0.8, 0.0]))
+# Two unit columns at sigma ratio 0.8 tol: their trace-scaled Gram has
+# diagonal 1/2, so a lambda_max bound of the largest diagonal entry proves
+# the pair, which the SVD calls deficient.
+@example(rows=2, sizes=[1, 1], seed=0, real=False, partners=1, tol=0.3, factor=0.8)
+def test_screened_deficiency_matches_svd(rows, sizes, seed, real, partners, tol, factor):
+    """The Cholesky screen changes no verdict.  The last partners + 1 blocks
+    are replaced by a stack U diag(1, ..., 1, factor * tol) V^H with V the
+    unitary DFT (equal column norms), so their sigma_min / sigma_max sits at
+    factor times the cutoff; every k below the width bound is compared."""
+    planted = sum(sizes[-partners - 1:])
+    assume(max(sizes) <= rows and partners < len(sizes) and planted <= rows)
+    assume(not (real and planted > 2))   # the real equal-norm V used is 2 x 2
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(sizes))
+    shape = (rows, structure.dim)
+    mat = rng.standard_normal(shape) + (0 if real else 1j * rng.standard_normal(shape))
+    u, _ = np.linalg.qr(mat[:, -planted:])
+    sigma = np.ones(planted)
+    sigma[-1] = factor * tol
+    v = (np.array([[1.0, 1.0], [1.0, -1.0]]) if real else
+         np.exp(-2j * np.pi * np.outer(np.arange(planted), np.arange(planted)) / planted))
+    v = v[:planted, :planted] / np.sqrt(planted)
+    mat[:, -planted:] = (u * sigma) @ v.conj().T
+    try:
+        D = BlockDictionary(mat, structure)
+    except ValueError:   # a planted block that is itself not injective
+        assume(False)
+    gram = D.matrix.conj().T @ D.matrix
+    for k in below_width_bound(D):
+        assert coherence._deficient(D, gram, k, tol) == svd_only_deficient(D, k, tol), k
+
+
+def test_failed_cholesky_leaves_group_to_svd(monkeypatch):
+    """An exactly duplicated column makes the Gram tile of every pair holding
+    it singular, so the batched Cholesky raises and its group goes to the SVD."""
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    mat[:, :2] = np.eye(4)[:, :2]
+    mat[:, 5] = mat[:, 0]
+    D = BlockDictionary(mat, uniform_structure(6))
+    failures = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        try:
+            return cholesky(a)
+        except np.linalg.LinAlgError:
+            failures.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    gram = D.matrix.conj().T @ D.matrix
+    for k in below_width_bound(D):
+        assert coherence._deficient(D, gram, k, coherence.SPARK_DEFICIENCY_TOL) == \
+            svd_only_deficient(D, k, coherence.SPARK_DEFICIENCY_TOL)
+    assert failures
+    assert spark_exhaustive(D) == 2
+
+
+def test_screen_spares_generic_stacks_the_svd(monkeypatch):
+    """On a generic dictionary the screen proves the probe's 3,003 square
+    stacks full rank, and almost none are gathered for the SVD."""
+    gathered = []
+
+    def counting(D, cols):
+        gathered.append(len(cols))
+        return column_stacks(D, cols)
+
+    monkeypatch.setattr(coherence, "column_stacks", counting)
+    D = unit_norm_dict(8, 14, 1)
+    assert spark_exhaustive(D) == 9
+    assert sum(gathered) <= 30
+
+
+@pytest.mark.parametrize("tol", [1.0, 1.5, math.inf])
+def test_tolerance_of_one_or_more_rejected(tol):
+    D = BlockDictionary(np.eye(4), uniform_structure(4))
+    with pytest.raises(ValueError, match="below 1"):
+        spark_exhaustive(D, tol=tol)
 
 
 class TestCoherenceReport:

@@ -277,6 +277,45 @@ class TestHomp:
         assert r.iterations == 1
 
 
+def homp_checked_steps(D, y, tol_res=1e-10, max_iter=None):
+    """Reference omp loop whose every refit is a checked block_least_squares call."""
+    max_iter = D.n_blocks if max_iter is None else max_iter
+    yv = D.measurement(y)
+    stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
+    smin = D.block_sigma_min()
+    solution = BlockVector.zeros(D.structure)
+    residual = yv.copy()
+    selected = []
+    while float(np.linalg.norm(residual)) > stop:
+        if len(selected) >= max_iter or len(selected) == D.n_blocks:
+            return solution, len(selected), "max-iterations"
+        weights = D.structure.norms(D.matrix.conj().T @ residual) / smin
+        weights[selected] = -np.inf
+        selected.append(int(np.argmax(weights)))
+        solution, _ = recovery.block_least_squares(D, selected, yv)
+        residual = yv - D.matrix @ solution.entries
+    return solution, len(selected), "exact"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_homp_matches_checked_steps_bit_for_bit(seed):
+    """homp validates y once and refits without per-step checks; its output
+    is bit-identical to the loop that checks on every step."""
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(d) for d in rng.integers(1, 4, size=10))
+    dictionaries = [identity_dft_pair(16),
+                    random_block_dictionary(12, sizes, seed, normalize="none")]
+    for D in dictionaries:
+        for s, max_iter in [(1, None), (2, None), (3, None), (4, 2)]:
+            support = tuple(sorted(rng.choice(D.n_blocks, size=s, replace=False)))
+            _, y = planted(D, support, seed)
+            got = homp(D, y, max_iter=max_iter)
+            solution, iterations, status = homp_checked_steps(D, y, max_iter=max_iter)
+            assert np.array_equal(got.solution.entries, solution.entries)
+            assert (got.iterations, got.status) == (iterations, status)
+            assert got.residual_norm == float(np.linalg.norm(y - D.matrix @ solution.entries))
+
+
 SOLVERS = {"p0": hp0_exhaustive, "bp": hbp_solve, "omp": homp}
 
 
