@@ -328,7 +328,13 @@ def _fit_support(D: BlockDictionary, idx: list[int], yv: np.ndarray,
     nonempty, yv a validated measurement; the coefficients come back as a
     plain array of length D.structure.dim."""
     stacked = np.concatenate([D.block(i) for i in idx], axis=1)
-    coef = np.linalg.pinv(stacked, rcond=rank_tol) @ yv
+    return _fit_factored(D, idx, yv, stacked, np.linalg.pinv(stacked, rcond=rank_tol))
+
+
+def _fit_factored(D: BlockDictionary, idx, yv: np.ndarray, stacked: np.ndarray,
+                  pinv: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_fit_support`` given the contiguous stack of idx and its pseudo-inverse."""
+    coef = pinv @ yv
     residual = float(np.linalg.norm(yv - stacked @ coef))
     full = np.zeros(D.structure.dim, dtype=np.complex128)
     full[D.structure.column_indices(idx)] = coef

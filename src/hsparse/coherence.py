@@ -148,10 +148,13 @@ def _deficient(D: BlockDictionary, gram: np.ndarray, k: int, tol: float) -> bool
 
     gram is D^H D.  A stack whose Gram tile, scaled to unit trace, has
     Cholesky factor L is proven full rank when
-    det / ||L||_F^(2(w-1)) - err > tol^2, with det = prod |L_ii|^2: that
-    bounds lambda_min from below, since every eigenvalue is at most
-    ||L||_F^2, and err bounds the rounding.  The SVD judges only the stacks
-    left unproven; a group whose Cholesky fails leaves all of them unproven.
+    det * ((w-1) / ||L||_F^2)^(w-1) - err > tol^2, with det = prod |L_ii|^2:
+    that bounds lambda_min = det / (product of the other w-1 eigenvalues)
+    from below, since by AM-GM that product is at most the (w-1)th power of
+    their mean, and their sum is at most ||L||_F^2; err bounds the rounding.
+    lambda_max is at most the unit trace, so lambda_min > tol^2 puts
+    sigma_min / sigma_max above tol.  The SVD judges only the stacks left
+    unproven; a group whose Cholesky fails leaves all of them unproven.
     """
     rows = D.shape[0]
     for _, cols in support_stacks(D, k):
@@ -167,7 +170,7 @@ def _deficient(D: BlockDictionary, gram: np.ndarray, k: int, tol: float) -> bool
             det = np.prod(np.abs(np.diagonal(L, axis1=1, axis2=2)) ** 2, axis=1)
             fro = np.sum(np.abs(L) ** 2, axis=(1, 2))
             err = _CHOLESKY_ROUNDING * np.finfo(float).eps * (rows + (w + 1) * fro)
-            unproven = cols[det / fro ** (w - 1) - err <= tol ** 2]
+            unproven = cols[det * ((w - 1) / fro) ** (w - 1) - err <= tol ** 2]
         if unproven.size:
             s = np.linalg.svd(column_stacks(D, unproven), compute_uv=False)
             if np.any(s[:, -1] <= tol * s[:, 0]):

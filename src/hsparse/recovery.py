@@ -2,7 +2,9 @@
 
 Three solvers for y = Phi v with v occupying few blocks:
 
-* ``hp0_exhaustive``: fewest-occupied-blocks search by support enumeration;
+* ``hp0_exhaustive_batch``: fewest-occupied-blocks search by support
+  enumeration, one screen over a batch of measurements per cardinality;
+  ``hp0_exhaustive`` is its batch of one;
 * ``hbp_solve_batch``: mixed-norm relaxation (sum of block l2 norms) solved
   by alternating-direction splitting, one loop over a batch of measurements;
   ``hbp_solve`` is its batch of one;
@@ -26,8 +28,10 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import (RANK_TOL, ZERO_BLOCK_TOL, BlockDictionary, BlockStructure,
-                     BlockVector, _fit_support, block_least_squares, column_stacks,
-                     h1_norm, support_stacks)
+                     BlockVector, _fit_factored, _fit_support, column_stacks, h1_norm,
+                     support_stacks)
+# bench/spans.py times the least-squares calls it finds in this module.
+from .blocks import block_least_squares  # noqa: F401
 from .coherence import SPARK_ENUMERATION_CAP, CoherenceReport
 
 STATUS_EXACT = "exact"
@@ -48,6 +52,12 @@ _SCREEN_ROUNDING = 100.0
 # bases would take the total past it is screened from bases computed afresh
 # chunk by chunk, as without a context, so memory stays bounded.
 CONTEXT_CACHE_BYTES = 32 * 2**20
+# Bytes of one kept support's lookup entry beyond 8 per block: its key and
+# value tuples and its dict slot.
+_FIT_ENTRY_BYTES = 160
+# Bytes of the (B, M, T) residual one p0 screening product may build; the
+# open trials of a level are screened in slices that fit it.
+_SCREEN_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -94,9 +104,13 @@ class SolverContext:
     are bit-identical with or without sharing, because each factor is the
     expression the solver would otherwise evaluate per call:
 
-    * ``screening_bases(k)``: p0's batched screening bases for every
-      k-subset of blocks.  Kept while the context's total stays within
+    * ``screening_bases(k)``: p0's batched stacks and pseudo-inverses for
+      every k-subset of blocks.  Kept while the context's total stays within
       CONTEXT_CACHE_BYTES; past it they are streamed afresh per call;
+    * ``least_squares(support, yv)``: the least-squares fit on one support,
+      read from the kept pseudo-inverse of that support when its
+      cardinality's bases are kept, so p0 refits and omp steps factor a
+      support at most once per context;
     * ``pinv``: bp's pseudo-inverse of the whole matrix;
     * ``adjoint``: omp's conjugate transpose of the matrix; the block
       ``sigma_min`` it also reads is stored on the dictionary.
@@ -105,6 +119,8 @@ class SolverContext:
     def __init__(self, D: BlockDictionary):
         self.dictionary = D
         self._bases: dict[int, list] = {}
+        # Support tuple -> (its chunk of kept bases, its row in the chunk).
+        self._fits: dict[tuple[int, ...], tuple[tuple, int]] = {}
         self._cached_bytes = 0
 
     @cached_property
@@ -116,13 +132,13 @@ class SolverContext:
         return self.dictionary.matrix.conj().T
 
     def screening_bases(self, k: int):
-        """(supports, u, u_conj, cond) per chunk of ``support_stacks(D, k)``.
+        """(supports, stacks, pinv, cond) per chunk of ``support_stacks(D, k)``.
 
-        u holds each stack's left singular vectors, those for singular values
-        at or below RANK_TOL times the largest zeroed (the pseudo-inverse's
-        cutoff), so ||y - u u^H y|| is the residual of the least-squares fit
-        on that support; cond is the largest over the smallest kept singular
-        value.
+        stacks holds the (B, M, w) column stacks, each contiguous; pinv their
+        pseudo-inverses ``np.linalg.pinv(stacks, rcond=RANK_TOL)``, bit for
+        bit those ``block_least_squares`` computes, so ||y - S P y|| is the
+        residual of the least-squares fit on a support; cond is the largest
+        over the smallest singular value above that cutoff.
         """
         if k in self._bases:
             return self._bases[k]
@@ -134,7 +150,24 @@ class SolverContext:
             return bases
         self._bases[k] = list(bases)
         self._cached_bytes += need
+        for chunk in self._bases[k]:
+            for row, support in enumerate(chunk[0].tolist()):
+                self._fits[tuple(support)] = chunk, row
         return self._bases[k]
+
+    def least_squares(self, support: tuple[int, ...],
+                      yv: np.ndarray) -> tuple[np.ndarray, float]:
+        """``blocks._fit_support`` of the sorted, valid support and the
+        validated measurement yv, bit for bit: (coefficients, residual norm).
+
+        A support whose cardinality ``screening_bases`` keeps is fitted from
+        its kept pseudo-inverse; any other is factored afresh.
+        """
+        hit = self._fits.get(support)
+        if hit is None:
+            return _fit_support(self.dictionary, support, yv)
+        (_, stacks, pinv, _), row = hit
+        return _fit_factored(self.dictionary, support, yv, stacks[row], pinv[row])
 
 
 def _context_for(D: BlockDictionary, context: SolverContext | None) -> SolverContext:
@@ -147,18 +180,24 @@ def _context_for(D: BlockDictionary, context: SolverContext | None) -> SolverCon
 
 
 def _screening_basis(supports, stacks):
-    u, s, _ = np.linalg.svd(stacks, full_matrices=False)
+    stacks = np.ascontiguousarray(stacks)
+    # np.linalg.pinv(stacks, rcond=RANK_TOL) step by step, which keeps the
+    # singular values that cond needs.
+    u, s, vh = np.linalg.svd(stacks.conj(), full_matrices=False)
     kept = s > RANK_TOL * s[:, :1]
-    u = u * kept[:, None, :]
+    inverse = np.divide(1, s, where=kept, out=np.zeros_like(s))
+    pinv = np.swapaxes(vh, 1, 2) @ (inverse[:, :, None] * np.swapaxes(u, 1, 2))
     cond = s[:, 0] / np.where(kept, s, np.inf).min(axis=1)
-    return supports, u, u.conj(), cond
+    return supports, stacks, pinv, cond
 
 
 def _bases_bytes(D: BlockDictionary, k: int) -> int:
-    """Upper bound on the bytes of the screening bases of all k-subsets."""
+    """Upper bound on the bytes of the screening bases of all k-subsets:
+    stack and pseudo-inverse, supports and cond, and the lookup entry."""
     rows = D.shape[0]
     widest = sum(sorted(D.structure.sizes)[-k:])
-    return math.comb(D.n_blocks, k) * (2 * rows * min(rows, widest) * 16 + 8 * (k + 1))
+    return math.comb(D.n_blocks, k) * (2 * rows * widest * 16 + 8 * (k + 1)
+                                       + _FIT_ENTRY_BYTES + 8 * k)
 
 
 def _support_of(v: BlockVector, tol: float) -> tuple[int, ...]:
@@ -178,7 +217,17 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
                    cap: int = SPARK_ENUMERATION_CAP,
                    max_cardinality: int | None = None, *,
                    context: SolverContext | None = None) -> RecoveryResult:
-    """Fewest-occupied-blocks recovery by exhaustive support search.
+    """Fewest-occupied-blocks recovery by exhaustive support search:
+    ``hp0_exhaustive_batch`` of the one measurement y (see there)."""
+    return hp0_exhaustive_batch(D, [y], tol, cap, max_cardinality, context=context)[0]
+
+
+def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
+                         cap: int = SPARK_ENUMERATION_CAP,
+                         max_cardinality: int | None = None, *,
+                         context: SolverContext | None = None) -> list[RecoveryResult]:
+    """Fewest-occupied-blocks recovery of each measurement in ys by
+    exhaustive support search, all of them screened together.
 
     Supports are scanned by increasing cardinality (lexicographic within a
     cardinality); the first cardinality with a feasible least-squares fit
@@ -189,16 +238,20 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
     that size exhausted without a feasible fit give status "infeasible".
     ``iterations`` counts every support of every scanned cardinality.
 
-    Each batch of supports is screened by one batched thin SVD, on the
-    explicit residual ||y - U_r U_r^H y|| with r counting the singular values
-    above RANK_TOL times the largest (the pseudo-inverse's cutoff).  Supports
-    that pass, with an allowance for the refit's rounding, are refitted by
-    ``block_least_squares`` in lexicographic order and admitted on that
+    Each cardinality screens the measurements still open at once: per batch
+    of supports, one product R = Y - S (P Y) of the stacks S, their
+    pseudo-inverses P (RANK_TOL cutoff) and the open columns of Y, taken in
+    slices of trials that keep R within _SCREEN_BYTES.  Supports that pass,
+    with an allowance for the rounding of the batched product, are refitted
+    by ``context.least_squares`` in lexicographic order and admitted on that
     refit's residual alone; refitting stops at the first admitted solution
     farther than tol from an earlier one, which settles "non-unique".
-    The bases U_r come from ``context.screening_bases``, so a shared context
-    computes them once per cardinality for all measurements, as long as they
-    fit in CONTEXT_CACHE_BYTES; larger ones are recomputed on every call.
+    S and P come from ``context.screening_bases``, so a shared context
+    factors each support once for all measurements and refits, as long as
+    they fit in CONTEXT_CACHE_BYTES; larger ones are recomputed on every
+    call and their refits factor the support afresh.  Every measurement
+    gets its own RecoveryResult, in the order of ys, equal bit for bit to
+    a search for it alone.
     """
     n = D.n_blocks
     if n > cap:
@@ -206,34 +259,72 @@ def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
     if not tol >= 0:   # also rejects NaN
         raise ValueError("tol must be nonnegative")
     context = _context_for(D, context)
-    yv = D.measurement(y)
-    y_norm = float(np.linalg.norm(yv))
-    feas_tol = tol * max(y_norm, 1.0)
-    evaluated = 0
+    yvs = [D.measurement(y) for y in ys]
+    y_norms = np.array([float(np.linalg.norm(yv)) for yv in yvs])
+    feas_tols = tol * np.maximum(y_norms, 1.0)
     depth = n if max_cardinality is None else min(int(max_cardinality), n)
+    zero = BlockVector.zeros(D.structure)
 
-    if y_norm <= feas_tol:
-        return _result(D, BlockVector.zeros(D.structure), yv, 0, STATUS_EXACT)
-
+    results: list[RecoveryResult | None] = [None] * len(yvs)
+    open_trials = []
+    for j, yv in enumerate(yvs):
+        if y_norms[j] <= feas_tols[j]:
+            results[j] = _result(D, zero, yv, 0, STATUS_EXACT)
+        else:
+            open_trials.append(j)
+    evaluated = 0
     for k in range(1, depth + 1):
+        if not open_trials:
+            break
         evaluated += math.comb(n, k)
-        passing = []
-        for supports, u, u_conj, cond in context.screening_bases(k):
-            screened = np.linalg.norm(yv - np.einsum("bmr,br->bm", u, yv @ u_conj), axis=1)
-            slack = _SCREEN_ROUNDING * np.finfo(float).eps * cond * y_norm
-            passing += supports[screened <= feas_tol + slack].tolist()
-        feasible: list[BlockVector] = []
-        for support in sorted(passing):
-            coeffs, residual = block_least_squares(D, support, yv)
-            if residual > feas_tol:
-                continue
-            if any(float(np.linalg.norm(a.entries - coeffs.entries)) > tol
-                   for a in feasible):
-                return _result(D, feasible[0], yv, evaluated, STATUS_NON_UNIQUE)
-            feasible.append(coeffs)
-        if feasible:
-            return _result(D, feasible[0], yv, evaluated, STATUS_EXACT)
-    return _result(D, BlockVector.zeros(D.structure), yv, evaluated, STATUS_INFEASIBLE)
+        Y = np.stack([yvs[j] for j in open_trials], axis=1)
+        passing = _screen(context.screening_bases(k), Y, y_norms[open_trials],
+                          feas_tols[open_trials])
+        still_open = []
+        for j, candidates in zip(open_trials, passing):
+            found = _refit(context, sorted(candidates), yvs[j], feas_tols[j], tol)
+            if found is None:
+                still_open.append(j)
+            else:
+                solution, status = found
+                results[j] = _result(D, BlockVector(solution, D.structure), yvs[j],
+                                     evaluated, status)
+        open_trials = still_open
+    for j in open_trials:
+        results[j] = _result(D, zero, yvs[j], evaluated, STATUS_INFEASIBLE)
+    return results
+
+
+def _screen(bases, Y: np.ndarray, y_norms: np.ndarray,
+            feas_tols: np.ndarray) -> list[list[tuple[int, ...]]]:
+    """Per column of Y, the supports whose screened residual passes."""
+    passing: list[list[tuple[int, ...]]] = [[] for _ in range(Y.shape[1])]
+    slack = _SCREEN_ROUNDING * np.finfo(float).eps * y_norms
+    for supports, stacks, pinv, cond in bases:
+        step = max(1, _SCREEN_BYTES // (16 * stacks.shape[0] * stacks.shape[1]))
+        for first in range(0, Y.shape[1], step):
+            part = slice(first, first + step)
+            Yp = Y[:, part]
+            screened = np.linalg.norm(Yp - stacks @ (pinv @ Yp), axis=1)
+            ok = screened <= feas_tols[part] + cond[:, None] * slack[part]
+            for row, col in zip(*np.nonzero(ok)):
+                passing[first + col].append(tuple(supports[row].tolist()))
+    return passing
+
+
+def _refit(context: SolverContext, candidates, yv: np.ndarray, feas_tol: float,
+           tol: float) -> tuple[np.ndarray, str] | None:
+    """(solution, status) of the first feasible refit among the sorted
+    candidates, or None when none is feasible; see hp0_exhaustive_batch."""
+    feasible: list[np.ndarray] = []
+    for support in candidates:
+        coeffs, residual = context.least_squares(support, yv)
+        if residual > feas_tol:
+            continue
+        if any(float(np.linalg.norm(a - coeffs)) > tol for a in feasible):
+            return feasible[0], STATUS_NON_UNIQUE
+        feasible.append(coeffs)
+    return (feasible[0], STATUS_EXACT) if feasible else None
 
 
 def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None,
@@ -357,7 +448,9 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
     ||r|| <= tol_res * max(||y||, 1); running out of iterations or blocks
     gives status "max-iterations".  The adjoint comes from ``context`` and
     is kept there for its lifetime.  y is validated once; each refit is
-    ``block_least_squares`` without its per-call checks.
+    ``context.least_squares``, which is ``block_least_squares`` without its
+    per-call checks and reads the support's pseudo-inverse from the context
+    when p0 has kept that cardinality's bases.
     """
     if max_iter is None:
         max_iter = D.n_blocks
@@ -384,7 +477,7 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
         if selected:
             weights[selected] = -np.inf
         selected.append(int(np.argmax(weights)))
-        solution, _ = _fit_support(D, sorted(selected), yv)
+        solution, _ = context.least_squares(tuple(sorted(selected)), yv)
         residual = yv - D.matrix @ solution
         iterations += 1
     return _result(D, BlockVector(solution, D.structure), yv, iterations, status)

@@ -55,16 +55,16 @@ class TestHp0:
         # A generic measurement in 6 rows is fitted exactly by every one of the
         # C(14, 6) = 3,003 supports of size 6; the second refit already differs
         # from the first, which settles "non-unique".
-        fit = recovery.block_least_squares
+        fit = recovery.SolverContext.least_squares
         calls = []
-        monkeypatch.setattr(recovery, "block_least_squares",
+        monkeypatch.setattr(recovery.SolverContext, "least_squares",
                             lambda *args: calls.append(args) or fit(*args))
         D = random_block_dictionary(6, (1,) * 14, 3)
         r = hp0_exhaustive(D, np.random.default_rng(5).standard_normal(6))
         assert r.status == "non-unique"
         assert r.iterations == sum(math.comb(14, k) for k in range(1, 7)) == 6475
         assert r.support == (0, 1, 2, 3, 4, 5)
-        assert len(calls) <= 2
+        assert 1 <= len(calls) <= 2
 
     def test_unreachable_measurement_is_infeasible(self):
         D = BlockDictionary(np.eye(3)[:, :2], uniform_structure(2))
@@ -93,6 +93,8 @@ def p0_reference(D, y, tol=1e-8, max_cardinality=None):
     n = D.n_blocks
     feas_tol = tol * max(np.linalg.norm(y), 1.0)
     depth = n if max_cardinality is None else min(max_cardinality, n)
+    if np.linalg.norm(y) <= feas_tol:
+        return "exact", (), 0, np.zeros(D.structure.dim, dtype=complex)
     evaluated = 0
     for k in range(1, depth + 1):
         feasible = []
@@ -140,6 +142,78 @@ def test_p0_matches_per_support_reference(rows, sizes, seed, case, depth):
     status, support, iterations, solution = p0_reference(D, y, max_cardinality=depth)
     assert (got.status, got.support, got.iterations) == (status, support, iterations)
     assert np.array_equal(got.solution.entries, solution)
+
+
+@pytest.mark.parametrize("budget", ["cached", "streamed", "sliced"])
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(2, 6), sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1), depth=st.one_of(st.none(), st.integers(1, 3)))
+def test_p0_batch_matches_per_support_reference(budget, rows, sizes, seed, depth):
+    """One hp0_exhaustive_batch call over a zero, a duplicate-block
+    (non-unique), planted and unstructured measurements gives each the
+    reference's result bit for bit: with kept bases, with bases streamed
+    (zero cache budget), and with the screen sliced to one trial."""
+    sizes = [*sizes, sizes[0]]   # the last block duplicates the first
+    assume(max(sizes) <= rows)
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(sizes))
+    shape = (rows, structure.dim)
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mat[:, structure.block_slice(len(sizes) - 1)] = mat[:, structure.block_slice(0)]
+    D = BlockDictionary(mat, structure)
+    ys = [np.zeros(rows, dtype=complex), planted(D, (0,), seed % 1000)[1],
+          rng.standard_normal(rows) + 1j * rng.standard_normal(rows)]
+    for _ in range(3):
+        s = min(int(rng.integers(1, 4)), len(sizes))
+        ys.append(planted(D, sorted(rng.choice(len(sizes), s, replace=False)),
+                          seed=int(rng.integers(1000)))[1])
+    ys = [ys[i] for i in rng.permutation(len(ys))]
+    with pytest.MonkeyPatch.context() as patch:
+        if budget == "streamed":
+            patch.setattr(recovery, "CONTEXT_CACHE_BYTES", 0)
+        if budget == "sliced":
+            patch.setattr(recovery, "_SCREEN_BYTES", 0)
+        batch = recovery.hp0_exhaustive_batch(D, ys, max_cardinality=depth)
+    assert len(batch) == len(ys)
+    for y, got in zip(ys, batch):
+        status, support, iterations, solution = p0_reference(D, y, max_cardinality=depth)
+        assert (got.status, got.support, got.iterations) == (status, support, iterations)
+        assert np.array_equal(got.solution.entries, solution)
+
+
+def dictionaries_with_deficient_stacks():
+    """A non-uniform random dictionary, identity/DFT, and one whose duplicate
+    and scaled columns make some stacks rank deficient (RANK_TOL cutoff) and
+    a nearly parallel pair makes one ill-conditioned but full rank."""
+    rng = np.random.default_rng(7)
+    mat = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    mat[:, 7] = mat[:, 0]
+    mat[:, 6] = 2 * mat[:, 1]
+    mat[:, 5] = mat[:, 2] + 1e-6 * rng.standard_normal(5)
+    return [random_block_dictionary(6, (1, 2, 1, 3, 2, 1), 4, normalize="none"),
+            identity_dft_pair(8), BlockDictionary(mat, uniform_structure(8))]
+
+
+@pytest.mark.parametrize("D", dictionaries_with_deficient_stacks(), ids=repr)
+def test_context_least_squares_matches_block_least_squares(D, monkeypatch):
+    """A support of a kept cardinality is fitted from the kept pseudo-inverse
+    and any other afresh; both give block_least_squares bit for bit."""
+    fresh = []
+    fit_support = recovery._fit_support
+    monkeypatch.setattr(recovery, "_fit_support",
+                        lambda *args: fresh.append(args[1]) or fit_support(*args))
+    context = recovery.SolverContext(D)
+    for k in (1, 2):
+        context.screening_bases(k)
+    rng = np.random.default_rng(0)
+    yv = rng.standard_normal(D.shape[0]) + 1j * rng.standard_normal(D.shape[0])
+    supports = [c for k in (1, 2, 3) for c in itertools.combinations(range(D.n_blocks), k)]
+    for support in supports:
+        coeffs, residual = context.least_squares(support, yv)
+        expected, expected_residual = recovery.block_least_squares(D, support, yv)
+        assert np.array_equal(coeffs, expected.entries), support
+        assert residual == expected_residual, support
+    assert fresh == [c for c in supports if len(c) == 3]
 
 
 class TestHbp:
@@ -314,6 +388,25 @@ def test_homp_matches_checked_steps_bit_for_bit(seed):
             assert np.array_equal(got.solution.entries, solution.entries)
             assert (got.iterations, got.status) == (iterations, status)
             assert got.residual_norm == float(np.linalg.norm(y - D.matrix @ solution.entries))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_homp_through_p0_context_matches_fresh(depth):
+    """omp steps read the pseudo-inverses p0 kept (supports up to depth)
+    and factor deeper ones afresh; both match a fresh homp bit for bit."""
+    rng = np.random.default_rng(depth)
+    dictionaries = dictionaries_with_deficient_stacks()
+    dictionaries.append(random_block_dictionary(12, (1, 2, 1, 3, 2, 1, 1, 2, 1, 2), 5))
+    for D in dictionaries:
+        ys = [planted(D, sorted(rng.choice(D.n_blocks, s, replace=False)), seed)[1]
+              for s, seed in [(1, 0), (2, 1), (3, 2), (4, 3)]]
+        context = recovery.SolverContext(D)
+        recovery.hp0_exhaustive_batch(D, ys, max_cardinality=depth, context=context)
+        for y in ys:
+            got, fresh = homp(D, y, context=context), homp(D, y)
+            assert np.array_equal(got.solution.entries, fresh.solution.entries)
+            assert (got.iterations, got.status, got.residual_norm) == (
+                fresh.iterations, fresh.status, fresh.residual_norm)
 
 
 SOLVERS = {"p0": hp0_exhaustive, "bp": hbp_solve, "omp": homp}
