@@ -22,8 +22,8 @@ from .models import (CorrelationSequence, CrossCorrelationTable, MultiCosetSpec,
                      identity_basis, identity_dft_pair, multicoset_matrix,
                      random_block_dictionary, si_mutual_coherence)
 from .recovery import (BpParams, RecoveryResult, SolverContext, guarantee_check,
-                       hbp_solve, hbp_solve_batch, homp, hp0_exhaustive,
-                       hp0_exhaustive_batch)
+                       hbp_solve, hbp_solve_batch, homp, homp_batch,
+                       hp0_exhaustive, hp0_exhaustive_batch)
 from .uncertainty import (GupAudit, KernelBound, gup_audit, kernel_sample,
                           kernel_uncertainty_audit, picket_fence)
 
@@ -39,7 +39,7 @@ __all__ = [
     "concentration_epsilon", "cross_block_norm", "cross_norm_table",
     "dirichlet_coherence", "fourier_basis", "guarantee_check", "gup_audit",
     "h0_norm", "h1_norm", "hbp_solve", "hbp_solve_batch", "hilbert_coherence",
-    "homp", "hp0_exhaustive", "hp0_exhaustive_batch", "identity_basis",
+    "homp", "homp_batch", "hp0_exhaustive", "hp0_exhaustive_batch", "identity_basis",
     "identity_dft_pair", "kernel_sample",
     "kernel_uncertainty_audit", "multicoset_matrix",
     "mutual_hilbert_coherence", "picket_fence", "random_block_dictionary",

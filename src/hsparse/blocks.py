@@ -26,6 +26,9 @@ ZERO_BLOCK_TOL = 1e-10
 RANK_TOL = 1e-12
 # Block subsets per batch of support_stacks: streaming them keeps peak memory flat.
 _SUBSET_CHUNK = 256
+# Longest run of addends numpy's add reduction sums strictly in order; longer
+# runs are summed pairwise, in an order that depends on the memory layout.
+_IN_ORDER_SUM = 7
 
 
 class NumericalAnomaly(RuntimeError):
@@ -48,8 +51,13 @@ class BlockStructure:
         for d in sizes:
             offsets.append(acc)
             acc += d
+        starts = np.array(offsets, dtype=np.intp)
+        starts.flags.writeable = False
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "_starts", starts)
+        # The common block size, or 0 when the sizes differ.
+        object.__setattr__(self, "_uniform", sizes[0] if len(set(sizes)) == 1 else 0)
         object.__setattr__(self, "_dim", acc)
 
     @property
@@ -89,8 +97,21 @@ class BlockStructure:
         return cols
 
     def norms(self, x) -> np.ndarray:
-        """l2 norm of each block of the flat vector x."""
-        return np.sqrt(np.add.reduceat(np.abs(x) ** 2, self._offsets))
+        """l2 norm of each block of x along its first axis, one row per block.
+
+        Bit for bit ``sqrt(add.reduceat(abs(x)**2, offsets))``, which sums a
+        block as x_0 + (x_1 + ... + x_{d-1}).  Uniform blocks of up to
+        _IN_ORDER_SUM + 1 coordinates add in that order from one reshape,
+        without reduceat's per-segment calls.
+        """
+        sq = np.abs(x) ** 2
+        d = self._uniform
+        if d == 1:
+            return np.sqrt(sq)
+        if not 0 < d <= _IN_ORDER_SUM + 1:
+            return np.sqrt(np.add.reduceat(sq, self._starts))
+        sq = sq.reshape(self.n_blocks, d, *sq.shape[1:])
+        return np.sqrt(sq[:, 0] + sq[:, 1:].sum(axis=1))
 
 
 def uniform_structure(n: int, d: int = 1) -> BlockStructure:
@@ -318,22 +339,19 @@ def block_least_squares(D: BlockDictionary, support, y,
     idx = sorted({D.structure.check_index(i) for i in support})
     if not idx:
         raise ValueError("support must contain at least one block")
-    full, residual = _fit_support(D, idx, D.measurement(y), rank_tol)
-    return BlockVector(full, D.structure), residual
-
-
-def _fit_support(D: BlockDictionary, idx: list[int], yv: np.ndarray,
-                 rank_tol: float = RANK_TOL) -> tuple[np.ndarray, float]:
-    """``block_least_squares`` without its checks: idx sorted, valid and
-    nonempty, yv a validated measurement; the coefficients come back as a
-    plain array of length D.structure.dim."""
+    yv = D.measurement(y)
     stacked = np.concatenate([D.block(i) for i in idx], axis=1)
-    return _fit_factored(D, idx, yv, stacked, np.linalg.pinv(stacked, rcond=rank_tol))
+    pinv = np.linalg.pinv(stacked, rcond=rank_tol)
+    full, residual = _fit_factored(D, idx, yv, stacked, pinv)
+    return BlockVector(full, D.structure), residual
 
 
 def _fit_factored(D: BlockDictionary, idx, yv: np.ndarray, stacked: np.ndarray,
                   pinv: np.ndarray) -> tuple[np.ndarray, float]:
-    """``_fit_support`` given the contiguous stack of idx and its pseudo-inverse."""
+    """The fit on the sorted, valid support idx of the validated measurement
+    yv, given the contiguous stack of idx and its pseudo-inverse: the
+    coefficients as a plain array of length D.structure.dim, and the
+    residual norm."""
     coef = pinv @ yv
     residual = float(np.linalg.norm(yv - stacked @ coef))
     full = np.zeros(D.structure.dim, dtype=np.complex128)

@@ -154,28 +154,43 @@ def _deficient(D: BlockDictionary, gram: np.ndarray, k: int, tol: float) -> bool
     their mean, and their sum is at most ||L||_F^2; err bounds the rounding.
     lambda_max is at most the unit trace, so lambda_min > tol^2 puts
     sigma_min / sigma_max above tol.  The SVD judges only the stacks left
-    unproven; a group whose Cholesky fails leaves all of them unproven.
+    unproven, among them those whose own tile has no Cholesky factor.
     """
-    rows = D.shape[0]
     for _, cols in support_stacks(D, k):
-        w = cols.shape[1]
         tiles = gram[cols[:, :, None], cols[:, None, :]]
-        trace = np.einsum("bii->b", tiles).real
-        try:
-            L = np.linalg.cholesky(tiles / trace[:, None, None])
-        except np.linalg.LinAlgError:
-            unproven = cols
-        else:
-            # After the trace scaling every |L_ii| <= 1, so det can only underflow.
-            det = np.prod(np.abs(np.diagonal(L, axis1=1, axis2=2)) ** 2, axis=1)
-            fro = np.sum(np.abs(L) ** 2, axis=(1, 2))
-            err = _CHOLESKY_ROUNDING * np.finfo(float).eps * (rows + (w + 1) * fro)
-            unproven = cols[det * ((w - 1) / fro) ** (w - 1) - err <= tol ** 2]
-        if unproven.size:
-            s = np.linalg.svd(column_stacks(D, unproven), compute_uv=False)
-            if np.any(s[:, -1] <= tol * s[:, 0]):
-                return True
+        tiles /= np.einsum("bii->b", tiles).real[:, None, None]
+        if _screened_deficient(D, cols, tiles, tol):
+            return True
     return False
+
+
+def _screened_deficient(D: BlockDictionary, cols: np.ndarray, tiles: np.ndarray,
+                        tol: float) -> bool:
+    """Whether some stack named by a row of cols is deficient, given the
+    stacks' Gram tiles scaled to unit trace: the screen of _deficient
+    first, then the SVD of the stacks it leaves unproven.  A batched
+    Cholesky raises when one tile of the batch has no factor, so a batch
+    that raises is bisected until each such tile fails alone; the first
+    half is settled before the second is factored."""
+    try:
+        L = np.linalg.cholesky(tiles)
+    except np.linalg.LinAlgError:
+        if len(tiles) > 1:
+            half = len(tiles) // 2
+            return (_screened_deficient(D, cols[:half], tiles[:half], tol)
+                    or _screened_deficient(D, cols[half:], tiles[half:], tol))
+        unproven = cols
+    else:
+        w = cols.shape[1]
+        # After the trace scaling every |L_ii| <= 1, so det can only underflow.
+        det = np.prod(np.abs(np.diagonal(L, axis1=1, axis2=2)) ** 2, axis=1)
+        fro = np.sum(np.abs(L) ** 2, axis=(1, 2))
+        err = _CHOLESKY_ROUNDING * np.finfo(float).eps * (D.shape[0] + (w + 1) * fro)
+        unproven = cols[det * ((w - 1) / fro) ** (w - 1) - err <= tol ** 2]
+    if not unproven.size:
+        return False
+    s = np.linalg.svd(column_stacks(D, unproven), compute_uv=False)
+    return bool(np.any(s[:, -1] <= tol * s[:, 0]))
 
 
 def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,

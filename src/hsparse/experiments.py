@@ -21,9 +21,9 @@ from .io import exact_number
 from .models import (MultiCosetSpec, complex_standard_normal, identity_dft_pair,
                      multicoset_matrix, random_block_dictionary)
 from .recovery import (BpParams, RecoveryResult, SolverContext, hbp_solve_batch,
-                       homp, hp0_exhaustive_batch)
+                       homp_batch, hp0_exhaustive_batch)
 # bench/spans.py times the per-solve names it finds in this module.
-from .recovery import hbp_solve, hp0_exhaustive  # noqa: F401
+from .recovery import hbp_solve, homp, hp0_exhaustive  # noqa: F401
 
 ALGORITHMS = ("bp", "omp", "p0")
 # Exact-recovery tolerances entering the success verdict.
@@ -190,16 +190,15 @@ def run_algorithm(algo: str, D: BlockDictionary, ys, tolerances: dict,
     ``tolerances`` sets for it (see TOLERANCE_KEYS); options not given keep
     the solver's default.  Returns one result per measurement, in order.
 
-    p0 screens all measurements together in one ``hp0_exhaustive_batch``
-    call; omp solves them one by one; bp solves them all in one
-    ``hbp_solve_batch`` call, with ``h1_references`` (one per measurement,
-    or None) qualifying its results as "exact".  ``context`` is a
-    SolverContext built for D and shared by every call on D (a sweep keeps
-    one for its whole run): it holds the factors that depend only on D
-    (p0's stacks and their pseudo-inverses, within
-    recovery.CONTEXT_CACHE_BYTES, which p0's refits and omp's steps also
-    read; bp's pseudo-inverse; omp's adjoint), each computed on first use.
-    Without one, each solver call builds a throwaway context.
+    Each algorithm gets all measurements in one batched call:
+    ``hp0_exhaustive_batch``, ``homp_batch``, or ``hbp_solve_batch`` with
+    ``h1_references`` (one per measurement, or None) qualifying its results
+    as "exact".  ``context`` is a SolverContext built for D and shared by
+    every call on D (a sweep keeps one for its whole run): it holds the
+    factors that depend only on D (p0's stacks and their pseudo-inverses,
+    within recovery.CONTEXT_CACHE_BYTES, which p0's refits and omp's steps
+    also read; bp's pseudo-inverse; omp's adjoint), each computed on first
+    use.  Without one, each solver call builds a throwaway context.
     """
     opts = {param: exact_number(key, tolerances[key], kind)
             for key, (owner, param, kind) in TOLERANCE_KEYS.items()
@@ -208,7 +207,7 @@ def run_algorithm(algo: str, D: BlockDictionary, ys, tolerances: dict,
         return hp0_exhaustive_batch(D, ys, cap=cap, max_cardinality=max_cardinality,
                                     context=context, **opts)
     if algo == "omp":
-        return [homp(D, y, context=context, **opts) for y in ys]
+        return homp_batch(D, ys, context=context, **opts)
     if algo == "bp":
         return hbp_solve_batch(D, ys, BpParams(**opts), h1_references, context=context)
     raise ValueError(f"unknown algorithm: {algo!r}")
@@ -229,8 +228,8 @@ def run_phase_transition(config: ExperimentConfig) -> list[TrialRecord]:
     All solves share one SolverContext, so the factors that depend only on
     the dictionary are computed once per sweep rather than once per trial.
     The trials of a level are planted together, at most _TRIAL_BATCH at a
-    time, and each algorithm gets them in one ``run_algorithm`` call, so p0
-    screens them and bp solves them as one batch.
+    time, and each algorithm gets them in one ``run_algorithm`` call, so
+    every solver runs them as one batch.
     """
     D = build_dictionary(config.dictionary)
     n = D.n_blocks

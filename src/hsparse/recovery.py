@@ -8,8 +8,9 @@ Three solvers for y = Phi v with v occupying few blocks:
 * ``hbp_solve_batch``: mixed-norm relaxation (sum of block l2 norms) solved
   by alternating-direction splitting, one loop over a batch of measurements;
   ``hbp_solve`` is its batch of one;
-* ``homp``: greedy block selection with injectivity-weighted residual
-  correlations.
+* ``homp_batch``: greedy block selection with injectivity-weighted residual
+  correlations, one loop over a batch of measurements; ``homp`` is its
+  batch of one.
 
 All three read the factors that depend only on the dictionary from a
 ``SolverContext``; a sweep shares one across its trials, and a solver given
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import (RANK_TOL, ZERO_BLOCK_TOL, BlockDictionary, BlockStructure,
-                     BlockVector, _fit_factored, _fit_support, column_stacks, h1_norm,
+                     BlockVector, _fit_factored, column_stacks, h1_norm,
                      support_stacks)
 # bench/spans.py times the least-squares calls it finds in this module.
 from .blocks import block_least_squares  # noqa: F401
@@ -107,10 +108,12 @@ class SolverContext:
     * ``screening_bases(k)``: p0's batched stacks and pseudo-inverses for
       every k-subset of blocks.  Kept while the context's total stays within
       CONTEXT_CACHE_BYTES; past it they are streamed afresh per call;
-    * ``least_squares(support, yv)``: the least-squares fit on one support,
-      read from the kept pseudo-inverse of that support when its
-      cardinality's bases are kept, so p0 refits and omp steps factor a
-      support at most once per context;
+    * ``least_squares(support, yv)``: p0's least-squares fit on one
+      support, read from the kept pseudo-inverse of that support when its
+      cardinality's bases are kept, so a refit factors no support p0 has kept;
+    * ``factors(supports)``: the stacks and pseudo-inverses of omp's
+      supports at one step, read the same way, the rest factored together
+      and not kept;
     * ``pinv``: bp's pseudo-inverse of the whole matrix;
     * ``adjoint``: omp's conjugate transpose of the matrix; the block
       ``sigma_min`` it also reads is stored on the dictionary.
@@ -157,17 +160,38 @@ class SolverContext:
 
     def least_squares(self, support: tuple[int, ...],
                       yv: np.ndarray) -> tuple[np.ndarray, float]:
-        """``blocks._fit_support`` of the sorted, valid support and the
-        validated measurement yv, bit for bit: (coefficients, residual norm).
+        """``block_least_squares`` of the sorted, valid support and the
+        validated measurement yv, bit for bit, from ``factors``:
+        (coefficients, residual norm)."""
+        return _fit_factored(self.dictionary, support, yv, *self.factors([support])[0])
 
-        A support whose cardinality ``screening_bases`` keeps is fitted from
-        its kept pseudo-inverse; any other is factored afresh.
+    def factors(self, supports) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(stack, pseudo-inverse) of each sorted, valid support, as
+        ``blocks._fit_factored`` takes them.
+
+        A support whose cardinality ``screening_bases`` keeps reads its kept
+        pair.  The others are factored here, those of one stack width
+        together in one batched ``_screening_basis``, bit for bit as
+        ``block_least_squares`` factors one alone; they are not kept.
         """
-        hit = self._fits.get(support)
-        if hit is None:
-            return _fit_support(self.dictionary, support, yv)
-        (_, stacks, pinv, _), row = hit
-        return _fit_factored(self.dictionary, support, yv, stacks[row], pinv[row])
+        D = self.dictionary
+        factors: list = [None] * len(supports)
+        misses: dict[int, list[int]] = {}
+        for i, support in enumerate(supports):
+            hit = self._fits.get(support)
+            if hit is None:
+                width = sum(D.structure.sizes[b] for b in support)
+                misses.setdefault(width, []).append(i)
+            else:
+                (_, stacks, pinv, _), row = hit
+                factors[i] = stacks[row], pinv[row]
+        for at in misses.values():
+            cols = np.array([D.structure.column_indices(supports[i]) for i in at])
+            _, stacks, pinv, _ = _screening_basis([supports[i] for i in at],
+                                                  column_stacks(D, cols))
+            for row, i in enumerate(at):
+                factors[i] = stacks[row], pinv[row]
+        return factors
 
 
 def _context_for(D: BlockDictionary, context: SolverContext | None) -> SolverContext:
@@ -382,7 +406,8 @@ def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
         return np.repeat(factor, sizes, axis=0) * t
 
     def column_norms(x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(x, axis=0)
+        # np.linalg.norm(x, axis=0) without its dispatch: the same expression.
+        return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
 
     # Feasibility of each affine set: y must lie in the numerical range.
     least_norm = pinv @ Y
@@ -439,18 +464,30 @@ def _bp_support_tol(u: np.ndarray, structure: BlockStructure) -> float:
 def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
          max_iter: int | None = None, *,
          context: SolverContext | None = None) -> RecoveryResult:
-    """Greedy block pursuit with injectivity-weighted selection.
+    """Greedy block pursuit of the one measurement y: ``homp_batch`` of [y]
+    (see there)."""
+    return homp_batch(D, [y], tol_res, max_iter, context=context)[0]
 
-    Each iteration picks the block maximizing ||block^H r|| / sigma_min(block)
-    (ties to the lowest index; blocks already selected are skipped so a
-    numerically stale correlation cannot stall the loop), refits by least
-    squares on the enlarged support, and updates the residual.  Stops once
-    ||r|| <= tol_res * max(||y||, 1); running out of iterations or blocks
-    gives status "max-iterations".  The adjoint comes from ``context`` and
-    is kept there for its lifetime.  y is validated once; each refit is
-    ``context.least_squares``, which is ``block_least_squares`` without its
-    per-call checks and reads the support's pseudo-inverse from the context
-    when p0 has kept that cardinality's bases.
+
+def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
+               max_iter: int | None = None, *,
+               context: SolverContext | None = None) -> list[RecoveryResult]:
+    """Greedy block pursuit with injectivity-weighted selection of each
+    measurement in ys, by one loop over the trials still running.
+
+    Each iteration picks, for every running trial, the block maximizing
+    ||block^H r|| / sigma_min(block) (ties to the lowest index; blocks
+    already selected are skipped so a numerically stale correlation cannot
+    stall the loop), refits by least squares on the enlarged support, and
+    updates the residual.  A trial stops once ||r|| <= tol_res * max(||y||, 1);
+    running out of iterations or blocks gives status "max-iterations".
+
+    A step forms the correlations of all running residuals in one product
+    with ``context.adjoint``; the pseudo-inverses of the enlarged supports
+    come from ``context.factors`` (kept by p0, or factored in one batched
+    SVD per stack width).  Each trial's fit, residual and stop test stay its
+    own, so every trial gets its own RecoveryResult, in the order of ys,
+    equal bit for bit to a pursuit of it alone.
     """
     if max_iter is None:
         max_iter = D.n_blocks
@@ -459,28 +496,39 @@ def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
     if not tol_res >= 0:   # also rejects NaN
         raise ValueError("tol_res must be nonnegative")
     context = _context_for(D, context)
-    yv = D.measurement(y)
-    stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
-    adjoint, smin = context.adjoint, D.block_sigma_min()
+    yvs = [D.measurement(y) for y in ys]
+    stops = [tol_res * max(float(np.linalg.norm(yv)), 1.0) for yv in yvs]
+    adjoint, smin = context.adjoint, D.block_sigma_min()[:, None]
 
-    solution = np.zeros(D.structure.dim, dtype=np.complex128)
-    residual = yv.copy()
-    selected: list[int] = []
-    iterations = 0
-    status = STATUS_EXACT
-    while float(np.linalg.norm(residual)) > stop:
-        if iterations >= max_iter or len(selected) == D.n_blocks:
-            status = STATUS_MAX_ITER
+    solutions = [np.zeros(D.structure.dim, dtype=np.complex128) for _ in yvs]
+    residuals = [yv.copy() for yv in yvs]
+    selected: list[list[int]] = [[] for _ in yvs]
+    status = [STATUS_EXACT] * len(yvs)
+    running = range(len(yvs))
+    while True:
+        still = []
+        for j in running:
+            if float(np.linalg.norm(residuals[j])) <= stops[j]:
+                continue
+            if len(selected[j]) >= max_iter or len(selected[j]) == D.n_blocks:
+                status[j] = STATUS_MAX_ITER
+                continue
+            still.append(j)
+        running = still
+        if not running:
             break
-        corr = adjoint @ residual
+        corr = adjoint @ np.stack([residuals[j] for j in running], axis=1)
         weights = D.structure.norms(corr) / smin
-        if selected:
-            weights[selected] = -np.inf
-        selected.append(int(np.argmax(weights)))
-        solution, _ = context.least_squares(tuple(sorted(selected)), yv)
-        residual = yv - D.matrix @ solution
-        iterations += 1
-    return _result(D, BlockVector(solution, D.structure), yv, iterations, status)
+        for col, j in enumerate(running):
+            weights[selected[j], col] = -np.inf
+        for j, pick in zip(running, np.argmax(weights, axis=0).tolist()):
+            selected[j].append(pick)
+        supports = [tuple(sorted(selected[j])) for j in running]
+        for j, support, (stack, pinv) in zip(running, supports, context.factors(supports)):
+            solutions[j], _ = _fit_factored(D, support, yvs[j], stack, pinv)
+            residuals[j] = yvs[j] - D.matrix @ solutions[j]
+    return [_result(D, BlockVector(solution, D.structure), yv, len(chosen), outcome)
+            for solution, yv, chosen, outcome in zip(solutions, yvs, selected, status)]
 
 
 def guarantee_check(report: CoherenceReport, s: int) -> tuple[bool, bool]:

@@ -77,6 +77,23 @@ class TestNorms:
             with pytest.raises(ValueError):
                 h0_norm(vec([1, 0], 2), tol=tol)
 
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 10), min_size=1, max_size=8), uniform=st.booleans(),
+           columns=st.one_of(st.none(), st.integers(1, 5)), seed=st.integers(0, 2**32 - 1))
+    def test_norms_match_reduceat_bit_for_bit(self, sizes, uniform, columns, seed):
+        """Block norms of a vector or of the columns of a matrix equal
+        sqrt(add.reduceat(abs(x)**2, offsets)) bit for bit, for uniform
+        blocks of every size and for mixed sizes."""
+        if uniform:
+            sizes = [sizes[0]] * len(sizes)
+        structure = BlockStructure(tuple(sizes))
+        rng = np.random.default_rng(seed)
+        shape = (structure.dim,) if columns is None else (structure.dim, columns)
+        scale = 10.0 ** rng.integers(-3, 4, size=shape)
+        x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        expected = np.sqrt(np.add.reduceat(np.abs(x) ** 2, structure.offsets))
+        assert np.array_equal(structure.norms(x), expected)
+
     def test_h1_single_block(self):
         assert h1_norm(vec([3, 4], 2)) == pytest.approx(5.0)
 

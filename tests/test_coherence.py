@@ -339,14 +339,16 @@ def test_screened_deficiency_matches_svd(rows, sizes, seed, real, partners, tol,
 
 
 def test_failed_cholesky_leaves_group_to_svd(monkeypatch):
-    """An exactly duplicated column makes the Gram tile of every pair holding
-    it singular, so the batched Cholesky raises and its group goes to the SVD."""
+    """An exactly duplicated column makes the Gram tile of every subset
+    holding it and its twin singular, so the batched Cholesky raises.  The
+    group is bisected: only the stacks whose own tile fails go to the SVD,
+    and the generic stacks of the same group are still proven full rank."""
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     mat[:, :2] = np.eye(4)[:, :2]
     mat[:, 5] = mat[:, 0]
     D = BlockDictionary(mat, uniform_structure(6))
-    failures = []
+    failures, gathered = [], []
     cholesky = np.linalg.cholesky
 
     def recording(a):
@@ -356,12 +358,18 @@ def test_failed_cholesky_leaves_group_to_svd(monkeypatch):
             failures.append(len(a))
             raise
 
+    def counting(D, cols):
+        gathered.extend(map(tuple, cols.tolist()))
+        return column_stacks(D, cols)
+
     monkeypatch.setattr(np.linalg, "cholesky", recording)
+    monkeypatch.setattr(coherence, "column_stacks", counting)
     gram = D.matrix.conj().T @ D.matrix
     for k in below_width_bound(D):
         assert coherence._deficient(D, gram, k, coherence.SPARK_DEFICIENCY_TOL) == \
             svd_only_deficient(D, k, coherence.SPARK_DEFICIENCY_TOL)
-    assert failures
+    assert failures and max(failures) > 1
+    assert gathered and all({0, 5} <= set(stack) for stack in gathered), gathered
     assert spark_exhaustive(D) == 2
 
 

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 import hsparse.recovery as recovery
 from hsparse import (BlockDictionary, BlockStructure, BpParams, BlockVector,
-                     coherence_report, complex_standard_normal, guarantee_check,
-                     h1_norm, hbp_solve, hbp_solve_batch, homp, hp0_exhaustive,
+                     ZERO_BLOCK_TOL, coherence_report, complex_standard_normal,
+                     guarantee_check, h1_norm, hbp_solve, hbp_solve_batch, homp,
+                     homp_batch, hp0_exhaustive, hp0_exhaustive_batch,
                      identity_dft_pair, random_block_dictionary,
                      uniform_structure)
+from hsparse.experiments import SUCCESS_TOL
 
 
 def planted(D, support, seed):
@@ -198,13 +200,13 @@ def dictionaries_with_deficient_stacks():
 def test_context_least_squares_matches_block_least_squares(D, monkeypatch):
     """A support of a kept cardinality is fitted from the kept pseudo-inverse
     and any other afresh; both give block_least_squares bit for bit."""
-    fresh = []
-    fit_support = recovery._fit_support
-    monkeypatch.setattr(recovery, "_fit_support",
-                        lambda *args: fresh.append(args[1]) or fit_support(*args))
     context = recovery.SolverContext(D)
     for k in (1, 2):
         context.screening_bases(k)
+    fresh = []
+    basis = recovery._screening_basis
+    monkeypatch.setattr(recovery, "_screening_basis",
+                        lambda *args: fresh.extend(args[0]) or basis(*args))
     rng = np.random.default_rng(0)
     yv = rng.standard_normal(D.shape[0]) + 1j * rng.standard_normal(D.shape[0])
     supports = [c for k in (1, 2, 3) for c in itertools.combinations(range(D.n_blocks), k)]
@@ -409,6 +411,48 @@ def test_homp_through_p0_context_matches_fresh(depth):
                 fresh.iterations, fresh.status, fresh.residual_norm)
 
 
+@pytest.mark.parametrize("through_p0", [False, True], ids=["fresh", "p0-context"])
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(2, 7), sizes=st.lists(st.integers(1, 3), min_size=2, max_size=6),
+       uniform=st.booleans(), max_iter=st.one_of(st.none(), st.integers(1, 3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_homp_batch_matches_checked_steps(through_p0, rows, sizes, uniform, max_iter, seed):
+    """One homp_batch call over a zero, planted and unstructured measurements
+    gives each the solution bits, support, iterations, status and residual
+    of the checked per-measurement loop.  Unstructured measurements on a
+    tall dictionary select every block; a small max_iter stops others early.
+    Non-uniform blocks put supports of several stack widths in one step,
+    and a context p0 filled to depth 2 serves some steps from its kept
+    pseudo-inverses while deeper ones are factored in the batch."""
+    if uniform:
+        sizes = [sizes[0]] * len(sizes)
+    assume(max(sizes) <= rows)
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(sizes))
+    shape = (rows, structure.dim)
+    D = BlockDictionary(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                        structure)
+    ys = [np.zeros(rows, dtype=complex)]
+    ys += [rng.standard_normal(rows) + 1j * rng.standard_normal(rows) for _ in range(2)]
+    for _ in range(3):
+        s = int(rng.integers(1, len(sizes) + 1))
+        ys.append(planted(D, sorted(rng.choice(len(sizes), s, replace=False)),
+                          seed=int(rng.integers(1000)))[1])
+    ys = [ys[i] for i in rng.permutation(len(ys))]
+    context = recovery.SolverContext(D)
+    if through_p0:
+        hp0_exhaustive_batch(D, ys, max_cardinality=2, context=context)
+
+    batch = homp_batch(D, ys, max_iter=max_iter, context=context)
+    assert len(batch) == len(ys)
+    for y, got in zip(ys, batch):
+        solution, iterations, status = homp_checked_steps(D, y, max_iter=max_iter)
+        support = tuple(np.flatnonzero(solution.block_norms() > ZERO_BLOCK_TOL).tolist())
+        assert np.array_equal(got.solution.entries, solution.entries)
+        assert (got.support, got.iterations, got.status) == (support, iterations, status)
+        assert got.residual_norm == float(np.linalg.norm(y - D.matrix @ solution.entries))
+
+
 SOLVERS = {"p0": hp0_exhaustive, "bp": hbp_solve, "omp": homp}
 
 
@@ -546,16 +590,30 @@ def test_non_finite_measurement_rejected(solve):
 
 
 class TestSolverAgreement:
-    def test_all_three_agree_when_guaranteed(self):
-        """Below the coherence threshold every solver returns the same signal."""
-        D = identity_dft_pair(8)   # threshold ~1.91: s = 1 guaranteed
-        rep = coherence_report(D)
-        assert guarantee_check(rep, 1) == (True, True)
-        for seed in range(6):
-            target = (seed * 3) % 16
-            v, y = planted(D, (target,), seed=seed)
-            p0 = hp0_exhaustive(D, y)
-            bp = hbp_solve(D, y)
-            om = homp(D, y)
-            for r in (p0, bp, om):
-                assert rel_error(r, v) <= 1e-5
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(6, 12), sizes=st.lists(st.integers(1, 2), min_size=2, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_all_three_agree_when_guaranteed(self, rows, sizes, seed):
+        """Below both thresholds (spark/2 and (1 + 1/mu_h)/2) of a random
+        dictionary, the three batch solvers each return the planted signal
+        of every measurement: its support, and its entries within the
+        sweep's success tolerance."""
+        rng = np.random.default_rng(seed)
+        structure = BlockStructure(tuple(sizes))
+        shape = (rows, structure.dim)
+        D = BlockDictionary(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                            structure)
+        report = coherence_report(D)
+        guaranteed = [s for s in range(1, len(sizes) + 1) if all(guarantee_check(report, s))]
+        assume(guaranteed)
+        truths = [planted(D, sorted(rng.choice(len(sizes), s, replace=False)),
+                          seed=int(rng.integers(1000)))
+                  for s in rng.choice(guaranteed, size=4)]
+        ys = [y for _, y in truths]
+        solves = {"p0": hp0_exhaustive_batch(D, ys), "bp": hbp_solve_batch(D, ys),
+                  "omp": homp_batch(D, ys)}
+        for algo, results in solves.items():
+            for (v, _), r in zip(truths, results):
+                assert r.status in ("exact", "converged"), algo
+                assert r.support == tuple(np.flatnonzero(v.block_norms()).tolist()), algo
+                assert rel_error(r, v) <= SUCCESS_TOL[algo], algo
