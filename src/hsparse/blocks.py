@@ -26,9 +26,6 @@ ZERO_BLOCK_TOL = 1e-10
 RANK_TOL = 1e-12
 # Block subsets per batch of support_stacks: streaming them keeps peak memory flat.
 _SUBSET_CHUNK = 256
-# Longest run of addends numpy's add reduction sums strictly in order; longer
-# runs are summed pairwise, in an order that depends on the memory layout.
-_IN_ORDER_SUM = 7
 
 
 class NumericalAnomaly(RuntimeError):
@@ -51,13 +48,8 @@ class BlockStructure:
         for d in sizes:
             offsets.append(acc)
             acc += d
-        starts = np.array(offsets, dtype=np.intp)
-        starts.flags.writeable = False
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "_offsets", tuple(offsets))
-        object.__setattr__(self, "_starts", starts)
-        # The common block size, or 0 when the sizes differ.
-        object.__setattr__(self, "_uniform", sizes[0] if len(set(sizes)) == 1 else 0)
         object.__setattr__(self, "_dim", acc)
 
     @property
@@ -97,21 +89,13 @@ class BlockStructure:
         return cols
 
     def norms(self, x) -> np.ndarray:
-        """l2 norm of each block of x along its first axis, one row per block.
-
-        Bit for bit ``sqrt(add.reduceat(abs(x)**2, offsets))``, which sums a
-        block as x_0 + (x_1 + ... + x_{d-1}).  Uniform blocks of up to
-        _IN_ORDER_SUM + 1 coordinates add in that order from one reshape,
-        without reduceat's per-segment calls.
-        """
+        """l2 norm of each block of x along its first axis, one row per block:
+        ``sqrt(add.reduceat(abs(x)**2, offsets))``, without reduceat's
+        per-segment calls when every block is a single coordinate."""
         sq = np.abs(x) ** 2
-        d = self._uniform
-        if d == 1:
+        if self._dim == self.n_blocks:
             return np.sqrt(sq)
-        if not 0 < d <= _IN_ORDER_SUM + 1:
-            return np.sqrt(np.add.reduceat(sq, self._starts))
-        sq = sq.reshape(self.n_blocks, d, *sq.shape[1:])
-        return np.sqrt(sq[:, 0] + sq[:, 1:].sum(axis=1))
+        return np.sqrt(np.add.reduceat(sq, self._offsets))
 
 
 def uniform_structure(n: int, d: int = 1) -> BlockStructure:

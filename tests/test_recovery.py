@@ -443,6 +443,30 @@ def test_homp_batch_matches_checked_steps(through_p0, rows, sizes, uniform, max_
     if through_p0:
         hp0_exhaustive_batch(D, ys, max_cardinality=2, context=context)
 
+    assert_batch_matches_checked_steps(D, ys, max_iter, context)
+
+
+@pytest.mark.parametrize("max_iter", [1, None])
+@pytest.mark.parametrize("n", [16, 64])
+def test_homp_batch_ties_match_checked_steps(n, max_iter):
+    """On identity_dft, y = e_i + c f_k with |c| = 1 and c f_k[i] >= 0 ties
+    the weights of blocks i and n + k exactly.  The batched product rounds
+    them apart differently than a product of y alone (on n = 64 the first
+    pick differs for about a third of such y), yet each trial of the batch
+    still picks, and so returns, what the checked loop does."""
+    D = identity_dft_pair(n)
+    F = D.matrix[:, n:]
+    ys = []
+    for i, k in itertools.product(range(0, n, 4), range(0, n, 8)):
+        y = F[:, k] * (F[i, k].conj() / abs(F[i, k]))
+        y[i] += 1.0
+        ys.append(y)
+    rng = np.random.default_rng(n)
+    ys += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+    assert_batch_matches_checked_steps(D, ys, max_iter, recovery.SolverContext(D))
+
+
+def assert_batch_matches_checked_steps(D, ys, max_iter, context):
     batch = homp_batch(D, ys, max_iter=max_iter, context=context)
     assert len(batch) == len(ys)
     for y, got in zip(ys, batch):
