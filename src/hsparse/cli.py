@@ -247,6 +247,7 @@ def _cmd_experiment(args, touched) -> int:
     if "dictionary" not in merged:
         raise _CliError("experiment needs a dictionary (config key or --dict)")
     config = ExperimentConfig.from_mapping(merged)
+    args.seed = config.seed   # the summary line reports the seed that ran
     records = run_phase_transition(config)
     if config.out:
         touched += [config.out + ".csv", config.out + ".json"]
@@ -277,10 +278,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     touched: list[str] = []
-    seed = 0
+    args = argparse.Namespace(seed=0)
     try:
         args = parser.parse_args(argv)
-        seed = args.seed
         code = _COMMANDS[args.command](args, touched)
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except SystemExit as err:     # argparse --help
         return int(err.code or 0)
     paths = " ".join(touched) if touched else "-"
-    print(f"hsparse: exit={code} seed={seed} paths: {paths}", file=sys.stderr)
+    print(f"hsparse: exit={code} seed={args.seed} paths: {paths}", file=sys.stderr)
     return code
 
 

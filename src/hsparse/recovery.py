@@ -482,13 +482,12 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
     updates the residual.  A trial stops once ||r|| <= tol_res * max(||y||, 1);
     running out of iterations or blocks gives status "max-iterations".
 
-    A step forms the correlations of all running residuals in one product
-    with ``context.adjoint``; the pseudo-inverses of the enlarged supports
-    come from ``context.factors`` (kept by p0, or factored in one batched
-    SVD per stack width).  The batched product rounds differently from the
-    product of one residual, so a trial whose runner-up weight lies within
-    the rounding bound of both (a near or exact tie) picks again from its
-    own product.  Each trial's fit, residual and stop test stay its own, so
+    Each running trial's correlations are its own product of
+    ``context.adjoint`` with its residual, so its pick is that of a pursuit
+    of it alone, ties included; one block-norm pass then weighs them all.
+    The pseudo-inverses of the enlarged supports come from
+    ``context.factors`` (kept by p0, or factored in one batched SVD per
+    stack width).  Each trial's fit, residual and stop test stay its own, so
     every trial gets its own RecoveryResult, in the order of ys, equal bit
     for bit to a pursuit of it alone.
     """
@@ -502,38 +501,15 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
     yvs = [D.measurement(y) for y in ys]
     stops = [tol_res * max(float(np.linalg.norm(yv)), 1.0) for yv in yvs]
     adjoint, smin = context.adjoint, D.block_sigma_min()[:, None]
-    # A weight ||D_b^H r|| / sigma_min(D_b), summed in any order, is within
-    # (M+2) eps ||r|| ||D_b||_F / sigma_min(D_b) of exact from the product,
-    # plus (d+4) eps of itself from the norm and the division.
-    eps = np.finfo(float).eps
-    blocks_fro = D.structure.norms(np.linalg.norm(D.matrix, axis=0))
-    per_residual = (D.shape[0] + 2) * eps * float(np.max(blocks_fro / smin[:, 0]))
-    per_weight = (max(D.structure.sizes) + 4) * eps
-
-    def picks(js):
-        """Each trial's block of largest weight, that weight, and its lead
-        over the runner-up."""
-        corr = adjoint @ np.stack([residuals[j] for j in js], axis=1)
-        weights = D.structure.norms(corr) / smin
-        for col, j in enumerate(js):
-            weights[selected[j], col] = -np.inf
-        cols = np.arange(len(js))
-        best = np.argmax(weights, axis=0)
-        top = weights[best, cols]
-        weights[best, cols] = -np.inf
-        return best, top, top - weights.max(axis=0)
-
     solutions = [np.zeros(D.structure.dim, dtype=np.complex128) for _ in yvs]
     residuals = [yv.copy() for yv in yvs]
-    residual_norms = [0.0] * len(yvs)
     selected: list[list[int]] = [[] for _ in yvs]
     status = [STATUS_EXACT] * len(yvs)
     running = range(len(yvs))
     while True:
         still = []
         for j in running:
-            residual_norms[j] = float(np.linalg.norm(residuals[j]))
-            if residual_norms[j] <= stops[j]:
+            if float(np.linalg.norm(residuals[j])) <= stops[j]:
                 continue
             if len(selected[j]) >= max_iter or len(selected[j]) == D.n_blocks:
                 status[j] = STATUS_MAX_ITER
@@ -542,14 +518,11 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
         running = still
         if not running:
             break
-        best, top, lead = picks(running)
-        # Two roundings of a weight differ by at most twice its bound, so a
-        # lead above four bounds is the pick of every rounding.
-        bound = per_residual * np.array([residual_norms[j] for j in running]) + per_weight * top
-        if len(running) > 1:
-            for col in np.flatnonzero(lead <= 4 * bound).tolist():
-                best[col] = picks([running[col]])[0][0]
-        for j, pick in zip(running, best.tolist()):
+        corr = np.stack([adjoint @ residuals[j] for j in running], axis=1)
+        weights = D.structure.norms(corr) / smin
+        for col, j in enumerate(running):
+            weights[selected[j], col] = -np.inf
+        for j, pick in zip(running, np.argmax(weights, axis=0).tolist()):
             selected[j].append(pick)
         supports = [tuple(sorted(selected[j])) for j in running]
         for j, support, (stack, pinv) in zip(running, supports, context.factors(supports)):

@@ -235,8 +235,23 @@ class TestExperimentAndCertify:
         assert json.loads(out)["failures"] == 0
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep.json").exists()
-        assert "seed=0" in err     # global flag untouched; config seed echoed in sidecar
+        assert "seed=7" in err     # the summary line reports the seed that ran
         assert json.loads((tmp_path / "sweep.json").read_text())["seed"] == 7
+
+    @pytest.mark.parametrize("config_seed, ran", [(None, 3), (7, 7)])
+    def test_experiment_summary_seed_with_flag(self, tmp_path, capsys, config_seed, ran):
+        """--seed 3 runs when the config names no seed; a config seed wins."""
+        config = {"dictionary": {"kind": "identity_dft", "n": 8},
+                  "algorithms": ["omp"], "s_min": 1, "s_max": 1, "trials": 2,
+                  "out": str(tmp_path / "sweep")}
+        if config_seed is not None:
+            config["seed"] = config_seed
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = run(capsys, "--seed", "3", "experiment", "--config", str(cfg_path))
+        assert code == 0
+        assert f"seed={ran} " in err
+        assert json.loads((tmp_path / "sweep.json").read_text())["seed"] == ran
 
     def test_config_overrides_flags(self, tmp_path, capsys):
         config = {"dictionary": {"kind": "identity_dft", "n": 8},

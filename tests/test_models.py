@@ -186,3 +186,7 @@ class TestSiMutualCoherence:
     def test_non_finite_sequence_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             CorrelationSequence(0, 1, 0, (bad, 0.5))
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            CorrelationSequence(0, 1, 0, ())

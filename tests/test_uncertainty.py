@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hsparse import (BlockDictionary, BlockVector, NumericalAnomaly,
+from hsparse import (BlockDictionary, BlockStructure, BlockVector, NumericalAnomaly,
+                     best_concentration_set, complex_standard_normal,
                      concentration_epsilon, fourier_basis, gup_audit,
                      identity_basis, identity_dft_pair, kernel_sample,
                      kernel_uncertainty_audit, mutual_hilbert_coherence,
@@ -60,6 +63,20 @@ class TestKernelAudit:
             for draw in range(10):
                 profile = kernel_uncertainty_audit(D, kernel_sample(D, draw))
                 assert all(row.holds for row in profile)
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(4, 8), sizes=st.lists(st.integers(1, 3), min_size=3, max_size=8),
+           normalize=st.sampled_from(["columns", "none"]),
+           seed=st.integers(0, 2**32 - 1), draw=st.integers(0, 2**32 - 1))
+    def test_kernel_samples_hold_on_random_fat_dictionaries(self, rows, sizes, normalize,
+                                                           seed, draw):
+        """Every row of every sampled kernel vector's profile holds, on fat
+        dictionaries with blocks of 1-3 columns and unnormalized ones too."""
+        assume(sum(sizes) > rows)
+        D = random_block_dictionary(rows, tuple(sizes), seed, normalize=normalize)
+        profile = kernel_uncertainty_audit(D, kernel_sample(D, draw))
+        assert [row.k for row in profile] == list(range(1, len(sizes) + 1))
+        assert all(row.holds for row in profile)
 
     def test_non_kernel_vector_rejected(self):
         D = identity_dft_pair(4)
@@ -122,6 +139,42 @@ class TestGupAudit:
             if prev is not None:
                 assert audit.slack >= prev - 1e-9
             prev = audit.slack
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(4, 12), fat=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_holds_on_random_pairs_with_equal_images(self, rows, fat, seed):
+        """u on a few blocks of D1 and v = pinv(D2) (D1 u), so D2 v = D1 u for
+        D2 of full row rank, satisfy the product bound over random sets: a
+        random part of u's blocks, and v's best set of a random size.
+
+        D1 is a random unitary W with phased columns, D2 is W times a
+        column-permuted DFT (beside W itself when fat); both are cut into
+        random blocks of 1-2 columns.  W leaves every coherence as it is for
+        the identity/Fourier pair, where the bound is tight (picket fences),
+        so a real share of the draws test a bound that is not vacuous."""
+        rng = np.random.default_rng(seed)
+        w, _ = np.linalg.qr(complex_standard_normal(rng, (rows, rows)))
+        m1 = w * np.exp(2j * np.pi * rng.random(rows))
+        m2 = w @ fourier_basis(rows).matrix[:, rng.permutation(rows)]
+        if fat:
+            m2 = np.hstack([m2, w]) / np.sqrt(2)
+
+        def cut(n):
+            sizes = []
+            while sum(sizes) < n:
+                sizes.append(min(int(rng.integers(1, 3)), n - sum(sizes)))
+            return BlockStructure(tuple(sizes))
+
+        D1, D2 = BlockDictionary(m1, cut(rows)), BlockDictionary(m2, cut(m2.shape[1]))
+        active = rng.random(D1.n_blocks) < 0.15
+        active[rng.integers(D1.n_blocks)] = True
+        mask = np.repeat(active, D1.structure.sizes)
+        u = BlockVector(complex_standard_normal(rng, rows) * mask, D1.structure)
+        v = BlockVector(np.linalg.pinv(D2.matrix) @ (D1.matrix @ u.entries), D2.structure)
+        set_u = np.flatnonzero(active & (rng.random(D1.n_blocks) < 0.8)).tolist()
+        set_v = best_concentration_set(v, int(rng.integers(D2.n_blocks + 1))).blocks
+        audit = gup_audit(D1, D2, u, v, set_u, set_v)
+        assert audit.holds and not audit.anomaly
 
     def test_mismatched_images_rejected(self):
         I4, F4 = identity_basis(4), fourier_basis(4)
