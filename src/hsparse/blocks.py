@@ -6,10 +6,15 @@ module holds the partition bookkeeping plus the linear-algebra primitives
 everything else builds on: block norms, per-block and cross-block singular
 values, concentration sets, and least squares on a block support.
 
+The coherence maxima read ``largest_cross_norm``: it screens every cross-Gram
+tile by its Frobenius norm, an upper bound on its spectral norm, and runs the
+SVD only on the tiles whose bound can still reach the maximum.
+
 Objects keep their arrays read-only and all functions are pure, so objects
-can be shared freely between threads or worker processes.  The table
-``BlockDictionary.cross_norms`` is filled lazily, on first read; its value is
-deterministic, so two threads racing to fill it at worst compute it twice.
+can be shared freely between threads or worker processes.  The Gram and tile
+bounds ``BlockDictionary.cross_gram`` are filled lazily, on first read; their
+value is deterministic, so two threads racing to fill them at worst compute
+them twice.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +32,18 @@ ZERO_BLOCK_TOL = 1e-10
 RANK_TOL = 1e-12
 # Block subsets per batch of support_stacks: streaming them keeps peak memory flat.
 _SUBSET_CHUNK = 256
+# Relative slack on a tile's Frobenius bound before it may drop a tile: it
+# covers the rounding of the Frobenius sum and of the SVD's sigma_max, each
+# about 1e-15 relative.
+_BOUND_MARGIN = 1e-8
+# Absolute slack per unit of tile width on the same bound: squares below the
+# smallest normal number round to subnormals, an absolute error of at most
+# 2^-1075 each, so w^2 of them lower the norm by at most w * 2^-537.
+_BOUND_FLOOR = 2.0 ** -537
+# Pairs of largest bound that largest_cross_norm evaluates before pruning: on
+# random 64 x 256 dictionaries of 4-column blocks one pair alone leaves up to
+# 19% of the tiles standing, the best of 16 below 9%.
+_FIRST_TILES = 16
 
 
 class NumericalAnomaly(RuntimeError):
@@ -90,12 +108,16 @@ class BlockStructure:
 
     def norms(self, x) -> np.ndarray:
         """l2 norm of each block of x along its first axis, one row per block:
-        ``sqrt(add.reduceat(abs(x)**2, offsets))``, without reduceat's
-        per-segment calls when every block is a single coordinate."""
-        sq = np.abs(x) ** 2
+        ``sqrt(add.reduceat(abs(x)**2, offsets))``."""
+        return np.sqrt(self.block_sums(np.abs(x) ** 2))
+
+    def block_sums(self, x, axis: int = 0) -> np.ndarray:
+        """Sum of each block of x along axis, ``add.reduceat(x, offsets, axis)``;
+        x itself, without reduceat's per-segment calls, when every block is a
+        single coordinate."""
         if self._dim == self.n_blocks:
-            return np.sqrt(sq)
-        return np.sqrt(np.add.reduceat(sq, self._offsets))
+            return x
+        return np.add.reduceat(x, self._offsets, axis=axis)
 
 
 def uniform_structure(n: int, d: int = 1) -> BlockStructure:
@@ -192,11 +214,9 @@ class BlockDictionary:
         return self._sigma[:, 0]
 
     @cached_property
-    def cross_norms(self) -> np.ndarray:
-        """cross_norm_table(self), built on first read and read-only, since it is shared."""
-        table = cross_norm_table(self)
-        table.flags.writeable = False
-        return table
+    def cross_gram(self) -> "CrossGram":
+        """cross_gram(self), built on first read; its arrays are read-only, since it is shared."""
+        return cross_gram(self)
 
     def measurement(self, y) -> np.ndarray:
         """y as a flat complex vector with one entry per row, all finite."""
@@ -254,30 +274,113 @@ def cross_norm_table(D1: BlockDictionary, D2: BlockDictionary | None = None) -> 
     """Spectral norms of all cross-Gram tiles D1_i^H D2_j as an n1 x n2 array.
 
     One Gram product covers every pair.  Blocks are zero-padded to the widest
-    block (index -1 reads the appended zero row/column), which leaves each
-    tile's largest singular value unchanged, so one batched SVD serves any
-    block structure.  Tiles that are a single row or column are vectors and
-    take their l2 norm instead, which is far cheaper than an SVD.  The table
-    of one dictionary (D2 None) is symmetric, since ||A^H B|| = ||B^H A||:
-    only the tiles i <= j are computed, and each value is mirrored.
+    block, which leaves each tile's largest singular value unchanged, so one
+    batched SVD serves any block structure.  Tiles that are a single row or
+    column are vectors and take their l2 norm instead, which is far cheaper
+    than an SVD.  The table of one dictionary (D2 None) is symmetric, since
+    ||A^H B|| = ||B^H A||: only the tiles i <= j are computed, and each value
+    is mirrored.
     """
     same = D2 is None
     D2 = D1 if same else D2
-    gram = np.pad(D1.matrix.conj().T @ D2.matrix, ((0, 1), (0, 1)))
+    gram = D1.matrix.conj().T @ D2.matrix
     pairs = (np.triu_indices(D1.n_blocks) if same
              else tuple(np.indices((D1.n_blocks, D2.n_blocks)).reshape(2, -1)))
-    rows = D1.structure.padded_columns()[pairs[0]]
-    cols = D2.structure.padded_columns()[pairs[1]]
-    tiles = gram[rows[:, :, None], cols[:, None, :]]
-    if 1 in tiles.shape[1:]:
-        norms = np.sqrt(np.sum(np.abs(tiles) ** 2, axis=(1, 2)))
-    else:
-        norms = np.linalg.svd(tiles, compute_uv=False)[:, 0]
+    norms = _tile_norms(gram, D1.structure.padded_columns()[pairs[0]],
+                        D2.structure.padded_columns()[pairs[1]])
     table = np.empty((D1.n_blocks, D2.n_blocks))
     table[pairs] = norms
     if same:
         table[pairs[::-1]] = norms
     return table
+
+
+def _tile_norms(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Spectral norm of each tile of the Gram named by a row of rows (its row
+    indices) and the same row of cols (its column indices), both padded with
+    -1, which reads as a zero row or column: the l2 norm when the tiles are
+    vectors, else one batched SVD."""
+    tiles = gram[rows[:, :, None], cols[:, None, :]]
+    tiles[(rows < 0)[:, :, None] | (cols < 0)[:, None, :]] = 0.0
+    if 1 in tiles.shape[1:]:
+        return np.sqrt(np.sum(np.abs(tiles) ** 2, axis=(1, 2)))
+    return np.linalg.svd(tiles, compute_uv=False)[:, 0]
+
+
+class CrossGram(NamedTuple):
+    """The Gram D1^H D2 and the Frobenius norm of each of its n1 x n2 tiles,
+    an upper bound on the tile's spectral norm."""
+
+    gram: np.ndarray
+    bounds: np.ndarray
+
+
+def cross_gram(D1: BlockDictionary, D2: BlockDictionary | None = None) -> CrossGram:
+    """The Gram of cross_norm_table(D1, D2) and its tile bounds, both read-only.
+
+    The bounds of one dictionary (D2 None) are those of the tiles i <= j,
+    mirrored, as in the table: the Gram's lower triangle need not be the
+    exact conjugate of its upper one.
+    """
+    same = D2 is None
+    D2 = D1 if same else D2
+    gram = D1.matrix.conj().T @ D2.matrix
+    squares = np.abs(gram)
+    bounds = D2.structure.block_sums(
+        D1.structure.block_sums(np.square(squares, out=squares)), axis=1)
+    np.sqrt(bounds, out=bounds)
+    if same:
+        lower = np.tril_indices(D1.n_blocks, -1)
+        bounds[lower] = bounds.T[lower]
+    gram.flags.writeable = bounds.flags.writeable = False
+    return CrossGram(gram, bounds)
+
+
+def largest_cross_norm(D1: BlockDictionary, D2: BlockDictionary | None = None,
+                       divisor=1.0, pairs: np.ndarray | None = None) -> float:
+    """max of cross_norm_table(D1, D2) / divisor over the pairs a boolean n1 x n2
+    mask selects (every pair when None), bit for bit, without the whole table.
+
+    Each tile's Frobenius norm, from ``cross_gram`` (cached on D1 when D2 is
+    None), bounds its spectral norm from above.  When every block is one
+    column, the bound is the table itself.  Otherwise the _FIRST_TILES pairs
+    of largest scaled bound (and any tied with the last of them) are
+    evaluated exactly, and then only the other pairs whose bound, widened by
+    the rounding slack, still reaches the best of them: the maximum is among
+    these.  Exact values use the table's own tiles, orientation (i <= j for
+    one dictionary) and call, so they carry its bits.
+    """
+    same = D2 is None
+    D2 = D1 if same else D2
+    gram, bounds = D1.cross_gram if same else cross_gram(D1, D2)
+    mask = np.ones(bounds.shape, dtype=bool) if pairs is None else pairs
+    if D1.structure.dim == D1.n_blocks and D2.structure.dim == D2.n_blocks:
+        return float((bounds / divisor)[mask].max())
+    width = max(D1.structure.sizes + D2.structure.sizes)
+    upper = np.where(mask, (bounds * (1 + _BOUND_MARGIN) + width * _BOUND_FLOOR) / divisor,
+                     -np.inf).ravel()
+    divisor = np.broadcast_to(divisor, bounds.shape)
+    rows = D1.structure.padded_columns()
+    cols = rows if same else D2.structure.padded_columns()
+
+    def exact(flat):
+        """Table entries at the flat pair indices over divisor, one tile evaluation
+        per distinct tile."""
+        i, j = np.divmod(flat, bounds.shape[1])
+        a, b = (np.minimum(i, j), np.maximum(i, j)) if same else (i, j)
+        tiles = np.zeros(bounds.shape, dtype=bool)
+        tiles[a, b] = True
+        ta, tb = np.nonzero(tiles)
+        norms = np.empty(bounds.shape)
+        norms[ta, tb] = _tile_norms(gram, rows[ta], cols[tb])
+        return norms[a, b] / divisor[i, j]
+
+    k = min(_FIRST_TILES, np.count_nonzero(mask))
+    first = np.flatnonzero(upper >= np.sort(upper)[upper.size - k])   # ties included
+    best = exact(first).max()
+    upper[first] = -np.inf
+    rest = np.flatnonzero(upper >= best)
+    return float(np.max(exact(rest), initial=best) if rest.size else best)
 
 
 def best_concentration_set(v: BlockVector, k: int) -> ConcentrationCertificate:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockDictionary, column_stacks, cross_norm_table, support_stacks
+from .blocks import BlockDictionary, column_stacks, largest_cross_norm, support_stacks
 # Unused here; bench/spans.py rebinds this name, so bench/run.py --trace 1 needs it.
 from .blocks import cross_block_norm  # noqa: F401
 
@@ -92,15 +92,17 @@ class CoherenceReport:
 def hilbert_coherence(D: BlockDictionary) -> float:
     """Largest cross-block spectral norm over squared block injectivity.
 
-    The denominator is indexed by the row block of each off-diagonal entry
-    of ``D.cross_norms``, which holds both orderings of every pair (shared,
-    so the diagonal is masked).  For unit-norm columns in size-1 blocks this
+    The maximum runs over both orderings (i, j), i != j, of every pair of
+    ``cross_norm_table(D)``, each entry divided by sigma_min of its row
+    block i squared.  ``largest_cross_norm`` finds it bit for bit from the
+    tile bounds cached in ``D.cross_gram``, running the SVD only on the
+    tiles that can hold it.  For unit-norm columns in size-1 blocks this
     reduces to the classical maximum inner-product coherence.
     """
     if D.n_blocks < 2:
         raise ValueError("coherence undefined for a single subspace")
-    scaled = D.cross_norms / D.block_sigma_min()[:, None] ** 2
-    return float(scaled[~np.eye(D.n_blocks, dtype=bool)].max())
+    return largest_cross_norm(D, divisor=D.block_sigma_min()[:, None] ** 2,
+                              pairs=~np.eye(D.n_blocks, dtype=bool))
 
 
 def mutual_hilbert_coherence(D1: BlockDictionary, D2: BlockDictionary) -> float:
@@ -109,7 +111,7 @@ def mutual_hilbert_coherence(D1: BlockDictionary, D2: BlockDictionary) -> float:
         raise ValueError(
             f"dictionaries map into different spaces: {D1.shape[0]} vs {D2.shape[0]} rows")
     scale = np.outer(D1.block_sigma_min(), D2.block_sigma_min())
-    return float((cross_norm_table(D1, D2) / scale).max())
+    return largest_cross_norm(D1, D2, divisor=scale)
 
 
 def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
@@ -118,7 +120,8 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     Defined for uniform block size d and unit-norm columns (Eldar, Kuppinger
     and Boelcskei, 2010): computed on D scaled to unit columns, which needs
     column norms equal within UNIT_COLUMN_TOL.  mu_block is the largest
-    entry of ``D.cross_norms`` over d; nu the largest within-block inner
+    off-diagonal entry of ``cross_norm_table(D)`` (found by
+    ``largest_cross_norm``) over d; nu the largest within-block inner
     product of distinct columns; mu_hat = d * mu_block / (1 - (d-1) * nu),
     None when that denominator is nonpositive (the bound guarantees nothing).
     """
@@ -133,7 +136,7 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     if norms.max() - norms.min() > UNIT_COLUMN_TOL * norms.max():
         raise ValueError("composite block coherence requires equal column norms")
     scale = float(np.mean(norms ** 2))   # every Gram entry carries one squared norm
-    mu_block = float(D.cross_norms[np.triu_indices(n, 1)].max()) / scale / d
+    mu_block = largest_cross_norm(D, pairs=np.triu(np.ones((n, n), dtype=bool), 1)) / scale / d
     blocks = D.matrix.reshape(-1, n, d).transpose(1, 0, 2)
     grams = np.abs(blocks.conj().transpose(0, 2, 1) @ blocks)
     grams[:, np.arange(d), np.arange(d)] = 0.0

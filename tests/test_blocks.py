@@ -194,7 +194,7 @@ class TestCrossBlockNorm:
     def test_self_table_is_symmetric_and_matches_pair_norms(self, sizes, extra_rows, seed):
         """The upper-triangle table, mirrored, holds every pair norm in both orderings."""
         D = gaussian_dictionary(sizes, extra_rows, seed)
-        table = D.cross_norms
+        table = cross_norm_table(D)
         assert np.array_equal(table, table.T)
         for i in range(D.n_blocks):
             for j in range(D.n_blocks):

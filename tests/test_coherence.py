@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hsparse.coherence as coherence
-from hsparse.blocks import column_stacks, support_stacks
+from hsparse.blocks import column_stacks, cross_gram, support_stacks
 from hsparse import (BlockDictionary, BlockStructure, block_coherences,
                      coherence_report, cross_block_norm, cross_norm_table, guarantee_check,
                      hilbert_coherence, mutual_hilbert_coherence, spark_exhaustive,
@@ -513,14 +513,12 @@ def test_report_family_matches_oracle(kind, rows, d, n, seed):
         assert rep.mu_h <= rep.mu_hat + 1e-9
 
 
-def test_report_builds_one_cross_norm_table(monkeypatch):
-    """Every report, certify document and mu_h of a dictionary reads one table."""
+def test_report_builds_one_gram_product(monkeypatch):
+    """Every report, certify document and mu_h of a dictionary reads one Gram product."""
     import hsparse.blocks
-    import hsparse.coherence
     built = []
-    for module in (hsparse.blocks, hsparse.coherence):   # every name a caller looks up
-        monkeypatch.setattr(module, "cross_norm_table",
-                            lambda *args: built.append(args) or cross_norm_table(*args))
+    monkeypatch.setattr(hsparse.blocks, "cross_gram",   # the name cross_gram is looked up by
+                        lambda *args: built.append(args) or cross_gram(*args))
     dicts = [random_block_dictionary(12, (2,) * 6, 1), identity_dft_pair(4),
              BlockDictionary(np.random.default_rng(8).standard_normal((6, 5)),
                              BlockStructure((2, 3)))]
@@ -528,17 +526,190 @@ def test_report_builds_one_cross_norm_table(monkeypatch):
         coherence_report(D)
         run_certify(D, compute_spark=False)
         hilbert_coherence(D)
-    assert [args[0] for args in built] == dicts
+    assert built == [(D,) for D in dicts]
 
 
-def test_cross_norms_is_the_shared_read_only_table():
-    D = random_block_dictionary(10, (1, 2, 3, 2), 4)
-    table = D.cross_norms
-    assert table is D.cross_norms
-    np.testing.assert_array_equal(table, cross_norm_table(D))
-    assert not table.flags.writeable
+def test_cross_gram_is_the_shared_read_only_value():
+    D = random_block_dictionary(10, (2,) * 5, 4)
+    value = D.cross_gram
+    assert value is D.cross_gram
+    gram = D.matrix.conj().T @ D.matrix
+    np.testing.assert_array_equal(value.gram, gram)
+    bounds = value.bounds.copy()
+    frobenius = [[np.linalg.norm(D.block(i).conj().T @ D.block(j)) for j in range(5)]
+                 for i in range(5)]
+    np.testing.assert_allclose(bounds, frobenius, rtol=1e-13)
+    assert np.array_equal(bounds, bounds.T) and np.all(bounds >= cross_norm_table(D))
+    for array in (value.gram, value.bounds, D.block_sigma_min()):
+        assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = 0.0
-    assert not D.block_sigma_min().flags.writeable
-    hilbert_coherence(D)   # masks the diagonal rather than writing to the table
-    np.testing.assert_array_equal(D.cross_norms, cross_norm_table(D))
+        value.bounds[0, 0] = 0.0
+    coherence_report(D, compute_spark=False)   # mu_h and mu_block mask pairs, never write
+    assert D.cross_gram is value
+    np.testing.assert_array_equal(value.gram, gram)
+    np.testing.assert_array_equal(value.bounds, bounds)
+
+
+# ------------------------------------------------ maxima without the table
+
+def table_mu_h(D):
+    """mu_h read off the whole table, as hilbert_coherence computed it before."""
+    scaled = cross_norm_table(D) / D.block_sigma_min()[:, None] ** 2
+    return float(scaled[~np.eye(D.n_blocks, dtype=bool)].max())
+
+
+def table_mu_block(D):
+    """mu_block read off the whole table, with block_coherences' scaling."""
+    scale = float(np.mean(np.linalg.norm(D.matrix, axis=0) ** 2))
+    raw = float(cross_norm_table(D)[np.triu_indices(D.n_blocks, 1)].max())
+    return raw / scale / D.structure.sizes[0]
+
+
+def table_mutual(D1, D2):
+    scale = np.outer(D1.block_sigma_min(), D2.block_sigma_min())
+    return float((cross_norm_table(D1, D2) / scale).max())
+
+
+block_size_lists = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(2, 12)).map(lambda t: (t[0],) * t[1]),
+    st.lists(st.integers(1, 4), min_size=2, max_size=12).map(tuple))
+
+
+def complex_gaussian(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def structured_matrix(kind, sizes, extra_rows, seed):
+    """A matrix for the block sizes: Gaussian, Gaussian with unit columns,
+    Gaussian scaled by 2^-280 (the squares in the tile bounds underflow),
+    Gaussian with block 0 repeated as a last block, or a phased permutation
+    (mutually orthogonal blocks, every cross tile exactly 0)."""
+    rng = np.random.default_rng(seed)
+    cols = sum(sizes)
+    if kind == "orthogonal":
+        phases = np.exp(2j * np.pi * rng.random(cols))
+        return np.eye(cols)[:, rng.permutation(cols)] * phases, sizes
+    mat = complex_gaussian(rng, max(sizes) + extra_rows, cols)
+    if kind == "duplicated":
+        mat, sizes = np.hstack([mat, mat[:, :sizes[0]]]), sizes + sizes[:1]
+    if kind in ("unit", "duplicated"):
+        mat /= np.linalg.norm(mat, axis=0)
+    return mat * 2.0 ** -280 if kind == "tiny" else mat, sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["gaussian", "unit", "tiny", "duplicated", "orthogonal",
+                            "identity_dft"]),
+       sizes=block_size_lists, extra_rows=st.integers(0, 8), n=st.integers(2, 32),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="tiny", sizes=(2, 1, 3, 2, 2, 1, 3, 2, 1, 2, 3, 1), extra_rows=3, n=2, seed=0)
+def test_maxima_equal_the_table_bit_for_bit(kind, sizes, extra_rows, n, seed):
+    """mu_h and mu_block equal the whole table's maxima exactly, for any block
+    sizes, single columns, exact ties (identity/DFT columns cut into blocks of
+    the first drawn size), duplicated blocks, underflowing and all-zero bounds."""
+    if kind == "identity_dft":
+        d, n = sizes[0], max(n, sizes[0])
+        mat = identity_dft_pair(n).matrix[:, :2 * n // d * d]
+        sizes = (d,) * (2 * n // d)
+    else:
+        mat, sizes = structured_matrix(kind, sizes, extra_rows, seed)
+    D = BlockDictionary(mat, BlockStructure(sizes))
+    assert hilbert_coherence(D) == table_mu_h(D)
+    try:
+        mu_block = block_coherences(D)[0]
+    except ValueError:   # the family needs uniform sizes and equal column norms
+        return
+    assert mu_block == table_mu_block(D)
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(["gaussian", "regrouped", "identity_dft"]),
+       sizes1=block_size_lists, sizes2=block_size_lists, extra_rows=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_mutual_maximum_equals_the_table_bit_for_bit(kind, sizes1, sizes2, extra_rows, seed):
+    """Two dictionaries with different structures: Gaussian, the same columns
+    cut two ways, or identity against DFT columns (exact ties)."""
+    rows = max(sizes1 + sizes2) + extra_rows
+    rng = np.random.default_rng(seed)
+    if kind == "identity_dft":
+        rows = max(rows, sum(sizes1), sum(sizes2))
+        mat1 = np.eye(rows)[:, :sum(sizes1)]
+        mat2 = identity_dft_pair(rows).matrix[:, rows:rows + sum(sizes2)]
+    else:
+        mat1 = complex_gaussian(rng, rows, sum(sizes1))
+        mat2 = complex_gaussian(rng, rows, sum(sizes2))
+        if kind == "regrouped":   # sizes2 cut over mat1's columns, repeated as needed
+            mat2 = np.hstack([mat1] * (sum(sizes2) // sum(sizes1) + 1))[:, :sum(sizes2)]
+    try:
+        D1 = BlockDictionary(mat1, BlockStructure(sizes1))
+        D2 = BlockDictionary(mat2, BlockStructure(sizes2))
+    except ValueError:   # a regrouped block may repeat a column
+        assume(False)
+    assert mutual_hilbert_coherence(D1, D2) == table_mutual(D1, D2)
+
+
+def test_prune_sends_few_tiles_to_the_svd(monkeypatch):
+    """On 64 blocks of 4 columns the bounds keep most of the 2,016 upper tiles
+    from the SVD, and single columns gather no tile at all."""
+    import hsparse.blocks
+    D = random_block_dictionary(64, (4,) * 64, 1)
+    expected = {hilbert_coherence: table_mu_h(D), block_coherences: table_mu_block(D)}
+    svd, tile_norms = np.linalg.svd, hsparse.blocks._tile_norms
+    tiles, gathers = [], []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: tiles.append(len(a)) or svd(a, *args, **kw))
+    monkeypatch.setattr(hsparse.blocks, "_tile_norms",
+                        lambda gram, rows, cols: gathers.append(len(rows))
+                        or tile_norms(gram, rows, cols))
+    for measure, value in expected.items():
+        tiles.clear()
+        result = measure(D)
+        assert (result if measure is hilbert_coherence else result[0]) == value
+        assert 0 < sum(tiles) < 0.15 * 64 * 63 / 2
+    gathers.clear()
+    coherence_report(identity_dft_pair(16), compute_spark=False)
+    mutual_hilbert_coherence(unit_norm_dict(6, 9, 1), unit_norm_dict(6, 5, 2))
+    assert gathers == []
+
+
+def flat_tiles_dictionary(targets, c=0.5, flat=20, scale=1.0):
+    """Unit columns times scale, in blocks of 2.  Block 0 is (e_1, e_2);
+    blocks 1..flat have cross tiles c I_2 with it (spectral norm c, bound
+    c sqrt 2), and each target (p, q, r, t) adds a block whose tile with
+    block 0 is [[p, q], [r, t]].  Each other column entry sits on a row of
+    the column's own."""
+    rows = 2 * (1 + flat + len(targets))
+    mat = np.zeros((rows, rows))
+    mat[[0, 1], [0, 1]] = 1.0
+    for k, (p, q, r, t) in enumerate([(c, 0.0, 0.0, c)] * flat + list(targets)):
+        col = 2 + 2 * k
+        mat[:2, col:col + 2] = [[p, q], [r, t]]
+        mat[col, col] = np.sqrt(1 - p * p - r * r)
+        mat[col + 1, col + 1] = np.sqrt(1 - q * q - t * t)
+    return BlockDictionary(mat * scale, uniform_structure(rows // 2, 2))
+
+
+def test_maximum_behind_many_larger_bounds():
+    """Twenty flat tiles c I_2 outrank, by bound, the rank-one tile that
+    holds both maxima, so the pairs evaluated first miss it and the pruned
+    rest must find it."""
+    s = 0.4
+    D = flat_tiles_dictionary([(s, s, 0.0, 0.0)])
+    mu_h = hilbert_coherence(D)
+    assert mu_h == table_mu_h(D)
+    assert mu_h == pytest.approx(s * np.sqrt(2) / (1 - s * s), rel=1e-12)   # row block: the last
+    mu_block = block_coherences(D)[0]
+    assert mu_block == table_mu_block(D)
+    assert mu_block == pytest.approx(s * np.sqrt(2) / 2, rel=1e-12)
+
+
+def test_maximum_with_subnormal_bounds():
+    """At scale 2^-266 the tile bounds sum subnormal squares, which keep
+    about 8 significant bits.  Tile diag(a, t) is among the pairs evaluated
+    first; the rank-one tile holding mu_block exceeds it by 1e-6 relative,
+    less than its bound's rounding, so only the absolute slack keeps it."""
+    a = 0.6
+    s = a * (1 + 1e-6) / np.sqrt(2)
+    D = flat_tiles_dictionary([(a, 0.0, 0.0, 0.45), (s, s, 0.0, 0.0)], scale=2.0 ** -266)
+    assert block_coherences(D)[0] == table_mu_block(D)
+    assert hilbert_coherence(D) == table_mu_h(D)
