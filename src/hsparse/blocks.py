@@ -19,7 +19,7 @@ them twice.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -30,8 +30,12 @@ import numpy as np
 ZERO_BLOCK_TOL = 1e-10
 # Relative singular-value cutoff for pseudo-inverses and injectivity checks.
 RANK_TOL = 1e-12
-# Block subsets per batch of support_stacks: streaming them keeps peak memory flat.
-_SUBSET_CHUNK = 256
+# Most block subsets per batch of support_stacks: it unranks a level in slices
+# of this many rows, so no array holds a whole level and peak memory stays
+# flat at any level.  256-row width groups raised the peak RSS of certify
+# and p0 runs by 0.5-2 MB, in their tiles and screening products; 128 rows
+# keep a certify run's peak where the old per-chunk width split had it.
+_SUBSET_CHUNK = 128
 # Relative slack on a tile's Frobenius bound before it may drop a tile: it
 # covers the rounding of the Frobenius sum and of the SVD's sigma_max, each
 # about 1e-15 relative.
@@ -449,21 +453,78 @@ def _fit_factored(D: BlockDictionary, idx, yv: np.ndarray, stacked: np.ndarray,
 def support_stacks(D: BlockDictionary, k: int):
     """Every k-subset of blocks with the columns of its stack, streamed in batches.
 
-    Yields (supports, cols): a (B, k) array of block indices and the (B, w)
-    array of the column indices each subset stacks, all of width w;
-    ``column_stacks(D, cols)`` gathers the (B, M, w) stacks themselves, so a
-    caller that can settle a subset from the indices alone never gathers it.
-    Subsets are cut into lexicographic chunks of _SUBSET_CHUNK, each split
-    by width.
+    Yields (supports, cols): a (B, k) int64 array of block indices, B at most
+    _SUBSET_CHUNK, and the (B, w) array of the column indices each subset
+    stacks, all of width w; ``column_stacks(D, cols)`` gathers the (B, M, w)
+    stacks themselves, so a caller that can settle a subset from the indices
+    alone never gathers it.  Nothing is yielded for k outside 1..n.
+
+    The level is split by stack width once: the subsets of each width, by
+    increasing width, in lexicographic order.  Every batch is unranked
+    directly from its ranks in that order (see _subset_tables), so no array
+    holds more than one batch of the level.  A uniform structure has one
+    width and the whole level in lexicographic order.
     """
+    sizes = D.structure.sizes
+    n = len(sizes)
+    if not 1 <= k <= n:
+        return
+    counts, big, bounds, steps, block_at = _subset_tables(sizes, k)
     padded = D.structure.padded_columns()
-    subsets = itertools.combinations(range(D.n_blocks), k)
-    while (chunk := np.array(list(itertools.islice(subsets, _SUBSET_CHUNK)))).size:
-        cols = padded[chunk].reshape(len(chunk), -1)
-        widths = np.count_nonzero(cols >= 0, axis=1)
-        for width in np.unique(widths):
-            group = cols[widths == width]
-            yield chunk[widths == width], group[group >= 0].reshape(-1, width)
+    uniform = len(set(sizes)) == 1
+    for width, total in enumerate(counts.tolist()):
+        # Key of the first subset of this width; each later one is one less.
+        top = width * big + total - 1
+        for first in range(0, total, _SUBSET_CHUNK):
+            keys = np.arange(top - first, top - min(first + _SUBSET_CHUNK, total), -1)
+            picks = np.empty((k, keys.size), dtype=np.intp)
+            for j in range(k):
+                picks[j] = pick = bounds[j].searchsorted(keys, side="right")
+                keys -= steps[j].take(pick)
+            supports = block_at.take(picks.T)
+            cols = padded[supports].reshape(keys.size, -1)
+            yield supports, cols if uniform else cols[cols >= 0].reshape(keys.size, width)
+
+
+def _subset_tables(sizes: tuple[int, ...], k: int):
+    """Tables that unrank the k-subsets of blocks of the given sizes, grouped
+    by total width and lexicographic within a width, for support_stacks.
+
+    This is the combinatorial number system, extended by width.  A subset
+    with s blocks of total width v still to pick, from the blocks after the
+    last one picked, is the key v * big + r, where r counts the completions
+    that come after it (its co-rank) and big exceeds every count.  Its next
+    block is the smallest c whose completions from the blocks after c,
+    suffix[c + 1, s, v] of them, number at most r; picking c takes that
+    count off r and the size of c off v.  The tables read c from the back,
+    as b = n - 1 - c, so that the counts ascend: bounds[k - s] holds
+    v * big + suffix[n - b, s, v] at position v * n + b, so one searchsorted
+    (side right) over a batch of keys returns 1 + v * n + b for each, the
+    position at which steps[k - s] holds what picking c takes off the key
+    and block_at holds c.
+
+    Returns (counts, big, bounds, steps, block_at), counts[v] the number of
+    k-subsets of total width v.
+    """
+    n = len(sizes)
+    widest = sum(sorted(sizes)[n - k:])
+    if (widest + 1) * (math.comb(n, min(k, n // 2)) + 1) >= 2 ** 63:   # keys stay int64
+        raise ValueError(f"{k}-subsets of {n} blocks are too many to count in int64")
+    # suffix[c, s, v]: s-subsets of blocks c..n-1 of total width v.
+    suffix = np.zeros((n + 1, k + 1, widest + 1), dtype=np.int64)
+    suffix[n, 0, 0] = 1
+    for c in range(n - 1, -1, -1):
+        suffix[c] = suffix[c + 1]
+        suffix[c, 1:, sizes[c]:] += suffix[c + 1, :-1, :widest + 1 - sizes[c]]
+    big = int(suffix.max()) + 1
+    # after[k - s, v, b] = suffix[n - b, s, v]: the completions of s blocks
+    # from the b last blocks, ascending in b.
+    after = suffix[n:0:-1, 1:].transpose(1, 2, 0)[::-1]
+    bounds = (after + big * np.arange(widest + 1)[:, None]).reshape(k, -1)
+    steps = np.zeros((k, bounds.shape[1] + 1), dtype=np.int64)
+    steps[:, 1:] = (after + big * np.array(sizes[::-1])).reshape(k, -1)
+    block_at = np.concatenate(([-1], np.tile(np.arange(n - 1, -1, -1), widest + 1)))
+    return suffix[0, k], big, bounds, steps, block_at
 
 
 def column_stacks(D: BlockDictionary, cols: np.ndarray) -> np.ndarray:

@@ -1,8 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsparse.blocks import _SUBSET_CHUNK, support_stacks
 from hsparse import (BlockDictionary, BlockStructure, BlockVector,
                      best_concentration_set, block_least_squares, block_sigma,
                      concentration_epsilon, cross_block_norm, cross_norm_table,
@@ -316,3 +320,59 @@ class TestBlockLeastSquares:
         y[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             block_least_squares(self.build(), [0], y)
+
+
+class TestSupportStacks:
+    # (20, 10): the largest level of a dictionary at SPARK_ENUMERATION_CAP blocks.
+    @pytest.mark.parametrize("n, k", [(5, 1), (6, 6), (14, 8), (16, 5), (20, 10)])
+    def test_uniform_level_is_lexicographic(self, n, k):
+        D = gaussian_dictionary([1] * n, 0, 0)
+        batches = [supports for supports, _ in support_stacks(D, k)]
+        assert all(0 < len(b) <= _SUBSET_CHUNK and b.dtype == np.int64 for b in batches)
+        assert np.array_equal(np.concatenate(batches),
+                              np.array(list(itertools.combinations(range(n), k))))
+
+    @pytest.mark.parametrize("sizes", [(1,) * 4, (2, 1, 3)])
+    def test_nothing_beyond_the_block_count(self, sizes):
+        D = gaussian_dictionary(sizes, 0, 0)
+        assert list(support_stacks(D, len(sizes) + 1)) == []
+
+    @pytest.mark.parametrize("sizes, ks", [((2,) * 6, range(1, 7)),
+                                           ((1, 2, 1, 3, 2, 1, 1, 2), range(1, 9)),
+                                           ((1, 2) * 8, [8])])
+    def test_batches_stack_the_columns_of_their_supports(self, sizes, ks):
+        """Each batch has one stack width, its column rows are the supports'
+        columns in block order, and the batches of a level hold every
+        k-subset once, each width's subsets in lexicographic order."""
+        D = gaussian_dictionary(sizes, 0, 1)
+        for k in ks:
+            seen, width_order = [], []
+            for supports, cols in support_stacks(D, k):
+                assert 0 < len(supports) <= _SUBSET_CHUNK
+                assert cols.shape == (len(supports), cols.shape[1])
+                for support, row in zip(supports.tolist(), cols):
+                    assert np.array_equal(row, D.structure.column_indices(support))
+                seen += map(tuple, supports.tolist())
+                width_order += [cols.shape[1]] * len(supports)
+            assert sorted(seen) == list(itertools.combinations(range(len(sizes)), k))
+            assert seen == sorted(seen, key=lambda s: (sum(sizes[b] for b in s), s))
+            assert width_order == sorted(width_order)
+
+    def test_uncountable_level_rejected(self):
+        """C(70, 35) > 2^63: the int64 unranking keys would wrap."""
+        D = gaussian_dictionary([1] * 70, 0, 0)
+        with pytest.raises(ValueError, match="too many"):
+            next(support_stacks(D, 35))
+
+    @pytest.mark.parametrize("sizes", [(1,) * 20, (1, 2) * 10])
+    def test_level_is_streamed_in_flat_memory(self, sizes):
+        """No array holds the C(20, 10) = 184,756 subsets of the level."""
+        D = gaussian_dictionary(sizes, 0, 2)
+        tracemalloc.start()
+        try:
+            for _ in support_stacks(D, 10):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20

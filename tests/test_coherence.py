@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hsparse.coherence as coherence
-from hsparse.blocks import column_stacks, cross_gram, support_stacks
+from hsparse.blocks import column_stacks, cross_gram
 from hsparse import (BlockDictionary, BlockStructure, block_coherences,
                      coherence_report, cross_block_norm, cross_norm_table, guarantee_check,
                      hilbert_coherence, mutual_hilbert_coherence, spark_exhaustive,
@@ -287,10 +287,11 @@ def test_spark_below_width_bound_matches_oracle(rows, sizes, seed, partners):
 
 
 def svd_only_deficient(D, k, tol):
-    """Reference verdict: the batched SVD of every k-subset stack, no screen."""
-    for _, cols in support_stacks(D, k):
-        s = np.linalg.svd(column_stacks(D, cols), compute_uv=False)
-        if np.any(s[:, -1] <= tol * s[:, 0]):
+    """Reference verdict: the SVD of every k-subset stack, no screen, the
+    subsets listed by itertools rather than by support_stacks."""
+    for support in itertools.combinations(range(D.n_blocks), k):
+        s = np.linalg.svd(D.matrix[:, D.structure.column_indices(support)], compute_uv=False)
+        if s[-1] <= tol * s[0]:
             return True
     return False
 
@@ -301,23 +302,37 @@ def below_width_bound(D):
     return range(1, int(np.count_nonzero(widest <= D.shape[0])) + 1)
 
 
+@st.composite
+def planted_structures(draw):
+    """(rows, sizes, real, partners): 2-7 blocks of 1-3 columns, none wider
+    than rows, whose last partners + 1 blocks stack to at most rows columns,
+    and to at most 2 when real (the real equal-norm V used is 2 x 2)."""
+    rows = draw(st.integers(2, 7))
+    real = draw(st.booleans())
+    room = 2 if real else rows
+    partners = draw(st.integers(1, min(3, room - 1)))
+    planted = []
+    for later in range(partners, -1, -1):   # planted blocks still to draw after this one
+        planted.append(draw(st.integers(1, min(3, room - sum(planted) - later))))
+    others = draw(st.lists(st.integers(1, min(3, rows)), max_size=6 - partners))
+    return rows, others + planted, real, partners
+
+
 @settings(max_examples=60, deadline=None)
-@given(rows=st.integers(2, 7), sizes=st.lists(st.integers(1, 3), min_size=2, max_size=7),
-       seed=st.integers(0, 2**32 - 1), real=st.booleans(), partners=st.integers(1, 3),
+@given(case=planted_structures(), seed=st.integers(0, 2**32 - 1),
        tol=st.sampled_from([coherence.SPARK_DEFICIENCY_TOL, 1e-4, 0.3]),
        factor=st.sampled_from([10.0, 0.1, 1.25, 0.8, 0.0]))
 # Two unit columns at sigma ratio 0.8 tol: their trace-scaled Gram has
 # diagonal 1/2, so a lambda_max bound of the largest diagonal entry proves
 # the pair, which the SVD calls deficient.
-@example(rows=2, sizes=[1, 1], seed=0, real=False, partners=1, tol=0.3, factor=0.8)
-def test_screened_deficiency_matches_svd(rows, sizes, seed, real, partners, tol, factor):
+@example(case=(2, [1, 1], False, 1), seed=0, tol=0.3, factor=0.8)
+def test_screened_deficiency_matches_svd(case, seed, tol, factor):
     """The Cholesky screen changes no verdict.  The last partners + 1 blocks
     are replaced by a stack U diag(1, ..., 1, factor * tol) V^H with V the
     unitary DFT (equal column norms), so their sigma_min / sigma_max sits at
     factor times the cutoff; every k below the width bound is compared."""
+    rows, sizes, real, partners = case
     planted = sum(sizes[-partners - 1:])
-    assume(max(sizes) <= rows and partners < len(sizes) and planted <= rows)
-    assume(not (real and planted > 2))   # the real equal-norm V used is 2 x 2
     rng = np.random.default_rng(seed)
     structure = BlockStructure(tuple(sizes))
     shape = (rows, structure.dim)
@@ -329,10 +344,10 @@ def test_screened_deficiency_matches_svd(rows, sizes, seed, real, partners, tol,
          np.exp(-2j * np.pi * np.outer(np.arange(planted), np.arange(planted)) / planted))
     v = v[:planted, :planted] / np.sqrt(planted)
     mat[:, -planted:] = (u * sigma) @ v.conj().T
-    try:
-        D = BlockDictionary(mat, structure)
-    except ValueError:   # a planted block that is itself not injective
-        assume(False)
+    # Every planted block stays injective at factor 0: its columns are U times
+    # the first planted - 1 rows of V^H on them, a Vandermonde matrix in
+    # distinct nodes (one nonzero column when real).
+    D = BlockDictionary(mat, structure)
     gram = D.matrix.conj().T @ D.matrix
     for k in below_width_bound(D):
         assert coherence._deficient(D, gram, k, tol) == svd_only_deficient(D, k, tol), k
@@ -386,6 +401,43 @@ def test_screen_spares_generic_stacks_the_svd(monkeypatch):
     D = unit_norm_dict(8, 14, 1)
     assert spark_exhaustive(D) == 9
     assert sum(gathered) <= 30
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -300, 2.0 ** 300])
+def test_screen_reads_trace_scaled_gram_tiles(monkeypatch, scale):
+    """Every batch reaches the screen as its Gram tiles divided by their
+    traces, equal entry for entry to gram[cols][:, :, cols] / trace, on a
+    dictionary with mixed block sizes, exact zeros and a real block."""
+    rng = np.random.default_rng(8)
+    mat = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
+    mat[:, :3] = np.eye(6)[:, :3]
+    mat[:, 4] = -mat[:, 4].real
+    D = BlockDictionary(mat * scale, BlockStructure((1, 2, 1, 3, 1, 2)))
+    screened = coherence._screened_deficient
+    seen = []
+
+    def recording(D, cols, tiles, tol):
+        seen.append((cols, tiles.copy()))
+        return screened(D, cols, tiles, tol)
+
+    monkeypatch.setattr(coherence, "_screened_deficient", recording)
+    gram = D.matrix.conj().T @ D.matrix
+    for k in below_width_bound(D):
+        coherence._deficient(D, gram, k, coherence.SPARK_DEFICIENCY_TOL)
+    assert seen
+    for cols, tiles in seen:
+        reference = gram[cols[:, :, None], cols[:, None, :]]
+        reference /= np.einsum("bii->b", reference).real[:, None, None]
+        assert np.array_equal(tiles, reference)
+
+
+@pytest.mark.parametrize("n", [4, 8, 9])
+def test_picket_fence_spark(n):
+    """The identity/DFT pair meets the uncertainty relation's spark bound
+    2 sqrt(n) (rounded up): a picket fence of n / d spikes spaced by a
+    divisor d of n has a DFT of d spikes spaced by n / d, a kernel vector on
+    d + n / d blocks, and d = 2 for n = 4 and 8, 3 for n = 9 reach it."""
+    assert spark_exhaustive(identity_dft_pair(n)) == math.ceil(2 * math.sqrt(n))
 
 
 @pytest.mark.parametrize("tol", [1.0, 1.5, math.inf])
