@@ -21,9 +21,9 @@ from .models import (CorrelationSequence, CrossCorrelationTable, MultiCosetSpec,
                      complex_standard_normal, dirichlet_coherence, fourier_basis,
                      identity_basis, identity_dft_pair, multicoset_matrix,
                      random_block_dictionary, si_mutual_coherence)
-from .recovery import (BpParams, RecoveryResult, SolverContext, guarantee_check,
-                       hbp_solve, hbp_solve_batch, homp, homp_batch,
-                       hp0_exhaustive, hp0_exhaustive_batch)
+from .recovery import (BpParams, RecoveryResult, guarantee_check, hbp_solve,
+                       hbp_solve_batch, homp, homp_batch, hp0_exhaustive,
+                       hp0_exhaustive_batch)
 from .uncertainty import (GupAudit, KernelBound, gup_audit, kernel_sample,
                           kernel_uncertainty_audit, picket_fence)
 
@@ -43,5 +43,5 @@ __all__ = [
     "identity_dft_pair", "kernel_sample",
     "kernel_uncertainty_audit", "multicoset_matrix",
     "mutual_hilbert_coherence", "picket_fence", "random_block_dictionary",
-    "si_mutual_coherence", "SolverContext", "spark_exhaustive", "uniform_structure",
+    "si_mutual_coherence", "spark_exhaustive", "uniform_structure",
 ]

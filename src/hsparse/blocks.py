@@ -11,10 +11,12 @@ tile by its Frobenius norm, an upper bound on its spectral norm, and runs the
 SVD only on the tiles whose bound can still reach the maximum.
 
 Objects keep their arrays read-only and all functions are pure, so objects
-can be shared freely between threads or worker processes.  The Gram and tile
-bounds ``BlockDictionary.cross_gram`` are filled lazily, on first read; their
-value is deterministic, so two threads racing to fill them at worst compute
-them twice.
+can be shared freely between threads or worker processes.  The factors a
+dictionary keeps for the coherence and solver routines (``cross_gram``,
+``pinv`` and the support factors of ``screening_bases``) are filled lazily,
+on first read, and hold no reference back to the dictionary, so they are
+freed with it.  Their values are deterministic, so two threads racing to
+fill one at worst compute it twice.
 """
 
 from __future__ import annotations
@@ -48,6 +50,13 @@ _BOUND_FLOOR = 2.0 ** -537
 # random 64 x 256 dictionaries of 4-column blocks one pair alone leaves up to
 # 19% of the tiles standing, the best of 16 below 9%.
 _FIRST_TILES = 16
+# Bytes of p0 screening bases one dictionary keeps.  A cardinality whose
+# bases would take the total past it is screened from bases computed afresh
+# batch by batch, so memory stays bounded.
+FACTOR_CACHE_BYTES = 32 * 2**20
+# Bytes of one kept support's lookup entry beyond 8 per block: its key and
+# value tuples and its dict slot.
+_FIT_ENTRY_BYTES = 160
 
 
 class NumericalAnomaly(RuntimeError):
@@ -171,7 +180,10 @@ class BlockDictionary:
     bounded away from zero relative to its largest.  Rank-deficient blocks are
     rejected at construction.  Per-block extreme singular values are stored
     since the coherence and recovery routines reuse them heavily; they come
-    from one batched SVD per distinct block size.
+    from one batched SVD per distinct block size.  The factors that every
+    solve on the dictionary can reuse are computed on first use and kept for
+    its lifetime; each is the expression a solver would otherwise evaluate
+    per call, so results are bit-identical whether it is kept or not.
     """
 
     def __init__(self, matrix, structure: BlockStructure):
@@ -201,6 +213,10 @@ class BlockDictionary:
         self.matrix = mat
         self.structure = structure
         self._sigma = sigma
+        # Kept screening bases per cardinality, and per kept support its
+        # (batch of bases, row in the batch); see screening_bases.
+        self._bases: dict[int, list] = {}
+        self._fits: dict[tuple[int, ...], tuple[tuple, int]] = {}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -221,6 +237,74 @@ class BlockDictionary:
     def cross_gram(self) -> "CrossGram":
         """cross_gram(self), built on first read; its arrays are read-only, since it is shared."""
         return cross_gram(self)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """bp's pseudo-inverse of the matrix (RANK_TOL cutoff), built on first read; read-only."""
+        pinv = np.linalg.pinv(self.matrix, rcond=RANK_TOL)
+        pinv.flags.writeable = False
+        return pinv
+
+    def screening_bases(self, k: int):
+        """(supports, stacks, pinv, cond) per batch of ``support_stacks(self, k)``.
+
+        stacks holds the (B, M, w) column stacks, each contiguous; pinv their
+        pseudo-inverses ``np.linalg.pinv(stacks, rcond=RANK_TOL)``, bit for
+        bit those ``block_least_squares`` computes, so ||y - S P y|| is the
+        residual of the least-squares fit on a support; cond is the largest
+        over the smallest singular value above that cutoff.  A cardinality's
+        bases are kept while the dictionary's total stays within
+        FACTOR_CACHE_BYTES; past it they are streamed afresh per call.
+        """
+        if k in self._bases:
+            return self._bases[k]
+        bases = (_screening_basis(supports, column_stacks(self, cols))
+                 for supports, cols in support_stacks(self, k))
+        # list() copies the keys in one step, so a thread keeping another
+        # cardinality meanwhile cannot break the iteration.
+        kept = sum(_bases_bytes(self, j) for j in list(self._bases))
+        if kept + _bases_bytes(self, k) > FACTOR_CACHE_BYTES:
+            return bases
+        bases = list(bases)
+        for chunk in bases:
+            for row, support in enumerate(chunk[0].tolist()):
+                self._fits[tuple(support)] = chunk, row
+        self._bases[k] = bases
+        return bases
+
+    def least_squares(self, support: tuple[int, ...],
+                      yv: np.ndarray) -> tuple[np.ndarray, float]:
+        """``block_least_squares`` of the sorted, valid support and the
+        validated measurement yv, bit for bit, from ``factors``:
+        (coefficients, residual norm)."""
+        return _fit_factored(self, support, yv, *self.factors([support])[0])
+
+    def factors(self, supports) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(stack, pseudo-inverse) of each sorted, valid support, as
+        ``_fit_factored`` takes them.
+
+        A support whose cardinality ``screening_bases`` keeps reads its kept
+        pair.  The others are factored here, those of one stack width
+        together in one batched ``_screening_basis``, bit for bit as
+        ``block_least_squares`` factors one alone; they are not kept.
+        """
+        factors: list = [None] * len(supports)
+        misses: dict[int, list[int]] = {}
+        for i, support in enumerate(supports):
+            hit = self._fits.get(support)
+            if hit is None:
+                width = sum(self.structure.sizes[b] for b in support)
+                misses.setdefault(width, []).append(i)
+            else:
+                (_, stacks, pinv, _), row = hit
+                factors[i] = stacks[row], pinv[row]
+        for at in misses.values():
+            cols = np.array([self.structure.column_indices(supports[i]) for i in at])
+            _, stacks, pinv, _ = _screening_basis([supports[i] for i in at],
+                                                  column_stacks(self, cols))
+            for row, i in enumerate(at):
+                factors[i] = stacks[row], pinv[row]
+        return factors
 
     def measurement(self, y) -> np.ndarray:
         """y as a flat complex vector with one entry per row, all finite."""
@@ -530,3 +614,24 @@ def _subset_tables(sizes: tuple[int, ...], k: int):
 def column_stacks(D: BlockDictionary, cols: np.ndarray) -> np.ndarray:
     """The (B, M, w) stacks of D's columns named by the rows of a (B, w) index array."""
     return np.moveaxis(D.matrix[:, cols], 1, 0)
+
+
+def _screening_basis(supports, stacks):
+    stacks = np.ascontiguousarray(stacks)
+    # np.linalg.pinv(stacks, rcond=RANK_TOL) step by step, which keeps the
+    # singular values that cond needs.
+    u, s, vh = np.linalg.svd(stacks.conj(), full_matrices=False)
+    kept = s > RANK_TOL * s[:, :1]
+    inverse = np.divide(1, s, where=kept, out=np.zeros_like(s))
+    pinv = np.swapaxes(vh, 1, 2) @ (inverse[:, :, None] * np.swapaxes(u, 1, 2))
+    cond = s[:, 0] / np.where(kept, s, np.inf).min(axis=1)
+    return supports, stacks, pinv, cond
+
+
+def _bases_bytes(D: BlockDictionary, k: int) -> int:
+    """Upper bound on the bytes of the screening bases of all k-subsets:
+    stack and pseudo-inverse, supports and cond, and the lookup entry."""
+    rows = D.shape[0]
+    widest = sum(sorted(D.structure.sizes)[-k:])
+    return math.comb(D.n_blocks, k) * (2 * rows * widest * 16 + 8 * (k + 1)
+                                       + _FIT_ENTRY_BYTES + 8 * k)

@@ -218,11 +218,12 @@ def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
     trivial (numerically {0}).
 
     Each probe screens its stacks first: a batched Cholesky factorisation of
-    their Gram tiles, gathered from one D^H D per call, proves full rank
-    every stack whose determinant bound on sigma_min^2 / sigma_max^2 clears
-    tol^2 by more than the rounding.  The bound needs that ratio above about
-    1e-7, so it proves nothing the SVD would call deficient; only the stacks
-    it leaves unproven are gathered and go to the batched SVD, which decides.
+    their Gram tiles, gathered from the D^H D that ``D.cross_gram`` keeps,
+    proves full rank every stack whose determinant bound on
+    sigma_min^2 / sigma_max^2 clears tol^2 by more than the rounding.  The
+    bound needs that ratio above about 1e-7, so it proves nothing the SVD
+    would call deficient; only the stacks it leaves unproven are gathered and
+    go to the batched SVD, which decides.
     """
     if not tol >= 0:   # also rejects NaN
         raise ValueError("tolerance must be nonnegative")
@@ -231,7 +232,7 @@ def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
     n = D.n_blocks
     if n > cap:
         raise ValueError("exhaustive spark infeasible; raise cap explicitly")
-    gram = D.matrix.conj().T @ D.matrix
+    gram = D.cross_gram.gram
     wide = np.flatnonzero(np.cumsum(sorted(D.structure.sizes, reverse=True)) > D.shape[0])
     if wide.size == 0 and not _deficient(D, gram, n, tol):
         return None

@@ -20,8 +20,8 @@ from .coherence import SPARK_ENUMERATION_CAP, coherence_report
 from .io import exact_number
 from .models import (MultiCosetSpec, complex_standard_normal, identity_dft_pair,
                      multicoset_matrix, random_block_dictionary)
-from .recovery import (BpParams, RecoveryResult, SolverContext, hbp_solve_batch,
-                       homp_batch, hp0_exhaustive_batch)
+from .recovery import (BpParams, RecoveryResult, hbp_solve_batch, homp_batch,
+                       hp0_exhaustive_batch)
 # bench/spans.py times the per-solve names it finds in this module.
 from .recovery import hbp_solve, homp, hp0_exhaustive  # noqa: F401
 
@@ -184,8 +184,7 @@ def plant_signal(D: BlockDictionary, s: int, master_seed: int,
 
 def run_algorithm(algo: str, D: BlockDictionary, ys, tolerances: dict,
                   cap: int = SPARK_ENUMERATION_CAP, max_cardinality: int | None = None,
-                  h1_references=None,
-                  context: SolverContext | None = None) -> list[RecoveryResult]:
+                  h1_references=None) -> list[RecoveryResult]:
     """Solve each measurement in ys with solver ``algo``, given the options
     ``tolerances`` sets for it (see TOLERANCE_KEYS); options not given keep
     the solver's default.  Returns one result per measurement, in order.
@@ -193,23 +192,18 @@ def run_algorithm(algo: str, D: BlockDictionary, ys, tolerances: dict,
     Each algorithm gets all measurements in one batched call:
     ``hp0_exhaustive_batch``, ``homp_batch``, or ``hbp_solve_batch`` with
     ``h1_references`` (one per measurement, or None) qualifying its results
-    as "exact".  ``context`` is a SolverContext built for D and shared by
-    every call on D (a sweep keeps one for its whole run): it holds the
-    factors that depend only on D (p0's stacks and their pseudo-inverses,
-    within recovery.CONTEXT_CACHE_BYTES, which p0's refits and omp's steps
-    also read; bp's pseudo-inverse; omp's adjoint), each computed on first
-    use.  Without one, each solver call builds a throwaway context.
+    as "exact".
     """
     opts = {param: exact_number(key, tolerances[key], kind)
             for key, (owner, param, kind) in TOLERANCE_KEYS.items()
             if owner == algo and key in tolerances}
     if algo == "p0":
         return hp0_exhaustive_batch(D, ys, cap=cap, max_cardinality=max_cardinality,
-                                    context=context, **opts)
+                                    **opts)
     if algo == "omp":
-        return homp_batch(D, ys, context=context, **opts)
+        return homp_batch(D, ys, **opts)
     if algo == "bp":
-        return hbp_solve_batch(D, ys, BpParams(**opts), h1_references, context=context)
+        return hbp_solve_batch(D, ys, BpParams(**opts), h1_references)
     raise ValueError(f"unknown algorithm: {algo!r}")
 
 
@@ -225,18 +219,17 @@ def evaluate_trial(result: RecoveryResult, truth: BlockVector,
 def run_phase_transition(config: ExperimentConfig) -> list[TrialRecord]:
     """Run the sweep; write CSV and a JSON sidecar when config.out is set.
 
-    All solves share one SolverContext, so the factors that depend only on
-    the dictionary are computed once per sweep rather than once per trial.
-    The trials of a level are planted together, at most _TRIAL_BATCH at a
-    time, and each algorithm gets them in one ``run_algorithm`` call, so
-    every solver runs them as one batch.
+    All solves read the factors that depend only on the dictionary from D,
+    so they are computed once per sweep rather than once per trial.  The
+    trials of a level are planted together, at most _TRIAL_BATCH at a time,
+    and each algorithm gets them in one ``run_algorithm`` call, so every
+    solver runs them as one batch.
     """
     D = build_dictionary(config.dictionary)
     n = D.n_blocks
     if config.s_max > n:
         raise ValueError(f"s_max {config.s_max} exceeds {n} blocks")
     records: list[TrialRecord] = []
-    context = SolverContext(D)
     # p0 first so its objectives can qualify the relaxation results as exact.
     order = [a for a in ("p0", "omp", "bp") if a in config.algorithms]
 
@@ -248,8 +241,7 @@ def run_phase_transition(config: ExperimentConfig) -> list[TrialRecord]:
             h1_refs = None
             for algo in order:
                 results = run_algorithm(algo, D, ys, config.tolerances, cap=n,
-                                        max_cardinality=s, h1_references=h1_refs,
-                                        context=context)
+                                        max_cardinality=s, h1_references=h1_refs)
                 if algo == "p0":
                     h1_refs = [h1_norm(result.solution) for result in results]
                 for trial, (truth, support), result in zip(trials, planted, results):

@@ -12,9 +12,9 @@ Three solvers for y = Phi v with v occupying few blocks:
   correlations, one loop over a batch of measurements; ``homp`` is its
   batch of one.
 
-All three read the factors that depend only on the dictionary from a
-``SolverContext``; a sweep shares one across its trials, and a solver given
-none builds a throwaway one.
+All three read the factors that depend only on the dictionary from the
+``BlockDictionary`` itself, which keeps them from the first solve on for
+every later one.
 
 ``guarantee_check`` evaluates the two sufficient conditions (spark-based and
 coherence-based) under which all three provably return the planted signal.
@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .blocks import (RANK_TOL, ZERO_BLOCK_TOL, BlockDictionary, BlockStructure,
-                     BlockVector, _fit_factored, column_stacks, h1_norm,
-                     support_stacks)
+from .blocks import (ZERO_BLOCK_TOL, BlockDictionary, BlockStructure, BlockVector,
+                     _fit_factored, h1_norm)
 # bench/spans.py times the least-squares calls it finds in this module.
 from .blocks import block_least_squares  # noqa: F401
 from .coherence import SPARK_ENUMERATION_CAP, CoherenceReport
@@ -49,13 +47,6 @@ BP_RANGE_TOL = 1e-9
 # Multiple of eps * cond * ||y|| by which p0's batched screen may understate
 # the residual of the per-support refit that decides feasibility.
 _SCREEN_ROUNDING = 100.0
-# Bytes of p0 screening bases one SolverContext keeps.  A cardinality whose
-# bases would take the total past it is screened from bases computed afresh
-# chunk by chunk, as without a context, so memory stays bounded.
-CONTEXT_CACHE_BYTES = 32 * 2**20
-# Bytes of one kept support's lookup entry beyond 8 per block: its key and
-# value tuples and its dict slot.
-_FIT_ENTRY_BYTES = 160
 # Bytes of the (B, M, T) residual one p0 screening product may build; the
 # open trials of a level are screened in slices that fit it.
 _SCREEN_BYTES = 4 * 2**20
@@ -96,134 +87,6 @@ class BpParams:
             raise ValueError("max_iter must be at least 1")
 
 
-class SolverContext:
-    """Factors of one dictionary that every solve on it can reuse.
-
-    Each factor is computed on first use and kept for the context's
-    lifetime; a sweep builds one per dictionary and passes it to every solve.
-    Filling is not locked, so each thread needs its own context.  Results
-    are bit-identical with or without sharing, because each factor is the
-    expression the solver would otherwise evaluate per call:
-
-    * ``screening_bases(k)``: p0's batched stacks and pseudo-inverses for
-      every k-subset of blocks.  Kept while the context's total stays within
-      CONTEXT_CACHE_BYTES; past it they are streamed afresh per call;
-    * ``least_squares(support, yv)``: p0's least-squares fit on one
-      support, read from the kept pseudo-inverse of that support when its
-      cardinality's bases are kept, so a refit factors no support p0 has kept;
-    * ``factors(supports)``: the stacks and pseudo-inverses of omp's
-      supports at one step, read the same way, the rest factored together
-      and not kept;
-    * ``pinv``: bp's pseudo-inverse of the whole matrix;
-    * ``adjoint``: omp's conjugate transpose of the matrix; the block
-      ``sigma_min`` it also reads is stored on the dictionary.
-    """
-
-    def __init__(self, D: BlockDictionary):
-        self.dictionary = D
-        self._bases: dict[int, list] = {}
-        # Support tuple -> (its chunk of kept bases, its row in the chunk).
-        self._fits: dict[tuple[int, ...], tuple[tuple, int]] = {}
-        self._cached_bytes = 0
-
-    @cached_property
-    def pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.dictionary.matrix, rcond=RANK_TOL)
-
-    @cached_property
-    def adjoint(self) -> np.ndarray:
-        return self.dictionary.matrix.conj().T
-
-    def screening_bases(self, k: int):
-        """(supports, stacks, pinv, cond) per chunk of ``support_stacks(D, k)``.
-
-        stacks holds the (B, M, w) column stacks, each contiguous; pinv their
-        pseudo-inverses ``np.linalg.pinv(stacks, rcond=RANK_TOL)``, bit for
-        bit those ``block_least_squares`` computes, so ||y - S P y|| is the
-        residual of the least-squares fit on a support; cond is the largest
-        over the smallest singular value above that cutoff.
-        """
-        if k in self._bases:
-            return self._bases[k]
-        D = self.dictionary
-        bases = (_screening_basis(supports, column_stacks(D, cols))
-                 for supports, cols in support_stacks(D, k))
-        need = _bases_bytes(D, k)
-        if self._cached_bytes + need > CONTEXT_CACHE_BYTES:
-            return bases
-        self._bases[k] = list(bases)
-        self._cached_bytes += need
-        for chunk in self._bases[k]:
-            for row, support in enumerate(chunk[0].tolist()):
-                self._fits[tuple(support)] = chunk, row
-        return self._bases[k]
-
-    def least_squares(self, support: tuple[int, ...],
-                      yv: np.ndarray) -> tuple[np.ndarray, float]:
-        """``block_least_squares`` of the sorted, valid support and the
-        validated measurement yv, bit for bit, from ``factors``:
-        (coefficients, residual norm)."""
-        return _fit_factored(self.dictionary, support, yv, *self.factors([support])[0])
-
-    def factors(self, supports) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(stack, pseudo-inverse) of each sorted, valid support, as
-        ``blocks._fit_factored`` takes them.
-
-        A support whose cardinality ``screening_bases`` keeps reads its kept
-        pair.  The others are factored here, those of one stack width
-        together in one batched ``_screening_basis``, bit for bit as
-        ``block_least_squares`` factors one alone; they are not kept.
-        """
-        D = self.dictionary
-        factors: list = [None] * len(supports)
-        misses: dict[int, list[int]] = {}
-        for i, support in enumerate(supports):
-            hit = self._fits.get(support)
-            if hit is None:
-                width = sum(D.structure.sizes[b] for b in support)
-                misses.setdefault(width, []).append(i)
-            else:
-                (_, stacks, pinv, _), row = hit
-                factors[i] = stacks[row], pinv[row]
-        for at in misses.values():
-            cols = np.array([D.structure.column_indices(supports[i]) for i in at])
-            _, stacks, pinv, _ = _screening_basis([supports[i] for i in at],
-                                                  column_stacks(D, cols))
-            for row, i in enumerate(at):
-                factors[i] = stacks[row], pinv[row]
-        return factors
-
-
-def _context_for(D: BlockDictionary, context: SolverContext | None) -> SolverContext:
-    """context, checked to belong to D, or a throwaway one for D."""
-    if context is None:
-        return SolverContext(D)
-    if context.dictionary is not D:
-        raise ValueError("solver context belongs to another dictionary")
-    return context
-
-
-def _screening_basis(supports, stacks):
-    stacks = np.ascontiguousarray(stacks)
-    # np.linalg.pinv(stacks, rcond=RANK_TOL) step by step, which keeps the
-    # singular values that cond needs.
-    u, s, vh = np.linalg.svd(stacks.conj(), full_matrices=False)
-    kept = s > RANK_TOL * s[:, :1]
-    inverse = np.divide(1, s, where=kept, out=np.zeros_like(s))
-    pinv = np.swapaxes(vh, 1, 2) @ (inverse[:, :, None] * np.swapaxes(u, 1, 2))
-    cond = s[:, 0] / np.where(kept, s, np.inf).min(axis=1)
-    return supports, stacks, pinv, cond
-
-
-def _bases_bytes(D: BlockDictionary, k: int) -> int:
-    """Upper bound on the bytes of the screening bases of all k-subsets:
-    stack and pseudo-inverse, supports and cond, and the lookup entry."""
-    rows = D.shape[0]
-    widest = sum(sorted(D.structure.sizes)[-k:])
-    return math.comb(D.n_blocks, k) * (2 * rows * widest * 16 + 8 * (k + 1)
-                                       + _FIT_ENTRY_BYTES + 8 * k)
-
-
 def _support_of(v: BlockVector, tol: float) -> tuple[int, ...]:
     norms = v.block_norms()
     return tuple(int(i) for i in np.flatnonzero(norms > tol))
@@ -239,17 +102,15 @@ def _result(D: BlockDictionary, solution: BlockVector, y: np.ndarray,
 
 def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
                    cap: int = SPARK_ENUMERATION_CAP,
-                   max_cardinality: int | None = None, *,
-                   context: SolverContext | None = None) -> RecoveryResult:
+                   max_cardinality: int | None = None) -> RecoveryResult:
     """Fewest-occupied-blocks recovery by exhaustive support search:
     ``hp0_exhaustive_batch`` of the one measurement y (see there)."""
-    return hp0_exhaustive_batch(D, [y], tol, cap, max_cardinality, context=context)[0]
+    return hp0_exhaustive_batch(D, [y], tol, cap, max_cardinality)[0]
 
 
 def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
                          cap: int = SPARK_ENUMERATION_CAP,
-                         max_cardinality: int | None = None, *,
-                         context: SolverContext | None = None) -> list[RecoveryResult]:
+                         max_cardinality: int | None = None) -> list[RecoveryResult]:
     """Fewest-occupied-blocks recovery of each measurement in ys by
     exhaustive support search, all of them screened together.
 
@@ -267,13 +128,13 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
     pseudo-inverses P (RANK_TOL cutoff) and the open columns of Y, taken in
     slices of trials that keep R within _SCREEN_BYTES.  Supports that pass,
     with an allowance for the rounding of the batched product, are refitted
-    by ``context.least_squares`` in lexicographic order and admitted on that
+    by ``D.least_squares`` in lexicographic order and admitted on that
     refit's residual alone; refitting stops at the first admitted solution
     farther than tol from an earlier one, which settles "non-unique".
-    S and P come from ``context.screening_bases``, so a shared context
-    factors each support once for all measurements and refits, as long as
-    they fit in CONTEXT_CACHE_BYTES; larger ones are recomputed on every
-    call and their refits factor the support afresh.  Every measurement
+    S and P come from ``D.screening_bases``, so D factors each support once
+    for all measurements, refits and later calls, as long as they fit in
+    blocks.FACTOR_CACHE_BYTES; larger ones are recomputed on every call and
+    their refits factor the support afresh.  Every measurement
     gets its own RecoveryResult, in the order of ys, equal bit for bit to
     a search for it alone.
     """
@@ -282,7 +143,6 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
         raise ValueError("exhaustive search infeasible; raise cap explicitly")
     if not tol >= 0:   # also rejects NaN
         raise ValueError("tol must be nonnegative")
-    context = _context_for(D, context)
     yvs = [D.measurement(y) for y in ys]
     y_norms = np.array([float(np.linalg.norm(yv)) for yv in yvs])
     feas_tols = tol * np.maximum(y_norms, 1.0)
@@ -302,11 +162,11 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
             break
         evaluated += math.comb(n, k)
         Y = np.stack([yvs[j] for j in open_trials], axis=1)
-        passing = _screen(context.screening_bases(k), Y, y_norms[open_trials],
+        passing = _screen(D.screening_bases(k), Y, y_norms[open_trials],
                           feas_tols[open_trials])
         still_open = []
         for j, candidates in zip(open_trials, passing):
-            found = _refit(context, sorted(candidates), yvs[j], feas_tols[j], tol)
+            found = _refit(D, sorted(candidates), yvs[j], feas_tols[j], tol)
             if found is None:
                 still_open.append(j)
             else:
@@ -336,13 +196,13 @@ def _screen(bases, Y: np.ndarray, y_norms: np.ndarray,
     return passing
 
 
-def _refit(context: SolverContext, candidates, yv: np.ndarray, feas_tol: float,
+def _refit(D: BlockDictionary, candidates, yv: np.ndarray, feas_tol: float,
            tol: float) -> tuple[np.ndarray, str] | None:
     """(solution, status) of the first feasible refit among the sorted
     candidates, or None when none is feasible; see hp0_exhaustive_batch."""
     feasible: list[np.ndarray] = []
     for support in candidates:
-        coeffs, residual = context.least_squares(support, yv)
+        coeffs, residual = D.least_squares(support, yv)
         if residual > feas_tol:
             continue
         if any(float(np.linalg.norm(a - coeffs)) > tol for a in feasible):
@@ -352,22 +212,20 @@ def _refit(context: SolverContext, candidates, yv: np.ndarray, feas_tol: float,
 
 
 def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None,
-              h1_reference: float | None = None, *,
-              context: SolverContext | None = None) -> RecoveryResult:
+              h1_reference: float | None = None) -> RecoveryResult:
     """Mixed-norm minimization subject to Phi u = y: ``hbp_solve_batch``
     of the one measurement y (see there)."""
-    return hbp_solve_batch(D, [y], params, [h1_reference], context=context)[0]
+    return hbp_solve_batch(D, [y], params, [h1_reference])[0]
 
 
 def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
-                    h1_references=None, *,
-                    context: SolverContext | None = None) -> list[RecoveryResult]:
+                    h1_references=None) -> list[RecoveryResult]:
     """Mixed-norm minimization subject to Phi u = y for each measurement in
     ys, by one splitting loop over the columns of Y = [y_1 ... y_T].
 
     Each column alternates (1) projection of the current point onto its
-    affine feasible set through the pseudo-inverse ``context.pinv``
-    (computed once per context), (2) blockwise shrinkage
+    affine feasible set through the pseudo-inverse ``D.pinv``
+    (computed once per dictionary), (2) blockwise shrinkage
     w_i = max(0, 1 - 1/(rho ||t_i||)) t_i of t = u + lambda (the proximal
     step of the sum-of-block-norms objective; the complex block is scaled by
     a real factor), and (3) the multiplier update lambda += u - w.  A column
@@ -397,7 +255,7 @@ def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
     if len(h1_references) != len(ys):
         raise ValueError(f"{len(h1_references)} h1 references for {len(ys)} measurements")
     mat = D.matrix
-    pinv = _context_for(D, context).pinv
+    pinv = D.pinv
     sizes = np.asarray(D.structure.sizes)
 
     def prox(t: np.ndarray) -> np.ndarray:
@@ -462,16 +320,14 @@ def _bp_support_tol(u: np.ndarray, structure: BlockStructure) -> float:
 
 
 def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
-         max_iter: int | None = None, *,
-         context: SolverContext | None = None) -> RecoveryResult:
+         max_iter: int | None = None) -> RecoveryResult:
     """Greedy block pursuit of the one measurement y: ``homp_batch`` of [y]
     (see there)."""
-    return homp_batch(D, [y], tol_res, max_iter, context=context)[0]
+    return homp_batch(D, [y], tol_res, max_iter)[0]
 
 
 def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
-               max_iter: int | None = None, *,
-               context: SolverContext | None = None) -> list[RecoveryResult]:
+               max_iter: int | None = None) -> list[RecoveryResult]:
     """Greedy block pursuit with injectivity-weighted selection of each
     measurement in ys, by one loop over the trials still running.
 
@@ -482,12 +338,12 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
     updates the residual.  A trial stops once ||r|| <= tol_res * max(||y||, 1);
     running out of iterations or blocks gives status "max-iterations".
 
-    Each running trial's correlations are its own product of
-    ``context.adjoint`` with its residual, so its pick is that of a pursuit
-    of it alone, ties included; one block-norm pass then weighs them all.
-    The pseudo-inverses of the enlarged supports come from
-    ``context.factors`` (kept by p0, or factored in one batched SVD per
-    stack width).  Each trial's fit, residual and stop test stay its own, so
+    Each running trial's correlations are its own product of the adjoint
+    D^H, taken once per call, with its residual, so its pick is that of a
+    pursuit of it alone, ties included; one block-norm pass then weighs them
+    all.  The pseudo-inverses of the enlarged supports come from
+    ``D.factors`` (kept by p0, or factored in one batched SVD per stack
+    width).  Each trial's fit, residual and stop test stay its own, so
     every trial gets its own RecoveryResult, in the order of ys, equal bit
     for bit to a pursuit of it alone.
     """
@@ -497,10 +353,9 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
         raise ValueError("max_iter must be at least 1")
     if not tol_res >= 0:   # also rejects NaN
         raise ValueError("tol_res must be nonnegative")
-    context = _context_for(D, context)
     yvs = [D.measurement(y) for y in ys]
     stops = [tol_res * max(float(np.linalg.norm(yv)), 1.0) for yv in yvs]
-    adjoint, smin = context.adjoint, D.block_sigma_min()[:, None]
+    adjoint, smin = D.matrix.conj().T, D.block_sigma_min()[:, None]
     solutions = [np.zeros(D.structure.dim, dtype=np.complex128) for _ in yvs]
     residuals = [yv.copy() for yv in yvs]
     selected: list[list[int]] = [[] for _ in yvs]
@@ -525,7 +380,7 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
         for j, pick in zip(running, np.argmax(weights, axis=0).tolist()):
             selected[j].append(pick)
         supports = [tuple(sorted(selected[j])) for j in running]
-        for j, support, (stack, pinv) in zip(running, supports, context.factors(supports)):
+        for j, support, (stack, pinv) in zip(running, supports, D.factors(supports)):
             solutions[j], _ = _fit_factored(D, support, yvs[j], stack, pinv)
             residuals[j] = yvs[j] - D.matrix @ solutions[j]
     return [_result(D, BlockVector(solution, D.structure), yv, len(chosen), outcome)

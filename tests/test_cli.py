@@ -124,9 +124,10 @@ class TestRecover:
 
     @pytest.mark.parametrize("algo", ["p0", "omp", "bp"])
     def test_recover_matches_experiment(self, algo, tmp_path, capsys, monkeypatch):
-        """Every planted measurement of a sweep, whose solves share one solver
-        context and whose bp solves run a level at a time, gets the status
-        and iterations from recover that it got in the sweep."""
+        """Every planted measurement of a sweep, whose solves share the
+        factors its dictionary keeps and whose bp solves run a level at a
+        time, gets the status and iterations from recover that it got in the
+        sweep."""
         solve, seen = experiments.run_algorithm, []
 
         def capture(*args, **kw):

@@ -166,6 +166,42 @@ class TestBlockCoherences:
             block_coherences(D)
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), n=st.integers(2, 6), extra_rows=st.integers(0, 6),
+       tight=st.booleans(), spread=st.floats(0.0, 0.9), scale=st.floats(0.25, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_subspace_coherence_within_composite(d, n, extra_rows, tight, spread, scale, seed):
+    """mu_h <= mu_hat on uniform blocks with equal column norms.
+
+    With unit columns, sigma_min(D_i)^2 >= 1 - (d-1) nu (Gershgorin) and
+    ||D_i^H D_j|| <= d mu_block, which gives the bound.  A tight dictionary
+    gives every block the Gram (1 + c) I - c 11^T with c = spread / (d-1):
+    its least eigenvalue is 1 - (d-1) c = 1 - (d-1) nu, so both steps are
+    equalities and mu_h = mu_hat.  The others perturb orthonormal blocks by
+    spread and rescale their columns.
+    """
+    rng = np.random.default_rng(seed)
+    rows = d + extra_rows
+    blocks = []
+    for _ in range(n):
+        g = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+        q = np.linalg.qr(g)[0]
+        if tight:
+            c = spread / max(d - 1, 1)
+            w, v = np.linalg.eigh((1 + c) * np.eye(d) - c * np.ones((d, d)))
+            blocks.append(q @ (v * np.sqrt(w)) @ v.T)
+        else:
+            b = q + spread * g / np.sqrt(2 * rows)
+            blocks.append(b / np.linalg.norm(b, axis=0))
+    D = BlockDictionary(scale * np.hstack(blocks), BlockStructure((d,) * n))
+    rep = coherence_report(D, compute_spark=False)
+    assert rep.mu_hat is not None or not tight
+    if rep.mu_hat is not None:
+        assert rep.mu_h <= rep.mu_hat * (1 + 1e-9)
+    if tight:
+        assert rep.mu_h == pytest.approx(rep.mu_hat, rel=1e-9)
+
+
 class TestSparkExhaustive:
     def test_identity_has_trivial_kernel(self):
         D = BlockDictionary(np.eye(4), uniform_structure(4))

@@ -1,11 +1,16 @@
+import gc
 import itertools
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hsparse.blocks as blocks
 import hsparse.recovery as recovery
 from hsparse import (BlockDictionary, BlockStructure, BpParams, BlockVector,
                      ZERO_BLOCK_TOL, coherence_report, complex_standard_normal,
@@ -57,9 +62,9 @@ class TestHp0:
         # A generic measurement in 6 rows is fitted exactly by every one of the
         # C(14, 6) = 3,003 supports of size 6; the second refit already differs
         # from the first, which settles "non-unique".
-        fit = recovery.SolverContext.least_squares
+        fit = BlockDictionary.least_squares
         calls = []
-        monkeypatch.setattr(recovery.SolverContext, "least_squares",
+        monkeypatch.setattr(BlockDictionary, "least_squares",
                             lambda *args: calls.append(args) or fit(*args))
         D = random_block_dictionary(6, (1,) * 14, 3)
         r = hp0_exhaustive(D, np.random.default_rng(5).standard_normal(6))
@@ -172,7 +177,7 @@ def test_p0_batch_matches_per_support_reference(budget, rows, sizes, seed, depth
     ys = [ys[i] for i in rng.permutation(len(ys))]
     with pytest.MonkeyPatch.context() as patch:
         if budget == "streamed":
-            patch.setattr(recovery, "CONTEXT_CACHE_BYTES", 0)
+            patch.setattr(blocks, "FACTOR_CACHE_BYTES", 0)
         if budget == "sliced":
             patch.setattr(recovery, "_SCREEN_BYTES", 0)
         batch = recovery.hp0_exhaustive_batch(D, ys, max_cardinality=depth)
@@ -200,18 +205,17 @@ def dictionaries_with_deficient_stacks():
 def test_context_least_squares_matches_block_least_squares(D, monkeypatch):
     """A support of a kept cardinality is fitted from the kept pseudo-inverse
     and any other afresh; both give block_least_squares bit for bit."""
-    context = recovery.SolverContext(D)
     for k in (1, 2):
-        context.screening_bases(k)
+        D.screening_bases(k)
     fresh = []
-    basis = recovery._screening_basis
-    monkeypatch.setattr(recovery, "_screening_basis",
+    basis = blocks._screening_basis
+    monkeypatch.setattr(blocks, "_screening_basis",
                         lambda *args: fresh.extend(args[0]) or basis(*args))
     rng = np.random.default_rng(0)
     yv = rng.standard_normal(D.shape[0]) + 1j * rng.standard_normal(D.shape[0])
     supports = [c for k in (1, 2, 3) for c in itertools.combinations(range(D.n_blocks), k)]
     for support in supports:
-        coeffs, residual = context.least_squares(support, yv)
+        coeffs, residual = D.least_squares(support, yv)
         expected, expected_residual = recovery.block_least_squares(D, support, yv)
         assert np.array_equal(coeffs, expected.entries), support
         assert residual == expected_residual, support
@@ -394,18 +398,19 @@ def test_homp_matches_checked_steps_bit_for_bit(seed):
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_homp_through_p0_context_matches_fresh(depth):
-    """omp steps read the pseudo-inverses p0 kept (supports up to depth)
-    and factor deeper ones afresh; both match a fresh homp bit for bit."""
+    """omp steps read the pseudo-inverses p0 kept on the dictionary
+    (supports up to depth) and factor deeper ones afresh; both match homp on
+    a fresh copy of the dictionary bit for bit."""
     rng = np.random.default_rng(depth)
     dictionaries = dictionaries_with_deficient_stacks()
     dictionaries.append(random_block_dictionary(12, (1, 2, 1, 3, 2, 1, 1, 2, 1, 2), 5))
     for D in dictionaries:
         ys = [planted(D, sorted(rng.choice(D.n_blocks, s, replace=False)), seed)[1]
               for s, seed in [(1, 0), (2, 1), (3, 2), (4, 3)]]
-        context = recovery.SolverContext(D)
-        recovery.hp0_exhaustive_batch(D, ys, max_cardinality=depth, context=context)
+        recovery.hp0_exhaustive_batch(D, ys, max_cardinality=depth)
+        copy = BlockDictionary(D.matrix, D.structure)
         for y in ys:
-            got, fresh = homp(D, y, context=context), homp(D, y)
+            got, fresh = homp(D, y), homp(copy, y)
             assert np.array_equal(got.solution.entries, fresh.solution.entries)
             assert (got.iterations, got.status, got.residual_norm) == (
                 fresh.iterations, fresh.status, fresh.residual_norm)
@@ -422,7 +427,7 @@ def test_homp_batch_matches_checked_steps(through_p0, rows, sizes, uniform, max_
     of the checked per-measurement loop.  Unstructured measurements on a
     tall dictionary select every block; a small max_iter stops others early.
     Non-uniform blocks put supports of several stack widths in one step,
-    and a context p0 filled to depth 2 serves some steps from its kept
+    and a dictionary p0 filled to depth 2 serves some steps from its kept
     pseudo-inverses while deeper ones are factored in the batch."""
     if uniform:
         sizes = [sizes[0]] * len(sizes)
@@ -439,11 +444,10 @@ def test_homp_batch_matches_checked_steps(through_p0, rows, sizes, uniform, max_
         ys.append(planted(D, sorted(rng.choice(len(sizes), s, replace=False)),
                           seed=int(rng.integers(1000)))[1])
     ys = [ys[i] for i in rng.permutation(len(ys))]
-    context = recovery.SolverContext(D)
     if through_p0:
-        hp0_exhaustive_batch(D, ys, max_cardinality=2, context=context)
+        hp0_exhaustive_batch(D, ys, max_cardinality=2)
 
-    assert_batch_matches_checked_steps(D, ys, max_iter, context)
+    assert_batch_matches_checked_steps(D, ys, max_iter)
 
 
 @pytest.mark.parametrize("max_iter", [1, None])
@@ -463,11 +467,11 @@ def test_homp_batch_ties_match_checked_steps(n, max_iter):
         ys.append(y)
     rng = np.random.default_rng(n)
     ys += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
-    assert_batch_matches_checked_steps(D, ys, max_iter, recovery.SolverContext(D))
+    assert_batch_matches_checked_steps(D, ys, max_iter)
 
 
-def assert_batch_matches_checked_steps(D, ys, max_iter, context):
-    batch = homp_batch(D, ys, max_iter=max_iter, context=context)
+def assert_batch_matches_checked_steps(D, ys, max_iter):
+    batch = homp_batch(D, ys, max_iter=max_iter)
     assert len(batch) == len(ys)
     for y, got in zip(ys, batch):
         solution, iterations, status = homp_checked_steps(D, y, max_iter=max_iter)
@@ -477,19 +481,25 @@ def assert_batch_matches_checked_steps(D, ys, max_iter, context):
         assert got.residual_norm == float(np.linalg.norm(y - D.matrix @ solution.entries))
 
 
-SOLVERS = {"p0": hp0_exhaustive, "bp": hbp_solve, "omp": homp}
+def solve(algo, D, y, depth):
+    """One solve of y on D: p0 searches to depth, bp stops after 300 steps."""
+    if algo == "p0":
+        return hp0_exhaustive(D, y, max_cardinality=depth)
+    if algo == "bp":
+        return hbp_solve(D, y, BpParams(max_iter=300))
+    return homp(D, y)
 
 
 @pytest.mark.parametrize("streamed", [False, True], ids=["cached", "streamed"])
 @settings(max_examples=20, deadline=None)
-@given(algo=st.sampled_from(sorted(SOLVERS)), rows=st.integers(2, 5),
+@given(algo=st.sampled_from(["bp", "omp", "p0"]), rows=st.integers(2, 5),
        sizes=st.lists(st.integers(1, 3), min_size=2, max_size=6),
        seed=st.integers(0, 2**32 - 1))
 def test_shared_context_matches_fresh_solves(streamed, algo, rows, sizes, seed):
-    """Measurements solved in shuffled order through one SolverContext give
-    bit for bit what a fresh solve of each gives.  p0's depths differ between
-    measurements, so each reuses bases another scanned first; with a zero
-    cache budget they are streamed instead of kept."""
+    """Measurements solved in shuffled order on one dictionary give bit for
+    bit what a solve of each on a fresh copy of it gives.  p0's depths
+    differ between measurements, so each reuses bases another scanned first;
+    with a zero cache budget they are streamed instead of kept."""
     assume(max(sizes) <= rows)
     rng = np.random.default_rng(seed)
     structure = BlockStructure(tuple(sizes))
@@ -503,20 +513,12 @@ def test_shared_context_matches_fresh_solves(streamed, algo, rows, sizes, seed):
                        seed=int(rng.integers(1000)))
         jobs.append((y, depth))
 
-    def solve(y, depth, **kw):
-        if algo == "p0":
-            return hp0_exhaustive(D, y, max_cardinality=depth, **kw)
-        if algo == "bp":
-            return hbp_solve(D, y, BpParams(max_iter=300), **kw)
-        return homp(D, y, **kw)
-
-    fresh = [solve(y, depth) for y, depth in jobs]
+    fresh = [solve(algo, BlockDictionary(D.matrix, structure), y, depth) for y, depth in jobs]
     with pytest.MonkeyPatch.context() as patch:
         if streamed:
-            patch.setattr(recovery, "CONTEXT_CACHE_BYTES", 0)
-        context = recovery.SolverContext(D)
+            patch.setattr(blocks, "FACTOR_CACHE_BYTES", 0)
         for i in rng.permutation(len(jobs)):
-            got = solve(*jobs[i], context=context)
+            got = solve(algo, D, *jobs[i])
             assert (got.status, got.support, got.iterations) == (
                 fresh[i].status, fresh[i].support, fresh[i].iterations)
             assert np.array_equal(got.solution.entries, fresh[i].solution.entries)
@@ -551,11 +553,10 @@ def test_batch_matches_solves_of_one(rows, sizes, uniform, max_iter, seed):
         ys.append(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
     ys = [ys[i] for i in rng.permutation(len(ys))]
     params = BpParams(max_iter=max_iter)
-    context = recovery.SolverContext(D)
-    objectives = [h1_norm(hbp_solve(D, y, params, context=context).solution) for y in ys]
+    objectives = [h1_norm(hbp_solve(D, y, params).solution) for y in ys]
     references = [[None, h1, h1 + 1.0][int(rng.integers(3))] for h1 in objectives]
 
-    batch = hbp_solve_batch(D, ys, params, references, context=context)
+    batch = hbp_solve_batch(D, ys, params, references)
     assert len(batch) == len(ys)
     for y, reference, got in zip(ys, references, batch):
         alone = hbp_solve(D, y, params, reference)
@@ -572,11 +573,67 @@ def test_batch_rejects_unpaired_references():
     assert hbp_solve_batch(D, []) == []
 
 
-@pytest.mark.parametrize("algo", sorted(SOLVERS))
-def test_context_of_another_dictionary_rejected(algo):
-    D = identity_dft_pair(4)
-    with pytest.raises(ValueError, match="another dictionary"):
-        SOLVERS[algo](D, np.ones(4), context=recovery.SolverContext(identity_dft_pair(4)))
+def solve_all(D, jobs):
+    """Each (algorithm, measurement) job solved on D, in order; p0 to depth 3."""
+    return [solve(algo, D, y, 3) for algo, y in jobs]
+
+
+def test_dictionary_freed_without_cyclic_gc():
+    """The factors a dictionary keeps hold no reference back to it: with the
+    cyclic collector off, it is freed as soon as its last reference goes,
+    after p0, omp, bp and the coherence report have filled every factor."""
+    D = random_block_dictionary(8, (1, 2, 1, 2, 1, 2), 3)
+    _, y = planted(D, (1, 4), seed=0)
+    solve_all(D, [("p0", y), ("omp", y), ("bp", y)])
+    coherence_report(D)
+    assert D._bases and D._fits and {"pinv", "cross_gram"} <= vars(D).keys()
+    alive = weakref.ref(D)
+    gc.disable()
+    try:
+        del D
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_sharing_a_dictionary_match_one_thread():
+    """Four threads solving on one shared dictionary in different orders,
+    with a short switch interval so that they race to fill its factors, each
+    get bit for bit what one thread solving on a fresh copy gets; the
+    dictionary keeps every support of each kept cardinality, each pointing
+    at its own row of the kept bases."""
+    rng = np.random.default_rng(11)
+    structure = BlockStructure((1, 2, 1, 3, 2, 1, 1, 2, 1, 2))
+    mat = rng.standard_normal((12, structure.dim)) + 1j * rng.standard_normal((12, structure.dim))
+    jobs = []
+    for s, algo in itertools.product((1, 2, 3), ("p0", "omp", "bp")):
+        support = sorted(rng.choice(structure.n_blocks, s, replace=False))
+        jobs.append((algo, planted(BlockDictionary(mat, structure), support, s)[1]))
+    expected = solve_all(BlockDictionary(mat, structure), jobs)
+    orders = [range(len(jobs)), range(len(jobs))[::-1]]
+    orders += [rng.permutation(len(jobs)) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            D = BlockDictionary(mat, structure)
+            with ThreadPoolExecutor(len(orders)) as pool:
+                futures = [pool.submit(solve_all, D, [jobs[i] for i in order])
+                           for order in orders]
+                runs = [future.result(timeout=120) for future in futures]
+            for order, results in zip(orders, runs):
+                for i, got in zip(order, results):
+                    want = expected[i]
+                    assert (got.status, got.support, got.iterations, got.residual_norm) == (
+                        want.status, want.support, want.iterations, want.residual_norm)
+                    assert np.array_equal(got.solution.entries, want.solution.entries)
+            assert set(D._bases) == {1, 2, 3}
+            assert set(D._fits) == {support for k in D._bases for support in
+                                    itertools.combinations(range(structure.n_blocks), k)}
+            for support, ((supports, *_), row) in D._fits.items():
+                assert tuple(supports[row].tolist()) == support
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestGuaranteeCheck:
