@@ -248,17 +248,18 @@ class BlockDictionary:
     def screening_bases(self, k: int):
         """(supports, stacks, pinv, cond) per batch of ``support_stacks(self, k)``.
 
-        stacks holds the (B, M, w) column stacks, each contiguous; pinv their
-        pseudo-inverses ``np.linalg.pinv(stacks, rcond=RANK_TOL)``, bit for
-        bit those ``block_least_squares`` computes, so ||y - S P y|| is the
-        residual of the least-squares fit on a support; cond is the largest
-        over the smallest singular value above that cutoff.  A cardinality's
+        supports is the (B, k) batch of block indices, and the rest is what
+        ``_screening_basis`` factors from its (B, M, w) column stacks: the
+        stacks, each contiguous; their pseudo-inverses (numpy's ``pinv`` with
+        the RANK_TOL cutoff), so ||y - S P y|| is the residual of
+        ``block_least_squares`` on a support; and cond, the largest over the
+        smallest singular value above that cutoff.  A cardinality's
         bases are kept while the dictionary's total stays within
         FACTOR_CACHE_BYTES; past it they are streamed afresh per call.
         """
         if k in self._bases:
             return self._bases[k]
-        bases = (_screening_basis(supports, column_stacks(self, cols))
+        bases = ((supports, *_screening_basis(column_stacks(self, cols)))
                  for supports, cols in support_stacks(self, k))
         # list() copies the keys in one step, so a thread keeping another
         # cardinality meanwhile cannot break the iteration.
@@ -272,21 +273,15 @@ class BlockDictionary:
         self._bases[k] = bases
         return bases
 
-    def least_squares(self, support: tuple[int, ...],
-                      yv: np.ndarray) -> tuple[np.ndarray, float]:
-        """``block_least_squares`` of the sorted, valid support and the
-        validated measurement yv, bit for bit, from ``factors``:
-        (coefficients, residual norm)."""
-        return _fit_factored(self, support, yv, *self.factors([support])[0])
-
     def factors(self, supports) -> list[tuple[np.ndarray, np.ndarray]]:
         """(stack, pseudo-inverse) of each sorted, valid support, as
-        ``_fit_factored`` takes them.
+        ``_fit_factored`` takes them; ``block_least_squares`` fits every
+        support from this pair, and omp reads a step's supports in one call.
 
         A support whose cardinality ``screening_bases`` keeps reads its kept
         pair.  The others are factored here, those of one stack width
-        together in one batched ``_screening_basis``, bit for bit as
-        ``block_least_squares`` factors one alone; they are not kept.
+        together in one batched ``_screening_basis``, bit for bit as one
+        alone; they are not kept.
         """
         factors: list = [None] * len(supports)
         misses: dict[int, list[int]] = {}
@@ -300,8 +295,7 @@ class BlockDictionary:
                 factors[i] = stacks[row], pinv[row]
         for at in misses.values():
             cols = np.array([self.structure.column_indices(supports[i]) for i in at])
-            _, stacks, pinv, _ = _screening_basis([supports[i] for i in at],
-                                                  column_stacks(self, cols))
+            stacks, pinv, _ = _screening_basis(column_stacks(self, cols))
             for row, i in enumerate(at):
                 factors[i] = stacks[row], pinv[row]
         return factors
@@ -502,21 +496,21 @@ def concentration_epsilon(v: BlockVector, blocks) -> float:
     return min(1.0, max(0.0, 1.0 - on_set / total))
 
 
-def block_least_squares(D: BlockDictionary, support, y,
-                        rank_tol: float = RANK_TOL) -> tuple[BlockVector, float]:
+def block_least_squares(D: BlockDictionary, support, y) -> tuple[BlockVector, float]:
     """Minimum-norm least squares fit of y on a set of column blocks.
 
     Returns the coefficient vector embedded in the full space (blocks outside
     the support are zero) together with the residual norm.  Singular values of
-    the stacked blocks below rank_tol times the largest are treated as zero,
-    so rank-deficient stacks get the minimum-norm minimizer.
+    the stacked blocks below RANK_TOL times the largest are treated as zero,
+    so rank-deficient stacks get the minimum-norm minimizer.  The stack and
+    its pseudo-inverse come from ``D.factors``: the pair p0 keeps for the
+    support, or one factored afresh.
     """
-    idx = sorted({D.structure.check_index(i) for i in support})
+    idx = tuple(sorted({D.structure.check_index(i) for i in support}))
     if not idx:
         raise ValueError("support must contain at least one block")
     yv = D.measurement(y)
-    stacked = np.concatenate([D.block(i) for i in idx], axis=1)
-    pinv = np.linalg.pinv(stacked, rcond=rank_tol)
+    stacked, pinv = D.factors([idx])[0]
     full, residual = _fit_factored(D, idx, yv, stacked, pinv)
     return BlockVector(full, D.structure), residual
 
@@ -616,16 +610,18 @@ def column_stacks(D: BlockDictionary, cols: np.ndarray) -> np.ndarray:
     return np.moveaxis(D.matrix[:, cols], 1, 0)
 
 
-def _screening_basis(supports, stacks):
+def _screening_basis(stacks):
+    """(stacks, pinv, cond) of a (B, M, w) batch of stacks, made contiguous;
+    the one routine that factors a support (see screening_bases)."""
     stacks = np.ascontiguousarray(stacks)
-    # np.linalg.pinv(stacks, rcond=RANK_TOL) step by step, which keeps the
+    # numpy's pinv(stacks, rcond=RANK_TOL) step by step, which keeps the
     # singular values that cond needs.
     u, s, vh = np.linalg.svd(stacks.conj(), full_matrices=False)
     kept = s > RANK_TOL * s[:, :1]
     inverse = np.divide(1, s, where=kept, out=np.zeros_like(s))
     pinv = np.swapaxes(vh, 1, 2) @ (inverse[:, :, None] * np.swapaxes(u, 1, 2))
     cond = s[:, 0] / np.where(kept, s, np.inf).min(axis=1)
-    return supports, stacks, pinv, cond
+    return stacks, pinv, cond
 
 
 def _bases_bytes(D: BlockDictionary, k: int) -> int:

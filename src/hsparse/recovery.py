@@ -28,9 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (ZERO_BLOCK_TOL, BlockDictionary, BlockStructure, BlockVector,
-                     _fit_factored, h1_norm)
-# bench/spans.py times the least-squares calls it finds in this module.
-from .blocks import block_least_squares  # noqa: F401
+                     _fit_factored, block_least_squares, h1_norm)
 from .coherence import SPARK_ENUMERATION_CAP, CoherenceReport
 
 STATUS_EXACT = "exact"
@@ -128,11 +126,12 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
     pseudo-inverses P (RANK_TOL cutoff) and the open columns of Y, taken in
     slices of trials that keep R within _SCREEN_BYTES.  Supports that pass,
     with an allowance for the rounding of the batched product, are refitted
-    by ``D.least_squares`` in lexicographic order and admitted on that
+    by ``block_least_squares`` in lexicographic order and admitted on that
     refit's residual alone; refitting stops at the first admitted solution
     farther than tol from an earlier one, which settles "non-unique".
-    S and P come from ``D.screening_bases``, so D factors each support once
-    for all measurements, refits and later calls, as long as they fit in
+    S and P come from ``D.screening_bases``, and the refits read the same
+    pairs through ``D.factors``, so D factors each support once for all
+    measurements, refits and later calls, as long as they fit in
     blocks.FACTOR_CACHE_BYTES; larger ones are recomputed on every call and
     their refits factor the support afresh.  Every measurement
     gets its own RecoveryResult, in the order of ys, equal bit for bit to
@@ -171,8 +170,7 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
                 still_open.append(j)
             else:
                 solution, status = found
-                results[j] = _result(D, BlockVector(solution, D.structure), yvs[j],
-                                     evaluated, status)
+                results[j] = _result(D, solution, yvs[j], evaluated, status)
         open_trials = still_open
     for j in open_trials:
         results[j] = _result(D, zero, yvs[j], evaluated, STATUS_INFEASIBLE)
@@ -197,17 +195,17 @@ def _screen(bases, Y: np.ndarray, y_norms: np.ndarray,
 
 
 def _refit(D: BlockDictionary, candidates, yv: np.ndarray, feas_tol: float,
-           tol: float) -> tuple[np.ndarray, str] | None:
+           tol: float) -> tuple[BlockVector, str] | None:
     """(solution, status) of the first feasible refit among the sorted
     candidates, or None when none is feasible; see hp0_exhaustive_batch."""
-    feasible: list[np.ndarray] = []
+    feasible: list[BlockVector] = []
     for support in candidates:
-        coeffs, residual = D.least_squares(support, yv)
+        solution, residual = block_least_squares(D, support, yv)
         if residual > feas_tol:
             continue
-        if any(float(np.linalg.norm(a - coeffs)) > tol for a in feasible):
+        if any(float(np.linalg.norm(a.entries - solution.entries)) > tol for a in feasible):
             return feasible[0], STATUS_NON_UNIQUE
-        feasible.append(coeffs)
+        feasible.append(solution)
     return (feasible[0], STATUS_EXACT) if feasible else None
 
 

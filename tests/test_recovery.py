@@ -62,9 +62,9 @@ class TestHp0:
         # A generic measurement in 6 rows is fitted exactly by every one of the
         # C(14, 6) = 3,003 supports of size 6; the second refit already differs
         # from the first, which settles "non-unique".
-        fit = BlockDictionary.least_squares
+        fit = recovery.block_least_squares
         calls = []
-        monkeypatch.setattr(BlockDictionary, "least_squares",
+        monkeypatch.setattr(recovery, "block_least_squares",
                             lambda *args: calls.append(args) or fit(*args))
         D = random_block_dictionary(6, (1,) * 14, 3)
         r = hp0_exhaustive(D, np.random.default_rng(5).standard_normal(6))
@@ -202,24 +202,38 @@ def dictionaries_with_deficient_stacks():
 
 
 @pytest.mark.parametrize("D", dictionaries_with_deficient_stacks(), ids=repr)
-def test_context_least_squares_matches_block_least_squares(D, monkeypatch):
-    """A support of a kept cardinality is fitted from the kept pseudo-inverse
-    and any other afresh; both give block_least_squares bit for bit."""
-    for k in (1, 2):
-        D.screening_bases(k)
-    fresh = []
-    basis = blocks._screening_basis
-    monkeypatch.setattr(blocks, "_screening_basis",
-                        lambda *args: fresh.extend(args[0]) or basis(*args))
+def test_block_least_squares_matches_pinv_reference(D, monkeypatch):
+    """block_least_squares fits a support of a kept cardinality from the kept
+    pseudo-inverse and any other afresh, and every support afresh under a
+    zero cache budget; each fit equals one by np.linalg.pinv of the stacked
+    blocks bit for bit, and only the supports not kept reach
+    _screening_basis."""
     rng = np.random.default_rng(0)
     yv = rng.standard_normal(D.shape[0]) + 1j * rng.standard_normal(D.shape[0])
     supports = [c for k in (1, 2, 3) for c in itertools.combinations(range(D.n_blocks), k)]
-    for support in supports:
-        coeffs, residual = D.least_squares(support, yv)
-        expected, expected_residual = recovery.block_least_squares(D, support, yv)
-        assert np.array_equal(coeffs, expected.entries), support
-        assert residual == expected_residual, support
-    assert fresh == [c for c in supports if len(c) == 3]
+    stack_of = {c: np.hstack([D.block(i) for i in c]) for c in supports}
+    factored = []
+    basis = blocks._screening_basis
+    monkeypatch.setattr(blocks, "_screening_basis",
+                        lambda stacks: factored.append(stacks) or basis(stacks))
+    for budget in (blocks.FACTOR_CACHE_BYTES, 0):
+        monkeypatch.setattr(blocks, "FACTOR_CACHE_BYTES", budget)
+        fits = BlockDictionary(D.matrix, D.structure)
+        for k in (1, 2):
+            list(fits.screening_bases(k))
+        factored.clear()
+        for support in supports:
+            got, residual = recovery.block_least_squares(fits, support, yv)
+            stacked = stack_of[support]
+            coef = np.linalg.pinv(stacked, rcond=blocks.RANK_TOL) @ yv
+            expected = np.zeros(D.structure.dim, dtype=complex)
+            expected[D.structure.column_indices(support)] = coef
+            assert np.array_equal(got.entries, expected), (budget, support)
+            assert residual == float(np.linalg.norm(yv - stacked @ coef)), (budget, support)
+        fresh = [c for c in supports if budget == 0 or len(c) == 3]
+        assert len(factored) == len(fresh)
+        for stacks, support in zip(factored, fresh):
+            assert np.array_equal(stacks, [stack_of[support]])
 
 
 class TestHbp:
@@ -397,7 +411,7 @@ def test_homp_matches_checked_steps_bit_for_bit(seed):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_homp_through_p0_context_matches_fresh(depth):
+def test_homp_through_p0_factors_matches_fresh(depth):
     """omp steps read the pseudo-inverses p0 kept on the dictionary
     (supports up to depth) and factor deeper ones afresh; both match homp on
     a fresh copy of the dictionary bit for bit."""
@@ -416,7 +430,7 @@ def test_homp_through_p0_context_matches_fresh(depth):
                 fresh.iterations, fresh.status, fresh.residual_norm)
 
 
-@pytest.mark.parametrize("through_p0", [False, True], ids=["fresh", "p0-context"])
+@pytest.mark.parametrize("through_p0", [False, True], ids=["fresh", "p0-factors"])
 @settings(max_examples=30, deadline=None)
 @given(rows=st.integers(2, 7), sizes=st.lists(st.integers(1, 3), min_size=2, max_size=6),
        uniform=st.booleans(), max_iter=st.one_of(st.none(), st.integers(1, 3)),
@@ -495,7 +509,7 @@ def solve(algo, D, y, depth):
 @given(algo=st.sampled_from(["bp", "omp", "p0"]), rows=st.integers(2, 5),
        sizes=st.lists(st.integers(1, 3), min_size=2, max_size=6),
        seed=st.integers(0, 2**32 - 1))
-def test_shared_context_matches_fresh_solves(streamed, algo, rows, sizes, seed):
+def test_shared_dictionary_matches_fresh_solves(streamed, algo, rows, sizes, seed):
     """Measurements solved in shuffled order on one dictionary give bit for
     bit what a solve of each on a fresh copy of it gives.  p0's depths
     differ between measurements, so each reuses bases another scanned first;
