@@ -108,6 +108,8 @@ class BlockStructure:
 
     def column_indices(self, blocks) -> np.ndarray:
         """Flat coordinate indices covered by the given blocks, in block order."""
+        if self._dim == self.n_blocks:
+            return np.array([self.check_index(i) for i in blocks], dtype=int)
         parts = [np.arange(self._offsets[self.check_index(i)],
                            self._offsets[i] + self.sizes[i]) for i in blocks]
         return np.concatenate(parts) if parts else np.empty(0, dtype=int)
@@ -274,9 +276,9 @@ class BlockDictionary:
         return bases
 
     def factors(self, supports) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(stack, pseudo-inverse) of each sorted, valid support, as
-        ``_fit_factored`` takes them; ``block_least_squares`` fits every
-        support from this pair, and omp reads a step's supports in one call.
+        """(stack, pseudo-inverse) of each sorted, valid support;
+        ``block_least_squares`` fits every support from this pair, and omp
+        reads a step's supports in one call.
 
         A support whose cardinality ``screening_bases`` keeps reads its kept
         pair.  The others are factored here, those of one stack width
@@ -333,6 +335,13 @@ def h0_norm(v: BlockVector, tol: float = ZERO_BLOCK_TOL) -> int:
     if not tol >= 0:   # also rejects NaN
         raise ValueError("tolerance must be nonnegative")
     return int(np.count_nonzero(v.block_norms() > tol))
+
+
+def vector_norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a contiguous 1-D complex vector without its
+    dispatch: numpy's expression sqrt(re.re + im.im), so the same bits."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def h1_norm(v: BlockVector) -> float:
@@ -511,21 +520,11 @@ def block_least_squares(D: BlockDictionary, support, y) -> tuple[BlockVector, fl
         raise ValueError("support must contain at least one block")
     yv = D.measurement(y)
     stacked, pinv = D.factors([idx])[0]
-    full, residual = _fit_factored(D, idx, yv, stacked, pinv)
-    return BlockVector(full, D.structure), residual
-
-
-def _fit_factored(D: BlockDictionary, idx, yv: np.ndarray, stacked: np.ndarray,
-                  pinv: np.ndarray) -> tuple[np.ndarray, float]:
-    """The fit on the sorted, valid support idx of the validated measurement
-    yv, given the contiguous stack of idx and its pseudo-inverse: the
-    coefficients as a plain array of length D.structure.dim, and the
-    residual norm."""
     coef = pinv @ yv
-    residual = float(np.linalg.norm(yv - stacked @ coef))
+    residual = vector_norm(yv - stacked @ coef)
     full = np.zeros(D.structure.dim, dtype=np.complex128)
     full[D.structure.column_indices(idx)] = coef
-    return full, residual
+    return BlockVector(full, D.structure), residual
 
 
 def support_stacks(D: BlockDictionary, k: int):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import io as hio
-from .blocks import BlockDictionary, BlockVector, h1_norm
+from .blocks import BlockDictionary, BlockVector, h1_norm, vector_norm
 from .coherence import SPARK_ENUMERATION_CAP, coherence_report
 from .io import exact_number
 from .models import (MultiCosetSpec, complex_standard_normal, identity_dft_pair,
@@ -209,8 +209,8 @@ def run_algorithm(algo: str, D: BlockDictionary, ys, tolerances: dict,
 
 def evaluate_trial(result: RecoveryResult, truth: BlockVector,
                    support: tuple[int, ...], algo: str) -> tuple[bool, float, bool]:
-    rel_error = float(np.linalg.norm(result.solution.entries - truth.entries))
-    rel_error /= max(float(np.linalg.norm(truth.entries)), 1e-300)
+    rel_error = vector_norm(result.solution.entries - truth.entries)
+    rel_error /= max(vector_norm(truth.entries), 1e-300)
     support_match = result.support == support
     success = support_match and rel_error <= SUCCESS_TOL[algo]
     return success, rel_error, support_match

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (ZERO_BLOCK_TOL, BlockDictionary, BlockStructure, BlockVector,
-                     _fit_factored, block_least_squares, h1_norm)
+                     block_least_squares, h1_norm, vector_norm)
 from .coherence import SPARK_ENUMERATION_CAP, CoherenceReport
 
 STATUS_EXACT = "exact"
@@ -91,11 +91,14 @@ def _support_of(v: BlockVector, tol: float) -> tuple[int, ...]:
 
 
 def _result(D: BlockDictionary, solution: BlockVector, y: np.ndarray,
-            iterations: int, status: str,
-            support_tol: float = ZERO_BLOCK_TOL) -> RecoveryResult:
-    residual = float(np.linalg.norm(y - D.matrix @ solution.entries))
+            iterations: int, status: str, support_tol: float = ZERO_BLOCK_TOL,
+            residual_norm: float | None = None) -> RecoveryResult:
+    """The RecoveryResult of solution; ``residual_norm``, when given, must be
+    the value ||y - Phi solution|| computed here otherwise."""
+    if residual_norm is None:
+        residual_norm = vector_norm(y - D.matrix @ solution.entries)
     return RecoveryResult(solution, _support_of(solution, support_tol),
-                          iterations, residual, status)
+                          iterations, residual_norm, status)
 
 
 def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
@@ -228,21 +231,31 @@ def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
     step of the sum-of-block-norms objective; the complex block is scaled by
     a real factor), and (3) the multiplier update lambda += u - w.  A column
     stops when ||u - w|| <= tol_primal * max(||u||, 1) and the w step moved
-    less than tol_dual relatively; it is then frozen and dropped from the
-    active set, so each step is one matrix product over the columns still
-    running.  A column whose y lies outside the numerical range of Phi
-    (relative pseudo-inverse residual above BP_RANGE_TOL) is not iterated:
-    its status is "infeasible" and its solution pinv(Phi) y.
+    less than tol_dual relatively, ||w_new - w|| <= tol_dual * max(||w_new||, 1).
+    The primal test is evaluated first, on every running column; the dual
+    move and ||w_new|| are computed only on iterations where some column
+    passes it, which leaves the outcome of the two tests together unchanged.
+    A stopped column is frozen and dropped from the active set, so each step
+    is one matrix product over the columns still running.  A column whose y
+    lies outside the numerical range of Phi (relative pseudo-inverse
+    residual above BP_RANGE_TOL) is not iterated: its status is
+    "infeasible" and its solution pinv(Phi) y.
 
-    Every column gets its own RecoveryResult, in the order of ys, with the
-    status and iteration count of a solve of that column alone.  The
-    solution is the feasible iterate u, so the measurement equation holds
-    to projection accuracy at any exit; its support is read with a relative
-    block-norm cutoff since u is never exactly block-sparse.  Status is
-    "converged", "max-iterations", or "exact" when ``h1_references`` (one
-    entry per measurement, each None or e.g. the objective of an
-    independent fewest-blocks solve of that measurement) supplies a value
-    the converged objective matches within 1e-6.
+    Every column gets its own RecoveryResult, in the order of ys.  A
+    column's bits depend on the batch it runs in: the BLAS rounds a column
+    of a matrix product differently with the width of the product, so its
+    iterates match those of a solve of it alone only to rounding.  A solve
+    of each column alone gives its solution within 1e-12 relatively, and
+    the same status, support and iteration count unless a stop test falls
+    within that rounding of its tolerance (``test_batch_matches_solves_of_one``
+    checks both).  The solution is the feasible iterate u, so the
+    measurement equation holds to projection accuracy at any exit; its
+    support is read with a relative block-norm cutoff since u is never
+    exactly block-sparse.  Status is "converged", "max-iterations", or
+    "exact" when ``h1_references`` (one entry per measurement, each None or
+    e.g. the objective of an independent fewest-blocks solve of that
+    measurement) supplies a value the converged objective matches within
+    1e-6.
     """
     params = params or BpParams()
     Y = np.empty((D.shape[0], len(ys)), dtype=np.complex128)
@@ -254,12 +267,26 @@ def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
         raise ValueError(f"{len(h1_references)} h1 references for {len(ys)} measurements")
     mat = D.matrix
     pinv = D.pinv
-    sizes = np.asarray(D.structure.sizes)
+    structure = D.structure
+    # The test block_sums makes: single-coordinate blocks need no repeat.
+    sizes = None if structure.dim == structure.n_blocks else np.asarray(structure.sizes)
+    rho = params.rho
 
-    def prox(t: np.ndarray) -> np.ndarray:
-        nb = D.structure.norms(t)
-        factor = np.maximum(0.0, 1.0 - 1.0 / (params.rho * np.maximum(nb, 1e-300)))
-        return np.repeat(factor, sizes, axis=0) * t
+    def prox(v: np.ndarray) -> np.ndarray:
+        # max(0, 1 - 1/(rho max(||v_i||, 1e-300))) v_i with the ufuncs of
+        # that expression, in its order, each in place on one real buffer.
+        factor = np.abs(v)
+        np.square(factor, out=factor)
+        factor = structure.block_sums(factor)
+        np.sqrt(factor, out=factor)
+        np.maximum(factor, 1e-300, out=factor)
+        np.multiply(rho, factor, out=factor)
+        np.divide(1.0, factor, out=factor)
+        np.subtract(1.0, factor, out=factor)
+        np.maximum(0.0, factor, out=factor)
+        if sizes is not None:
+            factor = np.repeat(factor, sizes, axis=0)
+        return factor * v
 
     def column_norms(x: np.ndarray) -> np.ndarray:
         # np.linalg.norm(x, axis=0) without its dispatch: the same expression.
@@ -275,7 +302,7 @@ def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
     status = [STATUS_INFEASIBLE if gap else STATUS_MAX_ITER for gap in infeasible]
     active = np.flatnonzero(~infeasible)
     y = Y[:, active]
-    u = np.zeros((D.structure.dim, active.size), dtype=np.complex128)
+    u = np.zeros((structure.dim, active.size), dtype=np.complex128)
     w = np.zeros_like(u)
     lam = np.zeros_like(u)
     for it in range(1, params.max_iter + 1):
@@ -283,15 +310,15 @@ def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
             break
         t = w - lam
         u = t - pinv @ (mat @ t - y)
-        w_new = prox(u + lam)
-        dual_move = column_norms(w_new - w)
-        w = w_new
-        lam = lam + u - w
-        primal_gap = column_norms(u - w)
-        done = ((primal_gap <= params.tol_primal * np.maximum(column_norms(u), 1.0))
-                & (dual_move <= params.tol_dual * np.maximum(column_norms(w), 1.0)))
-        if done.any():
-            finished = active[done]
+        v = u + lam
+        w_old, w = w, prox(v)
+        lam = v - w   # (lam + u) - w, since IEEE addition commutes
+        done = column_norms(u - w) <= params.tol_primal * np.maximum(column_norms(u), 1.0)
+        if not done.any():
+            continue
+        done &= column_norms(w - w_old) <= params.tol_dual * np.maximum(column_norms(w), 1.0)
+        finished = active[done]
+        if finished.size:
             U[:, finished] = u[:, done]
             for j in finished:
                 iterations[j], status[j] = it, STATUS_CONVERGED
@@ -343,7 +370,10 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
     ``D.factors`` (kept by p0, or factored in one batched SVD per stack
     width).  Each trial's fit, residual and stop test stay its own, so
     every trial gets its own RecoveryResult, in the order of ys, equal bit
-    for bit to a pursuit of it alone.
+    for bit to a pursuit of it alone.  A fit is the pseudo-inverse times y,
+    scattered into zeros; its residual y - Phi solution is the one the next
+    stop test takes the norm of, and the result's ``residual_norm`` is that
+    norm from the trial's last stop test.
     """
     if max_iter is None:
         max_iter = D.n_blocks
@@ -352,17 +382,19 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
     if not tol_res >= 0:   # also rejects NaN
         raise ValueError("tol_res must be nonnegative")
     yvs = [D.measurement(y) for y in ys]
-    stops = [tol_res * max(float(np.linalg.norm(yv)), 1.0) for yv in yvs]
+    stops = [tol_res * max(vector_norm(yv), 1.0) for yv in yvs]
     adjoint, smin = D.matrix.conj().T, D.block_sigma_min()[:, None]
     solutions = [np.zeros(D.structure.dim, dtype=np.complex128) for _ in yvs]
     residuals = [yv.copy() for yv in yvs]
+    residual_norms = [0.0] * len(yvs)
     selected: list[list[int]] = [[] for _ in yvs]
     status = [STATUS_EXACT] * len(yvs)
     running = range(len(yvs))
     while True:
         still = []
         for j in running:
-            if float(np.linalg.norm(residuals[j])) <= stops[j]:
+            residual_norms[j] = vector_norm(residuals[j])
+            if residual_norms[j] <= stops[j]:
                 continue
             if len(selected[j]) >= max_iter or len(selected[j]) == D.n_blocks:
                 status[j] = STATUS_MAX_ITER
@@ -378,11 +410,14 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
         for j, pick in zip(running, np.argmax(weights, axis=0).tolist()):
             selected[j].append(pick)
         supports = [tuple(sorted(selected[j])) for j in running]
-        for j, support, (stack, pinv) in zip(running, supports, D.factors(supports)):
-            solutions[j], _ = _fit_factored(D, support, yvs[j], stack, pinv)
+        for j, support, (_, pinv) in zip(running, supports, D.factors(supports)):
+            solutions[j] = np.zeros(D.structure.dim, dtype=np.complex128)
+            solutions[j][D.structure.column_indices(support)] = pinv @ yvs[j]
             residuals[j] = yvs[j] - D.matrix @ solutions[j]
-    return [_result(D, BlockVector(solution, D.structure), yv, len(chosen), outcome)
-            for solution, yv, chosen, outcome in zip(solutions, yvs, selected, status)]
+    return [_result(D, BlockVector(solution, D.structure), yv, len(chosen), outcome,
+                    residual_norm=residual_norm)
+            for solution, yv, chosen, outcome, residual_norm
+            in zip(solutions, yvs, selected, status, residual_norms)]
 
 
 def guarantee_check(report: CoherenceReport, s: int) -> tuple[bool, bool]:

@@ -52,6 +52,28 @@ class TestStructure:
         with pytest.raises(ValueError):
             s.block_slice(-1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=block_sizes, data=st.data())
+    def test_column_indices_concatenate_block_ranges(self, sizes, data):
+        """column_indices concatenates each given block's coordinate range,
+        in the order given and with repeats; on single-column structures its
+        fast path returns the same values and dtype as these ranges."""
+        structure = BlockStructure(tuple(sizes))
+        blocks = data.draw(st.lists(st.integers(0, len(sizes) - 1), max_size=6))
+        ranges = [np.arange(structure.offsets[i], structure.offsets[i] + sizes[i])
+                  for i in blocks]
+        expected = np.concatenate(ranges) if ranges else np.empty(0, dtype=int)
+        for given_blocks in (blocks, tuple(np.array(blocks, dtype=np.int64))):
+            got = structure.column_indices(given_blocks)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (1, 2, 1)], ids=["single-column", "mixed"])
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_column_indices_reject_out_of_range(self, sizes, bad):
+        with pytest.raises(ValueError, match=rf"block index {bad} out of range \[0, 3\)"):
+            BlockStructure(sizes).column_indices([0, bad])
+
     def test_vector_length_must_match(self):
         with pytest.raises(ValueError):
             BlockVector(np.ones(5), BlockStructure((2, 2)))

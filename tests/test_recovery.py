@@ -495,6 +495,31 @@ def assert_batch_matches_checked_steps(D, ys, max_iter):
         assert got.residual_norm == float(np.linalg.norm(y - D.matrix @ solution.entries))
 
 
+@pytest.mark.parametrize("dictionary, max_iter",
+                         [("tall", None), ("tall", 1), ("identity_dft", 2)])
+def test_homp_residual_norm_is_recomputed_value(dictionary, max_iter):
+    """homp_batch reads each residual_norm off the trial's last stop test;
+    it equals ||y - Phi solution|| recomputed by np.linalg.norm, bit for bit,
+    for a zero measurement, converged trials and trials that run out of
+    iterations (a max_iter below the planted block count, or every block of
+    a tall dictionary spent on a measurement outside its range)."""
+    rng = np.random.default_rng(11)
+    if dictionary == "tall":
+        D = random_block_dictionary(12, (1, 2, 1, 3, 2), 4)
+    else:
+        D = identity_dft_pair(16)
+    ys = [np.zeros(D.shape[0], dtype=complex)]
+    for s, seed in [(1, 0), (2, 1), (3, 2)]:
+        ys.append(planted(D, sorted(rng.choice(D.n_blocks, s, replace=False)), seed)[1])
+    if dictionary == "tall":
+        ys.append(rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    results = homp_batch(D, ys, max_iter=max_iter)
+    assert {r.status for r in results} == {"exact", "max-iterations"}
+    assert results[0].iterations == 0
+    for y, got in zip(ys, results):
+        assert got.residual_norm == float(np.linalg.norm(y - D.matrix @ got.solution.entries))
+
+
 def solve(algo, D, y, depth):
     """One solve of y on D: p0 searches to depth, bp stops after 300 steps."""
     if algo == "p0":
@@ -578,6 +603,116 @@ def test_batch_matches_solves_of_one(rows, sizes, uniform, max_iter, seed):
             alone.status, alone.support, alone.iterations)
         gap = np.linalg.norm(got.solution.entries - alone.solution.entries)
         assert gap <= 1e-12 * np.linalg.norm(alone.solution.entries)
+
+
+def hbp_loop_reference(D, ys, params, h1_references):
+    """The splitting loop of hbp_solve_batch written out with one numpy
+    expression per step: the prox out of place with np.repeat on every
+    structure, the multiplier update as lam + u - w, and both stop tests on
+    every iteration.  Returns each column's (solution, iterations, status)."""
+    Y = np.empty((D.shape[0], len(ys)), dtype=np.complex128)
+    for j, y in enumerate(ys):
+        Y[:, j] = D.measurement(y)
+    mat = D.matrix
+    pinv = D.pinv
+    sizes = np.asarray(D.structure.sizes)
+
+    def prox(t):
+        nb = D.structure.norms(t)
+        factor = np.maximum(0.0, 1.0 - 1.0 / (params.rho * np.maximum(nb, 1e-300)))
+        return np.repeat(factor, sizes, axis=0) * t
+
+    def column_norms(x):
+        return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
+
+    least_norm = pinv @ Y
+    range_gap = column_norms(mat @ least_norm - Y)
+    infeasible = range_gap > recovery.BP_RANGE_TOL * np.maximum(column_norms(Y), 1.0)
+
+    U = least_norm
+    iterations = [0 if gap else params.max_iter for gap in infeasible]
+    status = ["infeasible" if gap else "max-iterations" for gap in infeasible]
+    active = np.flatnonzero(~infeasible)
+    y = Y[:, active]
+    u = np.zeros((D.structure.dim, active.size), dtype=np.complex128)
+    w = np.zeros_like(u)
+    lam = np.zeros_like(u)
+    for it in range(1, params.max_iter + 1):
+        if not active.size:
+            break
+        t = w - lam
+        u = t - pinv @ (mat @ t - y)
+        w_new = prox(u + lam)
+        dual_move = column_norms(w_new - w)
+        w = w_new
+        lam = lam + u - w
+        primal_gap = column_norms(u - w)
+        done = ((primal_gap <= params.tol_primal * np.maximum(column_norms(u), 1.0))
+                & (dual_move <= params.tol_dual * np.maximum(column_norms(w), 1.0)))
+        if done.any():
+            finished = active[done]
+            U[:, finished] = u[:, done]
+            for j in finished:
+                iterations[j], status[j] = it, "converged"
+            running = ~done
+            active, y, u, w, lam = (active[running], y[:, running], u[:, running],
+                                    w[:, running], lam[:, running])
+    U[:, active] = u
+
+    out = []
+    for j, h1_reference in enumerate(h1_references):
+        sol = BlockVector(U[:, j], D.structure)
+        if status[j] == "converged" and h1_reference is not None:
+            if abs(h1_norm(sol) - h1_reference) <= 1e-6 * max(1.0, abs(h1_reference)):
+                status[j] = "exact"
+        out.append((sol, iterations[j], status[j]))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(2, 6),
+       sizes=st.one_of(st.lists(st.integers(1, 3), min_size=2, max_size=5),
+                       st.integers(2, 5).map(lambda n: [1] * n)),
+       uniform=st.booleans(), rho=st.sampled_from([0.5, 1.0, 2.5]),
+       max_iter=st.sampled_from([3, 12, 400]), seed=st.integers(0, 2**32 - 1))
+def test_batch_matches_loop_reference_bit_for_bit(rows, sizes, uniform, rho, max_iter, seed):
+    """hbp_solve_batch gives every column the solution bits, iterations,
+    status, support and residual of the loop written out in full
+    (hbp_loop_reference): it makes fewer numpy calls, not different
+    operations.  A batch mixes planted columns, a zero column and, on a tall
+    dictionary, a column outside the range; small max_iter values stop some
+    columns while others converge, rho moves the shrinkage away from 1, and
+    each column's h1 reference is None, its own objective or one it misses."""
+    if uniform:
+        sizes = [sizes[0]] * len(sizes)
+    assume(max(sizes) <= rows)
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(sizes))
+    shape = (rows, structure.dim)
+    D = BlockDictionary(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                        structure)
+    ys = [np.zeros(rows, dtype=complex)]
+    for _ in range(4):
+        s = min(int(rng.integers(1, 3)), len(sizes))
+        ys.append(planted(D, sorted(rng.choice(len(sizes), s, replace=False)),
+                          seed=int(rng.integers(1000)))[1])
+    if rows > structure.dim:
+        ys.append(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
+    ys = [ys[i] for i in rng.permutation(len(ys))]
+    params = BpParams(rho=rho, max_iter=max_iter)
+    objectives = [h1_norm(sol) for sol, _, _ in hbp_loop_reference(D, ys, params, [None] * len(ys))]
+    references = [[None, h1, h1 + 1.0][int(rng.integers(3))] for h1 in objectives]
+
+    batch = hbp_solve_batch(D, ys, params, references)
+    assert len(batch) == len(ys)
+    for y, got, (solution, iterations, status) in zip(
+            ys, batch, hbp_loop_reference(D, ys, params, references)):
+        norms = structure.norms(solution.entries)
+        cutoff = max(ZERO_BLOCK_TOL, recovery.BP_SUPPORT_REL_TOL * float(norms.max()))
+        assert np.array_equal(got.solution.entries, solution.entries)
+        assert (got.iterations, got.status) == (iterations, status)
+        assert got.support == tuple(np.flatnonzero(norms > cutoff).tolist())
+        assert got.residual_norm == float(np.linalg.norm(y - D.matrix @ solution.entries))
 
 
 def test_batch_rejects_unpaired_references():
