@@ -32,12 +32,17 @@ import numpy as np
 ZERO_BLOCK_TOL = 1e-10
 # Relative singular-value cutoff for pseudo-inverses and injectivity checks.
 RANK_TOL = 1e-12
-# Most block subsets per batch of support_stacks: it unranks a level in slices
-# of this many rows, so no array holds a whole level and peak memory stays
-# flat at any level.  256-row width groups raised the peak RSS of certify
-# and p0 runs by 0.5-2 MB, in their tiles and screening products; 128 rows
-# keep a certify run's peak where the old per-chunk width split had it.
+# Most block subsets per batch of support_stacks.  256-row width groups
+# raised the peak RSS of certify and p0 runs by 0.5-2 MB, in their tiles and
+# screening products; 128 rows keep a certify run's peak where the old
+# per-chunk width split had it.
 _SUBSET_CHUNK = 128
+# Subsets support_stacks unranks per numpy pass, so no array holds a whole
+# level and peak memory stays flat at any level.  A whole number of batches,
+# so they stay those of one-batch passes.  The tracemalloc peak of a
+# C(20, 10) level of blocks (1, 2) * 10 is 472 KB at 512 and 823 KB at 1024;
+# 2048 breaks the 1 MB bound of the streaming test.
+_UNRANK_RUN = 4 * _SUBSET_CHUNK
 # Relative slack on a tile's Frobenius bound before it may drop a tile: it
 # covers the rounding of the Frobenius sum and of the SVD's sigma_max, each
 # about 1e-15 relative.
@@ -530,17 +535,19 @@ def block_least_squares(D: BlockDictionary, support, y) -> tuple[BlockVector, fl
 def support_stacks(D: BlockDictionary, k: int):
     """Every k-subset of blocks with the columns of its stack, streamed in batches.
 
-    Yields (supports, cols): a (B, k) int64 array of block indices, B at most
-    _SUBSET_CHUNK, and the (B, w) array of the column indices each subset
-    stacks, all of width w; ``column_stacks(D, cols)`` gathers the (B, M, w)
-    stacks themselves, so a caller that can settle a subset from the indices
-    alone never gathers it.  Nothing is yielded for k outside 1..n.
+    Yields (supports, cols): a (B, k) int64 array of block indices and the
+    (B, w) array of the column indices each subset stacks, all of width w;
+    ``column_stacks(D, cols)`` gathers the (B, M, w) stacks themselves, so a
+    caller that can settle a subset from the indices alone never gathers it.
+    Every batch of a width but its last has B = _SUBSET_CHUNK rows.  Nothing
+    is yielded for k outside 1..n.
 
     The level is split by stack width once: the subsets of each width, by
-    increasing width, in lexicographic order.  Every batch is unranked
-    directly from its ranks in that order (see _subset_tables), so no array
-    holds more than one batch of the level.  A uniform structure has one
-    width and the whole level in lexicographic order.
+    increasing width, in lexicographic order.  Each width is unranked
+    directly from its ranks in that order (see _subset_tables), _UNRANK_RUN
+    subsets per numpy pass, so no array holds more than one run of the
+    level; a run's batches are row slices of its arrays.  A uniform
+    structure has one width and the whole level in lexicographic order.
     """
     sizes = D.structure.sizes
     n = len(sizes)
@@ -552,15 +559,19 @@ def support_stacks(D: BlockDictionary, k: int):
     for width, total in enumerate(counts.tolist()):
         # Key of the first subset of this width; each later one is one less.
         top = width * big + total - 1
-        for first in range(0, total, _SUBSET_CHUNK):
-            keys = np.arange(top - first, top - min(first + _SUBSET_CHUNK, total), -1)
+        for first in range(0, total, _UNRANK_RUN):
+            keys = np.arange(top - first, top - min(first + _UNRANK_RUN, total), -1)
             picks = np.empty((k, keys.size), dtype=np.intp)
             for j in range(k):
                 picks[j] = pick = bounds[j].searchsorted(keys, side="right")
                 keys -= steps[j].take(pick)
             supports = block_at.take(picks.T)
             cols = padded[supports].reshape(keys.size, -1)
-            yield supports, cols if uniform else cols[cols >= 0].reshape(keys.size, width)
+            if not uniform:
+                cols = cols[cols >= 0].reshape(keys.size, width)
+            for start in range(0, keys.size, _SUBSET_CHUNK):
+                stop = start + _SUBSET_CHUNK
+                yield supports[start:stop], cols[start:stop]
 
 
 def _subset_tables(sizes: tuple[int, ...], k: int):

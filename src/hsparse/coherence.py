@@ -31,6 +31,7 @@ UNIT_COLUMN_TOL = 1e-12
 # the rounding of D^H D (about M eps), the Cholesky backward error (about
 # (w + 1) eps ||L||_F^2) and the SVD's own rounding of the ratio it judges.
 _CHOLESKY_ROUNDING = 16.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,14 @@ def _deficient(D: BlockDictionary, gram: np.ndarray, k: int, tol: float) -> bool
 
     gram is D^H D.  A stack whose Gram tile, scaled to unit trace, has
     Cholesky factor L is proven full rank when
-    det * ((w-1) / ||L||_F^2)^(w-1) - err > tol^2, with det = prod |L_ii|^2:
-    that bounds lambda_min = det / (product of the other w-1 eigenvalues)
-    from below, since by AM-GM that product is at most the (w-1)th power of
-    their mean, and their sum is at most ||L||_F^2; err bounds the rounding.
-    lambda_max is at most the unit trace, so lambda_min > tol^2 puts
-    sigma_min / sigma_max above tol.  The SVD judges only the stacks left
-    unproven, among them those whose own tile has no Cholesky factor.
+    det * ((w-1) / ||L||_F^2)^(w-1) - err > tol^2, with det = prod L_ii^2
+    (the factor's diagonal is real): that bounds lambda_min = det / (product
+    of the other w-1 eigenvalues) from below, since by AM-GM that product is
+    at most the (w-1)th power of their mean, and their sum is at most
+    ||L||_F^2; err bounds the rounding.  lambda_max is at most the unit
+    trace, so lambda_min > tol^2 puts sigma_min / sigma_max above tol.  The
+    SVD judges only the stacks left unproven, among them those whose own
+    tile has no Cholesky factor.
     """
     flat, N = gram.ravel(), gram.shape[1]
     for _, cols in support_stacks(D, k):
@@ -179,7 +181,13 @@ def _screened_deficient(D: BlockDictionary, cols: np.ndarray, tiles: np.ndarray,
     first, then the SVD of the stacks it leaves unproven.  A batched
     Cholesky raises when one tile of the batch has no factor, so a batch
     that raises is bisected until each such tile fails alone; the first
-    half is settled before the second is factored."""
+    half is settled before the second is factored.
+
+    det and ||L||_F^2 are read from the real parts of L, without a complex
+    abs: det keeps the bits of prod |L_ii|^2, and the sum of squares of the
+    real view differs from the sum of |L_ij|^2 by a few ulps of a value near
+    1, far inside err = 16 eps (M + (w + 1) ||L||_F^2), which bounds the
+    rounding of either sum just as it bounds the Cholesky's own."""
     try:
         L = np.linalg.cholesky(tiles)
     except np.linalg.LinAlgError:
@@ -191,9 +199,11 @@ def _screened_deficient(D: BlockDictionary, cols: np.ndarray, tiles: np.ndarray,
     else:
         w = cols.shape[1]
         # After the trace scaling every |L_ii| <= 1, so det can only underflow.
-        det = np.prod(np.abs(np.diagonal(L, axis1=1, axis2=2)) ** 2, axis=1)
-        fro = np.sum(np.abs(L) ** 2, axis=(1, 2))
-        err = _CHOLESKY_ROUNDING * np.finfo(float).eps * (D.shape[0] + (w + 1) * fro)
+        d = np.diagonal(L, axis1=1, axis2=2).real
+        det = np.prod(d * d, axis=1)
+        parts = L.view(float)
+        fro = np.einsum("bij,bij->b", parts, parts)
+        err = _CHOLESKY_ROUNDING * _EPS * (D.shape[0] + (w + 1) * fro)
         unproven = cols[det * ((w - 1) / fro) ** (w - 1) - err <= tol ** 2]
     if not unproven.size:
         return False

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (ZERO_BLOCK_TOL, BlockDictionary, BlockStructure, BlockVector,
-                     block_least_squares, h1_norm, vector_norm)
+from .blocks import (ZERO_BLOCK_TOL, BlockDictionary, BlockVector, block_least_squares,
+                     vector_norm)
 from .coherence import SPARK_ENUMERATION_CAP, CoherenceReport
 
 STATUS_EXACT = "exact"
@@ -85,20 +85,19 @@ class BpParams:
             raise ValueError("max_iter must be at least 1")
 
 
-def _support_of(v: BlockVector, tol: float) -> tuple[int, ...]:
-    norms = v.block_norms()
-    return tuple(int(i) for i in np.flatnonzero(norms > tol))
-
-
 def _result(D: BlockDictionary, solution: BlockVector, y: np.ndarray,
             iterations: int, status: str, support_tol: float = ZERO_BLOCK_TOL,
-            residual_norm: float | None = None) -> RecoveryResult:
-    """The RecoveryResult of solution; ``residual_norm``, when given, must be
-    the value ||y - Phi solution|| computed here otherwise."""
+            residual_norm: float | None = None,
+            norms: np.ndarray | None = None) -> RecoveryResult:
+    """The RecoveryResult of solution; ``residual_norm`` and ``norms``, when
+    given, must be the values ||y - Phi solution|| and
+    ``solution.block_norms()`` computed here otherwise."""
     if residual_norm is None:
         residual_norm = vector_norm(y - D.matrix @ solution.entries)
-    return RecoveryResult(solution, _support_of(solution, support_tol),
-                          iterations, residual_norm, status)
+    if norms is None:
+        norms = solution.block_norms()
+    support = tuple(int(i) for i in np.flatnonzero(norms > support_tol))
+    return RecoveryResult(solution, support, iterations, residual_norm, status)
 
 
 def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
@@ -329,19 +328,16 @@ def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
 
     results = []
     for j, h1_reference in enumerate(h1_references):
-        sol = BlockVector(U[:, j], D.structure)
+        sol = BlockVector(U[:, j], structure)
+        # One pass of block norms feeds h1_norm(sol), the cutoff and the support.
+        norms = sol.block_norms()
         if status[j] == STATUS_CONVERGED and h1_reference is not None:
-            if abs(h1_norm(sol) - h1_reference) <= 1e-6 * max(1.0, abs(h1_reference)):
+            if abs(float(norms.sum()) - h1_reference) <= 1e-6 * max(1.0, abs(h1_reference)):
                 status[j] = STATUS_EXACT
+        support_tol = max(ZERO_BLOCK_TOL, BP_SUPPORT_REL_TOL * float(norms.max()))
         results.append(_result(D, sol, Y[:, j], iterations[j], status[j],
-                               support_tol=_bp_support_tol(U[:, j], D.structure)))
+                               support_tol=support_tol, norms=norms))
     return results
-
-
-def _bp_support_tol(u: np.ndarray, structure: BlockStructure) -> float:
-    norms = structure.norms(u)
-    peak = float(norms.max()) if norms.size else 0.0
-    return max(ZERO_BLOCK_TOL, BP_SUPPORT_REL_TOL * peak)
 
 
 def homp(D: BlockDictionary, y, tol_res: float = 1e-10,

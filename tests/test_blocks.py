@@ -380,6 +380,26 @@ class TestSupportStacks:
             assert seen == sorted(seen, key=lambda s: (sum(sizes[b] for b in s), s))
             assert width_order == sorted(width_order)
 
+    # Uniform C(14, 8) = 3,003 rows; (1, 2) * 8 at k = 8 has widths of 3,136
+    # and 4,900 rows.  Both are longer than one unranking run.
+    @pytest.mark.parametrize("sizes, k", [((1,) * 14, 8), ((1, 2) * 8, 8)])
+    def test_batches_are_whole_chunks_within_a_width(self, sizes, k):
+        """Within each width every batch but the last has exactly
+        _SUBSET_CHUNK rows, and the batches concatenate to the width's
+        subsets in lexicographic order."""
+        D = gaussian_dictionary(sizes, 0, 3)
+        widths, by_width = [], {}
+        for supports, cols in support_stacks(D, k):
+            widths.append(cols.shape[1])
+            by_width.setdefault(cols.shape[1], []).append(supports)
+        assert widths == sorted(widths)
+        for width, batches in by_width.items():
+            assert all(len(b) == _SUBSET_CHUNK for b in batches[:-1])
+            assert 0 < len(batches[-1]) <= _SUBSET_CHUNK
+            run = [s for s in itertools.combinations(range(len(sizes)), k)
+                   if sum(sizes[b] for b in s) == width]
+            assert np.array_equal(np.concatenate(batches), np.array(run))
+
     def test_uncountable_level_rejected(self):
         """C(70, 35) > 2^63: the int64 unranking keys would wrap."""
         D = gaussian_dictionary([1] * 70, 0, 0)

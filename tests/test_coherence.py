@@ -244,6 +244,15 @@ class TestSparkExhaustive:
         D = BlockDictionary(mat, uniform_structure(14))
         assert spark_exhaustive(D) == 3
 
+    def test_deficient_subset_past_first_unranking_run(self):
+        # the only deficient 3-subset, (13, 14, 15), is the last of 560, past
+        # the 512 that support_stacks unranks in its first pass
+        rng = np.random.default_rng(5)
+        mat = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+        mat[:, 15] = mat[:, 13] + mat[:, 14]
+        D = BlockDictionary(mat, uniform_structure(16))
+        assert spark_exhaustive(D) == 3
+
     def test_cap_enforced(self):
         D = unit_norm_dict(4, 21, 0)
         with pytest.raises(ValueError, match="raise cap"):
