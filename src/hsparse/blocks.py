@@ -539,6 +539,8 @@ def support_stacks(D: BlockDictionary, k: int):
     (B, w) array of the column indices each subset stacks, all of width w;
     ``column_stacks(D, cols)`` gathers the (B, M, w) stacks themselves, so a
     caller that can settle a subset from the indices alone never gathers it.
+    With single-column blocks the two are the same array object (a block's
+    index is its column's); no caller writes into either.
     Every batch of a width but its last has B = _SUBSET_CHUNK rows.  Nothing
     is yielded for k outside 1..n.
 
@@ -566,7 +568,7 @@ def support_stacks(D: BlockDictionary, k: int):
                 picks[j] = pick = bounds[j].searchsorted(keys, side="right")
                 keys -= steps[j].take(pick)
             supports = block_at.take(picks.T)
-            cols = padded[supports].reshape(keys.size, -1)
+            cols = supports if padded.shape[1] == 1 else padded[supports].reshape(keys.size, -1)
             if not uniform:
                 cols = cols[cols >= 0].reshape(keys.size, width)
             for start in range(0, keys.size, _SUBSET_CHUNK):

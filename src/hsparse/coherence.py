@@ -26,10 +26,13 @@ SPARK_DEFICIENCY_TOL = 1e-10
 SPARK_ENUMERATION_CAP = 20
 # Relative spread of column norms that the composite family accepts as equal.
 UNIT_COLUMN_TOL = 1e-12
-# Multiple of eps * (M + (w + 1) ||L||_F^2) that the spark screen subtracts
-# from its bound on lambda_min of a trace-scaled w x w Gram tile: it covers
-# the rounding of D^H D (about M eps), the Cholesky backward error (about
-# (w + 1) eps ||L||_F^2) and the SVD's own rounding of the ratio it judges.
+# Multiple of eps * (M + (w + 1) fro) that the spark screen subtracts from
+# its bound on lambda_min / t of a w x w Gram tile of trace t: it covers the
+# rounding of D^H D (about M eps), the Cholesky backward error (about
+# (w + 1) eps ||L||_F^2 / t, relative to the tile's own scale) and the SVD's
+# own rounding of the ratio it judges.  Scaling the pivots by the trace and
+# taking their product add at most (2w + 1) eps relative error to det, and
+# det <= w^-w by AM-GM, so below 3 eps absolute, far inside the margin.
 _CHOLESKY_ROUNDING = 16.0
 _EPS = float(np.finfo(float).eps)
 
@@ -150,25 +153,23 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
 def _deficient(D: BlockDictionary, gram: np.ndarray, k: int, tol: float) -> bool:
     """Whether some k-subset of blocks stacks rank deficient; k is below the width bound.
 
-    gram is D^H D.  A stack whose Gram tile, scaled to unit trace, has
-    Cholesky factor L is proven full rank when
-    det * ((w-1) / ||L||_F^2)^(w-1) - err > tol^2, with det = prod L_ii^2
-    (the factor's diagonal is real): that bounds lambda_min = det / (product
-    of the other w-1 eigenvalues) from below, since by AM-GM that product is
-    at most the (w-1)th power of their mean, and their sum is at most
-    ||L||_F^2; err bounds the rounding.  lambda_max is at most the unit
-    trace, so lambda_min > tol^2 puts sigma_min / sigma_max above tol.  The
-    SVD judges only the stacks left unproven, among them those whose own
-    tile has no Cholesky factor.
+    gram is D^H D.  A stack whose Gram tile G has trace t and Cholesky
+    factor L is proven full rank when det * ((w-1) / fro)^(w-1) - err >
+    tol^2, with det = prod L_ii^2 / t^w (the factor's diagonal is real).
+    det is the product of the eigenvalues of L L^H / t, and by AM-GM the
+    other w-1 of them multiply to at most the (w-1)th power of their mean;
+    their sum is at most ||L||_F^2 / t <= fro = 1 + 4 (w + 1) eps, since
+    trace(L L^H) = t + trace(dG) with |trace(dG)| <= gamma ||L||_F^2 for
+    the backward error dG.  So the left side bounds lambda_min(G) / t from
+    below, err covering the rounding; the backward error is relative to the
+    tile's own scale, so the tiles are factored as gathered, unscaled.
+    lambda_max <= t, so lambda_min / t > tol^2 puts sigma_min / sigma_max
+    above tol.  The SVD judges only the stacks left unproven, among them
+    those whose own tile has no Cholesky factor.
     """
     flat, N = gram.ravel(), gram.shape[1]
     for _, cols in support_stacks(D, k):
         tiles = flat.take((cols * N)[:, :, None] + cols[:, None, :])
-        # numpy divides a complex number by a real t as a multiple of 1 / t,
-        # so scaling the real view by 1 / trace gives the same values as
-        # tiles / trace, in a third of the time.
-        parts = tiles.view(float)   # real and imaginary parts, interleaved
-        parts *= 1 / np.einsum("bii->b", tiles).real[:, None, None]
         if _screened_deficient(D, cols, tiles, tol):
             return True
     return False
@@ -177,17 +178,16 @@ def _deficient(D: BlockDictionary, gram: np.ndarray, k: int, tol: float) -> bool
 def _screened_deficient(D: BlockDictionary, cols: np.ndarray, tiles: np.ndarray,
                         tol: float) -> bool:
     """Whether some stack named by a row of cols is deficient, given the
-    stacks' Gram tiles scaled to unit trace: the screen of _deficient
-    first, then the SVD of the stacks it leaves unproven.  A batched
-    Cholesky raises when one tile of the batch has no factor, so a batch
-    that raises is bisected until each such tile fails alone; the first
-    half is settled before the second is factored.
+    stacks' Gram tiles: the screen of _deficient first, then the SVD of the
+    stacks it leaves unproven.  A batched Cholesky raises when one tile of
+    the batch has no factor, so a batch that raises is bisected until each
+    such tile fails alone; the first half is settled before the second is
+    factored.
 
-    det and ||L||_F^2 are read from the real parts of L, without a complex
-    abs: det keeps the bits of prod |L_ii|^2, and the sum of squares of the
-    real view differs from the sum of |L_ij|^2 by a few ulps of a value near
-    1, far inside err = 16 eps (M + (w + 1) ||L||_F^2), which bounds the
-    rounding of either sum just as it bounds the Cholesky's own."""
+    The trace goes to the w pivots, not the w^2 entries: det is the product
+    of (L_ii / sqrt(t))^2, read from the real parts of L without a complex
+    abs, and the threshold it must clear depends only on w.  A NaN det (from
+    an infinite trace) fails the comparison and reads as unproven."""
     try:
         L = np.linalg.cholesky(tiles)
     except np.linalg.LinAlgError:
@@ -198,13 +198,13 @@ def _screened_deficient(D: BlockDictionary, cols: np.ndarray, tiles: np.ndarray,
         unproven = cols
     else:
         w = cols.shape[1]
-        # After the trace scaling every |L_ii| <= 1, so det can only underflow.
-        d = np.diagonal(L, axis1=1, axis2=2).real
-        det = np.prod(d * d, axis=1)
-        parts = L.view(float)
-        fro = np.einsum("bij,bij->b", parts, parts)
+        t = np.einsum("bii->b", tiles).real
+        p = np.diagonal(L, axis1=1, axis2=2).real.T * (1 / np.sqrt(t))
+        p *= p
+        det = np.prod(p, axis=0)
+        fro = 1 + 4 * (w + 1) * _EPS
         err = _CHOLESKY_ROUNDING * _EPS * (D.shape[0] + (w + 1) * fro)
-        unproven = cols[det * ((w - 1) / fro) ** (w - 1) - err <= tol ** 2]
+        unproven = cols[~(det > (tol ** 2 + err) / ((w - 1) / fro) ** (w - 1))]
     if not unproven.size:
         return False
     s = np.linalg.svd(column_stacks(D, unproven), compute_uv=False)
@@ -228,12 +228,13 @@ def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
     trivial (numerically {0}).
 
     Each probe screens its stacks first: a batched Cholesky factorisation of
-    their Gram tiles, gathered from the D^H D that ``D.cross_gram`` keeps,
-    proves full rank every stack whose determinant bound on
-    sigma_min^2 / sigma_max^2 clears tol^2 by more than the rounding.  The
-    bound needs that ratio above about 1e-7, so it proves nothing the SVD
-    would call deficient; only the stacks it leaves unproven are gathered and
-    go to the batched SVD, which decides.
+    their Gram tiles, unscaled as gathered from the D^H D that
+    ``D.cross_gram`` keeps, proves full rank every stack whose determinant
+    bound on sigma_min^2 / sigma_max^2 (its squared pivots over the tile's
+    trace) clears tol^2 by more than the rounding, a threshold that depends
+    only on the stack width.  The bound needs that ratio above about 1e-7,
+    so it proves nothing the SVD would call deficient; only the stacks it
+    leaves unproven are gathered and go to the batched SVD, which decides.
     """
     if not tol >= 0:   # also rejects NaN
         raise ValueError("tolerance must be nonnegative")

@@ -366,16 +366,20 @@ def planted_structures(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=planted_structures(), seed=st.integers(0, 2**32 - 1),
        tol=st.sampled_from([coherence.SPARK_DEFICIENCY_TOL, 1e-4, 0.3]),
-       factor=st.sampled_from([10.0, 0.1, 1.25, 0.8, 0.0]))
-# Two unit columns at sigma ratio 0.8 tol: their trace-scaled Gram has
-# diagonal 1/2, so a lambda_max bound of the largest diagonal entry proves
-# the pair, which the SVD calls deficient.
-@example(case=(2, [1, 1], False, 1), seed=0, tol=0.3, factor=0.8)
-def test_screened_deficiency_matches_svd(case, seed, tol, factor):
+       factor=st.sampled_from([10.0, 0.1, 1.25, 0.8, 0.0]),
+       scale=st.sampled_from([1.0, 2.0 ** -300, 2.0 ** 300]))
+# Two unit columns at sigma ratio 0.8 tol: their Gram tile over its trace
+# has diagonal 1/2, so a lambda_max bound of the largest diagonal entry
+# proves the pair, which the SVD calls deficient.
+@example(case=(2, [1, 1], False, 1), seed=0, tol=0.3, factor=0.8, scale=1.0)
+def test_screened_deficiency_matches_svd(case, seed, tol, factor, scale):
     """The Cholesky screen changes no verdict.  The last partners + 1 blocks
     are replaced by a stack U diag(1, ..., 1, factor * tol) V^H with V the
     unitary DFT (equal column norms), so their sigma_min / sigma_max sits at
-    factor times the cutoff; every k below the width bound is compared."""
+    factor times the cutoff; every k below the width bound is compared.  The
+    whole matrix is then multiplied by scale, a power of two: exact, so every
+    sigma ratio is kept while the unscaled tiles are factored far from unit
+    norm."""
     rows, sizes, real, partners = case
     planted = sum(sizes[-partners - 1:])
     rng = np.random.default_rng(seed)
@@ -392,7 +396,7 @@ def test_screened_deficiency_matches_svd(case, seed, tol, factor):
     # Every planted block stays injective at factor 0: its columns are U times
     # the first planted - 1 rows of V^H on them, a Vandermonde matrix in
     # distinct nodes (one nonzero column when real).
-    D = BlockDictionary(mat, structure)
+    D = BlockDictionary(mat * scale, structure)
     gram = D.matrix.conj().T @ D.matrix
     for k in below_width_bound(D):
         assert coherence._deficient(D, gram, k, tol) == svd_only_deficient(D, k, tol), k
@@ -449,10 +453,10 @@ def test_screen_spares_generic_stacks_the_svd(monkeypatch):
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** -300, 2.0 ** 300])
-def test_screen_reads_trace_scaled_gram_tiles(monkeypatch, scale):
-    """Every batch reaches the screen as its Gram tiles divided by their
-    traces, equal entry for entry to gram[cols][:, :, cols] / trace, on a
-    dictionary with mixed block sizes, exact zeros and a real block."""
+def test_screen_reads_gram_tiles(monkeypatch, scale):
+    """Every batch reaches the screen as its Gram tiles, unscaled and equal
+    entry for entry to gram[cols][:, :, cols], on a dictionary with mixed
+    block sizes, exact zeros and a real block."""
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
     mat[:, :3] = np.eye(6)[:, :3]
@@ -471,9 +475,40 @@ def test_screen_reads_trace_scaled_gram_tiles(monkeypatch, scale):
         coherence._deficient(D, gram, k, coherence.SPARK_DEFICIENCY_TOL)
     assert seen
     for cols, tiles in seen:
-        reference = gram[cols[:, :, None], cols[:, None, :]]
-        reference /= np.einsum("bii->b", reference).real[:, None, None]
-        assert np.array_equal(tiles, reference)
+        assert np.array_equal(tiles, gram[cols[:, :, None], cols[:, None, :]])
+
+
+@pytest.mark.parametrize("sizes", [(1,) * 8, (2, 1, 2, 1, 1, 1)])
+def test_nan_pivot_reads_unproven(monkeypatch, sizes):
+    """A factor whose pivot is NaN, as one of a tile with an infinite trace,
+    proves nothing: the stack of that row, and only it, is gathered for the
+    SVD, while the screen proves the rest of its batch full rank."""
+    rng = np.random.default_rng(4)
+    structure = BlockStructure(sizes)
+    mat = rng.standard_normal((8, structure.dim)) + 1j * rng.standard_normal((8, structure.dim))
+    D = BlockDictionary(mat, structure)
+    k, row = 3, 2
+    first = next(coherence.support_stacks(D, k))[1]
+    cholesky = np.linalg.cholesky
+    calls, gathered = [], []
+
+    def poisoned(a):
+        L = cholesky(a)
+        if not calls:
+            L[row, 1, 1] = np.nan
+        calls.append(len(a))
+        return L
+
+    def counting(D, cols):
+        gathered.extend(map(tuple, cols.tolist()))
+        return column_stacks(D, cols)
+
+    monkeypatch.setattr(np.linalg, "cholesky", poisoned)
+    monkeypatch.setattr(coherence, "column_stacks", counting)
+    gram = D.matrix.conj().T @ D.matrix
+    assert not coherence._deficient(D, gram, k, coherence.SPARK_DEFICIENCY_TOL)
+    assert calls[0] == len(first) > row
+    assert gathered == [tuple(first[row].tolist())]
 
 
 @pytest.mark.parametrize("n", [4, 8, 9])
