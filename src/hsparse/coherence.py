@@ -26,6 +26,8 @@ SPARK_DEFICIENCY_TOL = 1e-10
 SPARK_ENUMERATION_CAP = 20
 # Relative spread of column norms that the composite family accepts as equal.
 UNIT_COLUMN_TOL = 1e-12
+# Absolute margin by which spark may fall short of 1 + 1/mu_h and still pass.
+SPARK_BOUND_SLACK = 1e-9
 # Multiple of eps * (M + (w + 1) fro) that the spark screen subtracts from
 # its bound on lambda_min / t of a w x w Gram tile of trace t: it covers the
 # rounding of D^H D (about M eps), the Cholesky backward error (about
@@ -70,11 +72,11 @@ class CoherenceReport:
         """Every s below spark/2 is recoverable; None when spark was skipped."""
         return None if self.spark is None else self.spark / 2.0
 
-    def spark_bound_ok(self, slack: float = 1e-9) -> bool | None:
+    def spark_bound_ok(self) -> bool | None:
         """Whether spark >= 1 + 1/mu_h holds; None when spark was skipped."""
         if self.spark is None:
             return None
-        return self.spark >= self.spark_lower_bound - slack
+        return self.spark >= self.spark_lower_bound - SPARK_BOUND_SLACK
 
     def to_mapping(self) -> dict:
         """Flat key/value view used by reports and the CLI."""

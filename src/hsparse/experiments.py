@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import io as hio
-from .blocks import BlockDictionary, BlockVector, h1_norm, vector_norm
+from .blocks import BlockDictionary, BlockVector, vector_norm
 from .coherence import SPARK_ENUMERATION_CAP, coherence_report
 from .io import exact_number
 from .models import (MultiCosetSpec, complex_standard_normal, identity_dft_pair,
@@ -183,16 +183,14 @@ def plant_signal(D: BlockDictionary, s: int, master_seed: int,
 
 
 def run_algorithm(algo: str, D: BlockDictionary, ys, tolerances: dict,
-                  cap: int = SPARK_ENUMERATION_CAP, max_cardinality: int | None = None,
-                  h1_references=None) -> list[RecoveryResult]:
+                  cap: int = SPARK_ENUMERATION_CAP,
+                  max_cardinality: int | None = None) -> list[RecoveryResult]:
     """Solve each measurement in ys with solver ``algo``, given the options
     ``tolerances`` sets for it (see TOLERANCE_KEYS); options not given keep
     the solver's default.  Returns one result per measurement, in order.
 
     Each algorithm gets all measurements in one batched call:
-    ``hp0_exhaustive_batch``, ``homp_batch``, or ``hbp_solve_batch`` with
-    ``h1_references`` (one per measurement, or None) qualifying its results
-    as "exact".
+    ``hp0_exhaustive_batch``, ``homp_batch`` or ``hbp_solve_batch``.
     """
     opts = {param: exact_number(key, tolerances[key], kind)
             for key, (owner, param, kind) in TOLERANCE_KEYS.items()
@@ -203,7 +201,7 @@ def run_algorithm(algo: str, D: BlockDictionary, ys, tolerances: dict,
     if algo == "omp":
         return homp_batch(D, ys, **opts)
     if algo == "bp":
-        return hbp_solve_batch(D, ys, BpParams(**opts), h1_references)
+        return hbp_solve_batch(D, ys, BpParams(**opts))
     raise ValueError(f"unknown algorithm: {algo!r}")
 
 
@@ -230,7 +228,7 @@ def run_phase_transition(config: ExperimentConfig) -> list[TrialRecord]:
     if config.s_max > n:
         raise ValueError(f"s_max {config.s_max} exceeds {n} blocks")
     records: list[TrialRecord] = []
-    # p0 first so its objectives can qualify the relaxation results as exact.
+    # p0 first: omp's steps then read the support factors p0 has kept on D.
     order = [a for a in ("p0", "omp", "bp") if a in config.algorithms]
 
     for s in range(config.s_min, config.s_max + 1):
@@ -238,12 +236,9 @@ def run_phase_transition(config: ExperimentConfig) -> list[TrialRecord]:
             trials = range(first, min(first + _TRIAL_BATCH, config.trials))
             planted = [plant_signal(D, s, config.seed, trial) for trial in trials]
             ys = [D.matrix @ truth.entries for truth, _ in planted]
-            h1_refs = None
             for algo in order:
                 results = run_algorithm(algo, D, ys, config.tolerances, cap=n,
-                                        max_cardinality=s, h1_references=h1_refs)
-                if algo == "p0":
-                    h1_refs = [h1_norm(result.solution) for result in results]
+                                        max_cardinality=s)
                 for trial, (truth, support), result in zip(trials, planted, results):
                     success, rel_error, support_match = evaluate_trial(
                         result, truth, support, algo)

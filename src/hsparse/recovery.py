@@ -30,6 +30,7 @@ import numpy as np
 from .blocks import (ZERO_BLOCK_TOL, BlockDictionary, BlockVector, block_least_squares,
                      vector_norm)
 from .coherence import SPARK_ENUMERATION_CAP, CoherenceReport
+from .io import exact_number
 
 STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
@@ -81,6 +82,8 @@ class BpParams:
             raise ValueError("splitting parameters must be positive")
         if not (self.tol_primal < 1 and self.tol_dual < 1):
             raise ValueError("tolerances must be below 1")
+        # 3.0 is kept as 3, so that range() takes it.
+        object.__setattr__(self, "max_iter", exact_number("max_iter", self.max_iter, int))
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -211,15 +214,14 @@ def _refit(D: BlockDictionary, candidates, yv: np.ndarray, feas_tol: float,
     return (feasible[0], STATUS_EXACT) if feasible else None
 
 
-def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None,
-              h1_reference: float | None = None) -> RecoveryResult:
+def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None) -> RecoveryResult:
     """Mixed-norm minimization subject to Phi u = y: ``hbp_solve_batch``
     of the one measurement y (see there)."""
-    return hbp_solve_batch(D, [y], params, [h1_reference])[0]
+    return hbp_solve_batch(D, [y], params)[0]
 
 
-def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
-                    h1_references=None) -> list[RecoveryResult]:
+def hbp_solve_batch(D: BlockDictionary, ys,
+                    params: BpParams | None = None) -> list[RecoveryResult]:
     """Mixed-norm minimization subject to Phi u = y for each measurement in
     ys, by one splitting loop over the columns of Y = [y_1 ... y_T].
 
@@ -250,20 +252,13 @@ def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
     checks both).  The solution is the feasible iterate u, so the
     measurement equation holds to projection accuracy at any exit; its
     support is read with a relative block-norm cutoff since u is never
-    exactly block-sparse.  Status is "converged", "max-iterations", or
-    "exact" when ``h1_references`` (one entry per measurement, each None or
-    e.g. the objective of an independent fewest-blocks solve of that
-    measurement) supplies a value the converged objective matches within
-    1e-6.
+    exactly block-sparse.  Status is "converged" or "max-iterations", from
+    the column's own stop tests, or "infeasible".
     """
     params = params or BpParams()
     Y = np.empty((D.shape[0], len(ys)), dtype=np.complex128)
     for j, y in enumerate(ys):
         Y[:, j] = D.measurement(y)
-    if h1_references is None:
-        h1_references = [None] * len(ys)
-    if len(h1_references) != len(ys):
-        raise ValueError(f"{len(h1_references)} h1 references for {len(ys)} measurements")
     mat = D.matrix
     pinv = D.pinv
     structure = D.structure
@@ -327,13 +322,10 @@ def hbp_solve_batch(D: BlockDictionary, ys, params: BpParams | None = None,
     U[:, active] = u
 
     results = []
-    for j, h1_reference in enumerate(h1_references):
+    for j in range(len(ys)):
         sol = BlockVector(U[:, j], structure)
-        # One pass of block norms feeds h1_norm(sol), the cutoff and the support.
+        # One pass of block norms feeds both the cutoff and the support.
         norms = sol.block_norms()
-        if status[j] == STATUS_CONVERGED and h1_reference is not None:
-            if abs(float(norms.sum()) - h1_reference) <= 1e-6 * max(1.0, abs(h1_reference)):
-                status[j] = STATUS_EXACT
         support_tol = max(ZERO_BLOCK_TOL, BP_SUPPORT_REL_TOL * float(norms.max()))
         results.append(_result(D, sol, Y[:, j], iterations[j], status[j],
                                support_tol=support_tol, norms=norms))
@@ -371,8 +363,7 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
     stop test takes the norm of, and the result's ``residual_norm`` is that
     norm from the trial's last stop test.
     """
-    if max_iter is None:
-        max_iter = D.n_blocks
+    max_iter = D.n_blocks if max_iter is None else exact_number("max_iter", max_iter, int)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not tol_res >= 0:   # also rejects NaN

@@ -159,9 +159,8 @@ class TestPhaseTransition:
 
 def test_trial_batches_match_one_batch(tmp_path, monkeypatch):
     """A level split into batches of 3 trials (3 + 3 + 1) gives the files and
-    bp statuses of the level solved as one batch.  Past the threshold of
-    identity_dft(4) some bp solves miss the p0 objective, so "converged"
-    and "exact" both occur and each trial must get its own p0 objective."""
+    bp statuses of the level solved as one batch.  bp's status comes from its
+    own stop tests alone, so it is never "exact", even with p0 in the sweep."""
     solve, statuses = experiments.run_algorithm, []
 
     def capture(algo, *args, **kw):
@@ -182,13 +181,28 @@ def test_trial_batches_match_one_batch(tmp_path, monkeypatch):
         with open(out + ".csv", encoding="utf-8") as fh:
             rows.append(list(csv.DictReader(fh)))
     assert statuses[0] == statuses[1]
-    assert {"exact", "converged"} <= set(statuses[0])
+    assert "converged" in statuses[0] and "exact" not in statuses[0]
     assert len(rows[0]) == len(rows[1]) == 42
     for whole, split in zip(*rows):
         for name in ("rel_error", "residual_norm"):
             assert math.isclose(float(whole.pop(name)), float(split.pop(name)),
                                 rel_tol=1e-12, abs_tol=1e-14)
         assert whole == split
+
+
+def test_bp_rows_do_not_depend_on_p0(tmp_path):
+    """bp reads nothing p0 computes: a sweep's bp CSV rows are byte-identical
+    with and without p0 in the algorithms, past the threshold too."""
+    rows = []
+    for algorithms in (("p0", "bp"), ("bp",)):
+        out = str(tmp_path / "_".join(algorithms))
+        run_phase_transition(small_config(dictionary={"kind": "identity_dft", "n": 4},
+                                          algorithms=algorithms, s_max=3, trials=7,
+                                          out=out))
+        with open(out + ".csv", encoding="utf-8") as fh:
+            rows.append([line for line in fh if line.split(",")[2] == "bp"])
+    assert len(rows[0]) == 21
+    assert rows[0] == rows[1]
 
 
 class TestMaxGuaranteedSparsity:

@@ -257,8 +257,8 @@ class TestHbp:
         D = identity_dft_pair(4)
         v, y = planted(D, (6,), seed=3)
         p0 = hp0_exhaustive(D, y)
-        bp = hbp_solve(D, y, h1_reference=h1_norm(p0.solution))
-        assert bp.status == "exact"
+        bp = hbp_solve(D, y)
+        assert bp.status == "converged"
         assert np.linalg.norm(bp.solution.entries - p0.solution.entries) <= 1e-6
 
     def test_feasible_at_exit(self):
@@ -306,6 +306,26 @@ class TestHbp:
         # NaN used to pass every range check and run the full 100,000 iterations.
         with pytest.raises(ValueError):
             BpParams(**{field: float("nan")})
+
+    @pytest.mark.parametrize("value", [2.5, float("inf")])
+    def test_non_integral_max_iter_rejected(self, value):
+        # Both used to pass and raise TypeError from range() inside the loop.
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            BpParams(max_iter=value)
+        assert BpParams(max_iter=3.0).max_iter == 3
+
+
+@pytest.mark.parametrize("value", [2.5, float("inf")])
+@pytest.mark.parametrize("batch", [False, True])
+def test_homp_non_integral_max_iter_rejected(batch, value):
+    """Rejected up front; 2.5 used to be accepted and stop after 3 blocks."""
+    D = identity_dft_pair(8)
+    _, y = planted(D, (1, 9), seed=0)
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        if batch:
+            homp_batch(D, [y], max_iter=value)
+        else:
+            homp(D, y, max_iter=value)
 
 
 @pytest.mark.parametrize("value", [-1.0, float("nan")])
@@ -573,8 +593,7 @@ def test_batch_matches_solves_of_one(rows, sizes, uniform, max_iter, seed):
     iterations of solving it alone, and its solution within 1e-12.  A batch
     mixes planted columns, a zero column (converged after one step) and, on
     a tall dictionary, a column outside the range; a small max_iter stops
-    some columns while others converge, and each column's h1 reference is
-    None, its own objective ("exact") or an objective it misses."""
+    some columns while others converge."""
     if uniform:
         sizes = [sizes[0]] * len(sizes)
     assume(max(sizes) <= rows)
@@ -592,20 +611,18 @@ def test_batch_matches_solves_of_one(rows, sizes, uniform, max_iter, seed):
         ys.append(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
     ys = [ys[i] for i in rng.permutation(len(ys))]
     params = BpParams(max_iter=max_iter)
-    objectives = [h1_norm(hbp_solve(D, y, params).solution) for y in ys]
-    references = [[None, h1, h1 + 1.0][int(rng.integers(3))] for h1 in objectives]
 
-    batch = hbp_solve_batch(D, ys, params, references)
+    batch = hbp_solve_batch(D, ys, params)
     assert len(batch) == len(ys)
-    for y, reference, got in zip(ys, references, batch):
-        alone = hbp_solve(D, y, params, reference)
+    for y, got in zip(ys, batch):
+        alone = hbp_solve(D, y, params)
         assert (got.status, got.support, got.iterations) == (
             alone.status, alone.support, alone.iterations)
         gap = np.linalg.norm(got.solution.entries - alone.solution.entries)
         assert gap <= 1e-12 * np.linalg.norm(alone.solution.entries)
 
 
-def hbp_loop_reference(D, ys, params, h1_references):
+def hbp_loop_reference(D, ys, params):
     """The splitting loop of hbp_solve_batch written out with one numpy
     expression per step: the prox out of place with np.repeat on every
     structure, the multiplier update as lam + u - w, and both stop tests on
@@ -659,14 +676,8 @@ def hbp_loop_reference(D, ys, params, h1_references):
                                     w[:, running], lam[:, running])
     U[:, active] = u
 
-    out = []
-    for j, h1_reference in enumerate(h1_references):
-        sol = BlockVector(U[:, j], D.structure)
-        if status[j] == "converged" and h1_reference is not None:
-            if abs(h1_norm(sol) - h1_reference) <= 1e-6 * max(1.0, abs(h1_reference)):
-                status[j] = "exact"
-        out.append((sol, iterations[j], status[j]))
-    return out
+    return [(BlockVector(U[:, j], D.structure), iterations[j], status[j])
+            for j in range(len(ys))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -681,8 +692,7 @@ def test_batch_matches_loop_reference_bit_for_bit(rows, sizes, uniform, rho, max
     (hbp_loop_reference): it makes fewer numpy calls, not different
     operations.  A batch mixes planted columns, a zero column and, on a tall
     dictionary, a column outside the range; small max_iter values stop some
-    columns while others converge, rho moves the shrinkage away from 1, and
-    each column's h1 reference is None, its own objective or one it misses."""
+    columns while others converge, and rho moves the shrinkage away from 1."""
     if uniform:
         sizes = [sizes[0]] * len(sizes)
     assume(max(sizes) <= rows)
@@ -700,13 +710,11 @@ def test_batch_matches_loop_reference_bit_for_bit(rows, sizes, uniform, rho, max
         ys.append(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
     ys = [ys[i] for i in rng.permutation(len(ys))]
     params = BpParams(rho=rho, max_iter=max_iter)
-    objectives = [h1_norm(sol) for sol, _, _ in hbp_loop_reference(D, ys, params, [None] * len(ys))]
-    references = [[None, h1, h1 + 1.0][int(rng.integers(3))] for h1 in objectives]
 
-    batch = hbp_solve_batch(D, ys, params, references)
+    batch = hbp_solve_batch(D, ys, params)
     assert len(batch) == len(ys)
     for y, got, (solution, iterations, status) in zip(
-            ys, batch, hbp_loop_reference(D, ys, params, references)):
+            ys, batch, hbp_loop_reference(D, ys, params)):
         norms = structure.norms(solution.entries)
         cutoff = max(ZERO_BLOCK_TOL, recovery.BP_SUPPORT_REL_TOL * float(norms.max()))
         assert np.array_equal(got.solution.entries, solution.entries)
@@ -715,11 +723,8 @@ def test_batch_matches_loop_reference_bit_for_bit(rows, sizes, uniform, rho, max
         assert got.residual_norm == float(np.linalg.norm(y - D.matrix @ solution.entries))
 
 
-def test_batch_rejects_unpaired_references():
-    D = identity_dft_pair(4)
-    with pytest.raises(ValueError, match="2 h1 references for 1 measurements"):
-        hbp_solve_batch(D, [np.ones(4)], h1_references=[None, None])
-    assert hbp_solve_batch(D, []) == []
+def test_batch_of_no_measurements():
+    assert hbp_solve_batch(identity_dft_pair(4), []) == []
 
 
 def solve_all(D, jobs):
