@@ -34,7 +34,8 @@ SPARK_BOUND_SLACK = 1e-9
 # (w + 1) eps ||L||_F^2 / t, relative to the tile's own scale) and the SVD's
 # own rounding of the ratio it judges.  Scaling the pivots by the trace and
 # taking their product add at most (2w + 1) eps relative error to det, and
-# det <= w^-w by AM-GM, so below 3 eps absolute, far inside the margin.
+# det <= w^-w by AM-GM, so below 3 eps absolute, far inside the margin.  The
+# diagonal shift s that lets every tile factor is subtracted on its own.
 _CHOLESKY_ROUNDING = 16.0
 _EPS = float(np.finfo(float).eps)
 
@@ -152,65 +153,66 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     return mu_block, nu, mu_hat
 
 
-def _deficient(D: BlockDictionary, gram: np.ndarray, k: int, tol: float) -> bool:
+def _deficient(D: BlockDictionary, k: int, tol: float) -> bool:
     """Whether some k-subset of blocks stacks rank deficient; k is below the width bound.
 
-    gram is D^H D.  A stack whose Gram tile G has trace t and Cholesky
-    factor L is proven full rank when det * ((w-1) / fro)^(w-1) - err >
-    tol^2, with det = prod L_ii^2 / t^w (the factor's diagonal is real).
-    det is the product of the eigenvalues of L L^H / t, and by AM-GM the
-    other w-1 of them multiply to at most the (w-1)th power of their mean;
-    their sum is at most ||L||_F^2 / t <= fro = 1 + 4 (w + 1) eps, since
-    trace(L L^H) = t + trace(dG) with |trace(dG)| <= gamma ||L||_F^2 for
-    the backward error dG.  So the left side bounds lambda_min(G) / t from
-    below, err covering the rounding; the backward error is relative to the
-    tile's own scale, so the tiles are factored as gathered, unscaled.
-    lambda_max <= t, so lambda_min / t > tol^2 puts sigma_min / sigma_max
-    above tol.  The SVD judges only the stacks left unproven, among them
-    those whose own tile has no Cholesky factor.
+    Each support_stacks batch gathers its w x w tiles of D^H D, with the
+    diagonal multiplied by 1 + s, and factors them in one batched Cholesky
+    call.  Scaled to unit diagonal, a computed tile is within w M eps of the
+    exact one, which is positive semidefinite, and the shift raises its
+    lambda_min by about s.  By Demmel's condition (Demmel 1989; Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10) a tile factors
+    once that lambda_min exceeds about w (w + 1) eps.  The stacks fit in D's
+    M rows, so w <= M, and s = 4 M (2M + 1) eps covers w (M + w + 1) eps
+    with a factor of 4 for complex arithmetic: every finite tile factors.
+
+    With L the factor and t the trace of a shifted tile, det = prod L_ii^2
+    / t^w (the factor's diagonal is real) is the product of the eigenvalues
+    of L L^H / t.  By AM-GM the other w-1 multiply to at most the (w-1)th
+    power of their mean, and their sum is at most ||L||_F^2 / t <= fro = 1 +
+    4 (w + 1) eps, since trace(L L^H) = t + trace(dG) with |trace(dG)| <=
+    gamma ||L||_F^2 for the backward error dG.  So det ((w-1) / fro)^(w-1)
+    - err bounds lambda_min / t of the shifted tile from below, err covering
+    the rounding (relative to the tile's own scale, so the tiles are factored
+    unscaled).  The shift raised lambda_min by at most s t, so subtracting s
+    bounds it for the stack's own tile, and lambda_max <= t: a stack whose
+    bound clears tol^2 has sigma_min / sigma_max above tol.  The threshold
+    depends only on w; a NaN det fails it.  The stacks left unproven go to
+    the SVD, which decides, most singular first, in chunks that double from
+    one.  A column with squared norm below tiny / eps, whose products lose
+    bits to underflow, gets a zero diagonal, so no tile holding it has a
+    factor; D^H D overflows once entries pass about 1e154.  A batch whose
+    Cholesky raises goes to the SVD whole; a NaN pivot reads as unproven.
     """
-    flat, N = gram.ravel(), gram.shape[1]
+    M, N = D.shape
+    s = 4 * M * (2 * M + 1) * _EPS
+    gram = D.cross_gram.gram.copy()
+    low = gram.diagonal().real < np.finfo(float).tiny / _EPS   # products may underflow
+    gram.flat[::N + 1] *= np.where(low, 0.0, 1 + s)
+    flat = gram.ravel()
     for _, cols in support_stacks(D, k):
         tiles = flat.take((cols * N)[:, :, None] + cols[:, None, :])
-        if _screened_deficient(D, cols, tiles, tol):
-            return True
-    return False
-
-
-def _screened_deficient(D: BlockDictionary, cols: np.ndarray, tiles: np.ndarray,
-                        tol: float) -> bool:
-    """Whether some stack named by a row of cols is deficient, given the
-    stacks' Gram tiles: the screen of _deficient first, then the SVD of the
-    stacks it leaves unproven.  A batched Cholesky raises when one tile of
-    the batch has no factor, so a batch that raises is bisected until each
-    such tile fails alone; the first half is settled before the second is
-    factored.
-
-    The trace goes to the w pivots, not the w^2 entries: det is the product
-    of (L_ii / sqrt(t))^2, read from the real parts of L without a complex
-    abs, and the threshold it must clear depends only on w.  A NaN det (from
-    an infinite trace) fails the comparison and reads as unproven."""
-    try:
-        L = np.linalg.cholesky(tiles)
-    except np.linalg.LinAlgError:
-        if len(tiles) > 1:
-            half = len(tiles) // 2
-            return (_screened_deficient(D, cols[:half], tiles[:half], tol)
-                    or _screened_deficient(D, cols[half:], tiles[half:], tol))
-        unproven = cols
-    else:
-        w = cols.shape[1]
         t = np.einsum("bii->b", tiles).real
-        p = np.diagonal(L, axis1=1, axis2=2).real.T * (1 / np.sqrt(t))
-        p *= p
-        det = np.prod(p, axis=0)
-        fro = 1 + 4 * (w + 1) * _EPS
-        err = _CHOLESKY_ROUNDING * _EPS * (D.shape[0] + (w + 1) * fro)
-        unproven = cols[~(det > (tol ** 2 + err) / ((w - 1) / fro) ** (w - 1))]
-    if not unproven.size:
-        return False
-    s = np.linalg.svd(column_stacks(D, unproven), compute_uv=False)
-    return bool(np.any(s[:, -1] <= tol * s[:, 0]))
+        try:   # only the pivots are read, so the factor is freed at once
+            p = np.diagonal(np.linalg.cholesky(tiles), axis1=1, axis2=2).real.T * (1 / np.sqrt(t))
+        except np.linalg.LinAlgError:   # a tile with no factor
+            unproven = cols
+        else:
+            w = cols.shape[1]
+            p *= p
+            det = np.prod(p, axis=0)
+            fro = 1 + 4 * (w + 1) * _EPS
+            err = _CHOLESKY_ROUNDING * _EPS * (M + (w + 1) * fro)
+            left = ~(det > (tol ** 2 + err + s) / ((w - 1) / fro) ** (w - 1))
+            if not left.any():
+                continue
+            unproven = cols[left][np.argsort(det[left])]
+        for c in range(len(unproven).bit_length()):
+            sv = np.linalg.svd(column_stacks(D, unproven[2 ** c - 1:2 ** (c + 1) - 1]),
+                               compute_uv=False)
+            if np.any(sv[:, -1] <= tol * sv[:, 0]):
+                return True
+    return False
 
 
 def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
@@ -229,14 +231,11 @@ def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
     tested, and None means even they are not deficient: the kernel is
     trivial (numerically {0}).
 
-    Each probe screens its stacks first: a batched Cholesky factorisation of
-    their Gram tiles, unscaled as gathered from the D^H D that
-    ``D.cross_gram`` keeps, proves full rank every stack whose determinant
-    bound on sigma_min^2 / sigma_max^2 (its squared pivots over the tile's
-    trace) clears tol^2 by more than the rounding, a threshold that depends
-    only on the stack width.  The bound needs that ratio above about 1e-7,
-    so it proves nothing the SVD would call deficient; only the stacks it
-    leaves unproven are gathered and go to the batched SVD, which decides.
+    Each probe screens its stacks first (see _deficient): one batched
+    Cholesky of their Gram tiles, with a rounding-sized diagonal shift,
+    proves full rank the stacks whose determinant bound on sigma_min^2 /
+    sigma_max^2 clears tol^2 by the shift and the rounding; only the others
+    go to the batched SVD, which decides.
     """
     if not tol >= 0:   # also rejects NaN
         raise ValueError("tolerance must be nonnegative")
@@ -245,14 +244,13 @@ def spark_exhaustive(D: BlockDictionary, tol: float = SPARK_DEFICIENCY_TOL,
     n = D.n_blocks
     if n > cap:
         raise ValueError("exhaustive spark infeasible; raise cap explicitly")
-    gram = D.cross_gram.gram
     wide = np.flatnonzero(np.cumsum(sorted(D.structure.sizes, reverse=True)) > D.shape[0])
-    if wide.size == 0 and not _deficient(D, gram, n, tol):
+    if wide.size == 0 and not _deficient(D, n, tol):
         return None
     lo, hi = 0, int(wide[0]) + 1 if wide.size else n
     probe = hi - 1
     while hi - lo > 1:
-        if _deficient(D, gram, probe, tol):
+        if _deficient(D, probe, tol):
             hi = probe
         else:
             lo = probe

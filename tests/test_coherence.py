@@ -397,44 +397,89 @@ def test_screened_deficiency_matches_svd(case, seed, tol, factor, scale):
     # the first planted - 1 rows of V^H on them, a Vandermonde matrix in
     # distinct nodes (one nonzero column when real).
     D = BlockDictionary(mat * scale, structure)
-    gram = D.matrix.conj().T @ D.matrix
     for k in below_width_bound(D):
-        assert coherence._deficient(D, gram, k, tol) == svd_only_deficient(D, k, tol), k
+        assert coherence._deficient(D, k, tol) == svd_only_deficient(D, k, tol), k
 
 
-def test_failed_cholesky_leaves_group_to_svd(monkeypatch):
+def recording_cholesky(monkeypatch):
+    """Wrap np.linalg.cholesky and support_stacks as _deficient calls them:
+    returns the (cols, tiles, raised) of each Cholesky call and the cols of
+    each batch, in call order."""
+    cholesky, stacks = np.linalg.cholesky, coherence.support_stacks
+    calls, batches = [], []
+
+    def recording(a):
+        try:
+            L = cholesky(a)
+        except np.linalg.LinAlgError:
+            calls.append((batches[-1], a.copy(), True))
+            raise
+        calls.append((batches[-1], a.copy(), False))
+        return L
+
+    def batched(D, k):
+        for supports, cols in stacks(D, k):
+            batches.append(cols)
+            yield supports, cols
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    monkeypatch.setattr(coherence, "support_stacks", batched)
+    return calls, batches
+
+
+def test_duplicated_column_factors_in_one_call_per_batch(monkeypatch):
     """An exactly duplicated column makes the Gram tile of every subset
-    holding it and its twin singular, so the batched Cholesky raises.  The
-    group is bisected: only the stacks whose own tile fails go to the SVD,
-    and the generic stacks of the same group are still proven full rank."""
+    holding it and its twin singular.  The shifted diagonal still gives
+    each such tile a factor: no Cholesky call raises, each batch takes one,
+    and only the stacks that hold both twins reach the SVD."""
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     mat[:, :2] = np.eye(4)[:, :2]
     mat[:, 5] = mat[:, 0]
     D = BlockDictionary(mat, uniform_structure(6))
-    failures, gathered = [], []
-    cholesky = np.linalg.cholesky
-
-    def recording(a):
-        try:
-            return cholesky(a)
-        except np.linalg.LinAlgError:
-            failures.append(len(a))
-            raise
+    calls, batches = recording_cholesky(monkeypatch)
+    gathered = []
 
     def counting(D, cols):
         gathered.extend(map(tuple, cols.tolist()))
         return column_stacks(D, cols)
 
-    monkeypatch.setattr(np.linalg, "cholesky", recording)
     monkeypatch.setattr(coherence, "column_stacks", counting)
-    gram = D.matrix.conj().T @ D.matrix
     for k in below_width_bound(D):
-        assert coherence._deficient(D, gram, k, coherence.SPARK_DEFICIENCY_TOL) == \
+        assert coherence._deficient(D, k, coherence.SPARK_DEFICIENCY_TOL) == \
             svd_only_deficient(D, k, coherence.SPARK_DEFICIENCY_TOL)
-    assert failures and max(failures) > 1
-    assert gathered and all({0, 5} <= set(stack) for stack in gathered), gathered
     assert spark_exhaustive(D) == 2
+    assert len(calls) == len(batches) and not any(raised for _, _, raised in calls)
+    assert gathered and all({0, 5} <= set(stack) for stack in gathered), gathered
+
+
+def test_near_parallel_columns_factor_in_one_call_per_batch(monkeypatch):
+    """Two columns 1e-9 apart give the stacks holding both tiles that are
+    singular up to rounding, which an unshifted Cholesky often fails on.
+    Every batch still takes exactly one call, and none raises."""
+    rng = np.random.default_rng(11)
+    mat = rng.standard_normal((8, 14)) + 1j * rng.standard_normal((8, 14))
+    mat /= np.linalg.norm(mat, axis=0)
+    mat[:, 9] = mat[:, 2] + 1e-9 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    D = BlockDictionary(mat, uniform_structure(14))
+    calls, batches = recording_cholesky(monkeypatch)
+    assert spark_exhaustive(D) == kernel_spark_oracle_blocks(D)
+    assert len(calls) == len(batches) and not any(raised for _, _, raised in calls)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-158, 1e-170])
+def test_gram_out_of_range_goes_to_the_svd(scale):
+    """A dictionary scaled so far that D^H D leaves the normal range still
+    gets the SVD's spark: at 1e160 the Gram overflows, at 1e-158 its
+    diagonal is subnormal (the screen used to prove the planted dependency
+    full rank and read spark 6), at 1e-170 it is zero and every Cholesky
+    call raises."""
+    rng = np.random.default_rng(6)
+    mat = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    mat[:, 7] = mat[:, 3] - 2 * mat[:, 5]
+    D = BlockDictionary(mat * scale, uniform_structure(8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert spark_exhaustive(D) == kernel_spark_oracle_blocks(D) == 3
 
 
 def test_screen_spares_generic_stacks_the_svd(monkeypatch):
@@ -454,28 +499,26 @@ def test_screen_spares_generic_stacks_the_svd(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** -300, 2.0 ** 300])
 def test_screen_reads_gram_tiles(monkeypatch, scale):
-    """Every batch reaches the screen as its Gram tiles, unscaled and equal
-    entry for entry to gram[cols][:, :, cols], on a dictionary with mixed
+    """Every batch reaches np.linalg.cholesky as its Gram tiles, unscaled:
+    off the diagonal equal entry for entry to gram[cols][:, :, cols], on it
+    1 + s times that, with s = 4 M (2M + 1) eps, on a dictionary with mixed
     block sizes, exact zeros and a real block."""
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
     mat[:, :3] = np.eye(6)[:, :3]
     mat[:, 4] = -mat[:, 4].real
     D = BlockDictionary(mat * scale, BlockStructure((1, 2, 1, 3, 1, 2)))
-    screened = coherence._screened_deficient
-    seen = []
-
-    def recording(D, cols, tiles, tol):
-        seen.append((cols, tiles.copy()))
-        return screened(D, cols, tiles, tol)
-
-    monkeypatch.setattr(coherence, "_screened_deficient", recording)
-    gram = D.matrix.conj().T @ D.matrix
+    calls, batches = recording_cholesky(monkeypatch)
     for k in below_width_bound(D):
-        coherence._deficient(D, gram, k, coherence.SPARK_DEFICIENCY_TOL)
-    assert seen
-    for cols, tiles in seen:
-        assert np.array_equal(tiles, gram[cols[:, :, None], cols[:, None, :]])
+        coherence._deficient(D, k, coherence.SPARK_DEFICIENCY_TOL)
+    assert calls and len(calls) == len(batches)
+    gram = D.matrix.conj().T @ D.matrix
+    shift = 1 + 4 * 6 * (2 * 6 + 1) * np.finfo(float).eps
+    for cols, tiles, _ in calls:
+        expected = gram[cols[:, :, None], cols[:, None, :]]
+        diagonal = np.arange(cols.shape[1])
+        expected[:, diagonal, diagonal] *= shift
+        assert np.array_equal(tiles, expected)
 
 
 @pytest.mark.parametrize("sizes", [(1,) * 8, (2, 1, 2, 1, 1, 1)])
@@ -505,8 +548,7 @@ def test_nan_pivot_reads_unproven(monkeypatch, sizes):
 
     monkeypatch.setattr(np.linalg, "cholesky", poisoned)
     monkeypatch.setattr(coherence, "column_stacks", counting)
-    gram = D.matrix.conj().T @ D.matrix
-    assert not coherence._deficient(D, gram, k, coherence.SPARK_DEFICIENCY_TOL)
+    assert not coherence._deficient(D, k, coherence.SPARK_DEFICIENCY_TOL)
     assert calls[0] == len(first) > row
     assert gathered == [tuple(first[row].tolist())]
 

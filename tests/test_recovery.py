@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -593,7 +594,16 @@ def test_batch_matches_solves_of_one(rows, sizes, uniform, max_iter, seed):
     iterations of solving it alone, and its solution within 1e-12.  A batch
     mixes planted columns, a zero column (converged after one step) and, on
     a tall dictionary, a column outside the range; a small max_iter stops
-    some columns while others converge."""
+    some columns while others converge.
+
+    A column's product bits depend on the batch width, so the two solves
+    agree on status and iterations only where every stop decision cleared
+    its tolerance by more than the rounding: within 1e-12 of the solution,
+    a stop quantity moves by 2e-12 / tol of its bound (hbp_loop_reference
+    gives each column's least margin).  A column closer than that may stop
+    at another iteration alone; its two solves are compared at the fewer
+    iterations (at least one, whose iterate is the least-norm solution an
+    infeasible column returns)."""
     if uniform:
         sizes = [sizes[0]] * len(sizes)
     assume(max(sizes) <= rows)
@@ -611,13 +621,20 @@ def test_batch_matches_solves_of_one(rows, sizes, uniform, max_iter, seed):
         ys.append(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
     ys = [ys[i] for i in rng.permutation(len(ys))]
     params = BpParams(max_iter=max_iter)
+    rounding = 2e-12 / min(params.tol_primal, params.tol_dual)
 
     batch = hbp_solve_batch(D, ys, params)
     assert len(batch) == len(ys)
-    for y, got in zip(ys, batch):
+    reference = hbp_loop_reference(D, ys, params)
+    for j, (y, got, (*_, margin)) in enumerate(zip(ys, batch, reference)):
         alone = hbp_solve(D, y, params)
-        assert (got.status, got.support, got.iterations) == (
-            alone.status, alone.support, alone.iterations)
+        if margin > rounding:
+            assert (got.status, got.support, got.iterations) == (
+                alone.status, alone.support, alone.iterations)
+        elif got.iterations != alone.iterations:
+            capped = dataclasses.replace(
+                params, max_iter=max(1, min(got.iterations, alone.iterations)))
+            got, alone = hbp_solve_batch(D, ys, capped)[j], hbp_solve(D, y, capped)
         gap = np.linalg.norm(got.solution.entries - alone.solution.entries)
         assert gap <= 1e-12 * np.linalg.norm(alone.solution.entries)
 
@@ -626,7 +643,12 @@ def hbp_loop_reference(D, ys, params):
     """The splitting loop of hbp_solve_batch written out with one numpy
     expression per step: the prox out of place with np.repeat on every
     structure, the multiplier update as lam + u - w, and both stop tests on
-    every iteration.  Returns each column's (solution, iterations, status)."""
+    every iteration.  Returns each column's (solution, iterations, status,
+    margin): margin is the least |r - 1| over the column's stop decisions,
+    r the range gap over its bound, then on each iteration the larger of
+    the primal gap and the dual move over their bounds (a column stops at
+    r <= 1), so the decisions hold under any rounding that moves every r by
+    less than margin."""
     Y = np.empty((D.shape[0], len(ys)), dtype=np.complex128)
     for j, y in enumerate(ys):
         Y[:, j] = D.measurement(y)
@@ -644,7 +666,9 @@ def hbp_loop_reference(D, ys, params):
 
     least_norm = pinv @ Y
     range_gap = column_norms(mat @ least_norm - Y)
-    infeasible = range_gap > recovery.BP_RANGE_TOL * np.maximum(column_norms(Y), 1.0)
+    range_bound = recovery.BP_RANGE_TOL * np.maximum(column_norms(Y), 1.0)
+    infeasible = range_gap > range_bound
+    margin = np.abs(range_gap / range_bound - 1)
 
     U = least_norm
     iterations = [0 if gap else params.max_iter for gap in infeasible]
@@ -664,8 +688,11 @@ def hbp_loop_reference(D, ys, params):
         w = w_new
         lam = lam + u - w
         primal_gap = column_norms(u - w)
-        done = ((primal_gap <= params.tol_primal * np.maximum(column_norms(u), 1.0))
-                & (dual_move <= params.tol_dual * np.maximum(column_norms(w), 1.0)))
+        primal_bound = params.tol_primal * np.maximum(column_norms(u), 1.0)
+        dual_bound = params.tol_dual * np.maximum(column_norms(w), 1.0)
+        done = (primal_gap <= primal_bound) & (dual_move <= dual_bound)
+        r = np.maximum(primal_gap / primal_bound, dual_move / dual_bound)
+        margin[active] = np.minimum(margin[active], np.abs(r - 1))
         if done.any():
             finished = active[done]
             U[:, finished] = u[:, done]
@@ -676,7 +703,7 @@ def hbp_loop_reference(D, ys, params):
                                     w[:, running], lam[:, running])
     U[:, active] = u
 
-    return [(BlockVector(U[:, j], D.structure), iterations[j], status[j])
+    return [(BlockVector(U[:, j], D.structure), iterations[j], status[j], margin[j])
             for j in range(len(ys))]
 
 
@@ -713,7 +740,7 @@ def test_batch_matches_loop_reference_bit_for_bit(rows, sizes, uniform, rho, max
 
     batch = hbp_solve_batch(D, ys, params)
     assert len(batch) == len(ys)
-    for y, got, (solution, iterations, status) in zip(
+    for y, got, (solution, iterations, status, _) in zip(
             ys, batch, hbp_loop_reference(D, ys, params)):
         norms = structure.norms(solution.entries)
         cutoff = max(ZERO_BLOCK_TOL, recovery.BP_SUPPORT_REL_TOL * float(norms.max()))
