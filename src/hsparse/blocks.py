@@ -47,10 +47,10 @@ _UNRANK_RUN = 4 * _SUBSET_CHUNK
 # covers the rounding of the Frobenius sum and of the SVD's sigma_max, each
 # about 1e-15 relative.
 _BOUND_MARGIN = 1e-8
-# Absolute slack per unit of tile width on the same bound: squares below the
-# smallest normal number round to subnormals, an absolute error of at most
-# 2^-1075 each, so w^2 of them lower the norm by at most w * 2^-537.
-_BOUND_FLOOR = 2.0 ** -537
+# Slack on the same bound per unit of tile width, times the largest bound:
+# squares scaled by 2^-p (2^p at most twice the largest Gram entry) that round
+# to subnormals err by at most 2^-1075 each; w^2 of them cost w 2^(p - 537).
+_BOUND_FLOOR = 2.0 ** -536
 # Pairs of largest bound that largest_cross_norm evaluates before pruning: on
 # random 64 x 256 dictionaries of 4-column blocks one pair alone leaves up to
 # 19% of the tiles standing, the best of 16 below 9%.
@@ -367,69 +367,76 @@ def cross_block_norm(D: BlockDictionary, i: int, j: int) -> float:
 
 
 def cross_norm_table(D1: BlockDictionary, D2: BlockDictionary | None = None) -> np.ndarray:
-    """Spectral norms of all cross-Gram tiles D1_i^H D2_j as an n1 x n2 array.
-
-    One Gram product covers every pair.  Blocks are zero-padded to the widest
-    block, which leaves each tile's largest singular value unchanged, so one
-    batched SVD serves any block structure.  Tiles that are a single row or
-    column are vectors and take their l2 norm instead, which is far cheaper
-    than an SVD.  The table of one dictionary (D2 None) is symmetric, since
-    ||A^H B|| = ||B^H A||: only the tiles i <= j are computed, and each value
-    is mirrored.
-    """
-    same = D2 is None
-    D2 = D1 if same else D2
-    gram = D1.matrix.conj().T @ D2.matrix
-    pairs = (np.triu_indices(D1.n_blocks) if same
-             else tuple(np.indices((D1.n_blocks, D2.n_blocks)).reshape(2, -1)))
-    norms = _tile_norms(gram, D1.structure.padded_columns()[pairs[0]],
-                        D2.structure.padded_columns()[pairs[1]])
-    table = np.empty((D1.n_blocks, D2.n_blocks))
-    table[pairs] = norms
-    if same:
-        table[pairs[::-1]] = norms
-    return table
-
-
-def _tile_norms(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Spectral norm of each tile of the Gram named by a row of rows (its row
-    indices) and the same row of cols (its column indices), both padded with
-    -1, which reads as a zero row or column: the l2 norm when the tiles are
-    vectors, else one batched SVD."""
-    tiles = gram[rows[:, :, None], cols[:, None, :]]
-    tiles[(rows < 0)[:, :, None] | (cols < 0)[:, None, :]] = 0.0
-    if 1 in tiles.shape[1:]:
-        return np.sqrt(np.sum(np.abs(tiles) ** 2, axis=(1, 2)))
-    return np.linalg.svd(tiles, compute_uv=False)[:, 0]
+    """Spectral norms of all cross-Gram tiles D1_i^H D2_j as an n1 x n2 array: the
+    ``CrossGram.norms`` of ``D1.cross_gram`` (D2 None) or ``cross_gram(D1, D2)``."""
+    grams = D1.cross_gram if D2 is None else cross_gram(D1, D2)
+    i, j = np.indices(grams.bounds.shape).reshape(2, -1)
+    return grams.norms(i, j).reshape(grams.bounds.shape)
 
 
 class CrossGram(NamedTuple):
-    """The Gram D1^H D2 and the Frobenius norm of each of its n1 x n2 tiles,
-    an upper bound on the tile's spectral norm."""
+    """The Gram D1^H D2, each n1 x n2 tile's Frobenius norm (an upper bound on its
+    spectral norm), each side's ``padded_columns``, and whether it is D1's own."""
 
     gram: np.ndarray
     bounds: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    same: bool
+
+    def norms(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Spectral norms of the tiles at index arrays i (row block) and j, each
+        distinct tile evaluated once, for one dictionary as i <= j (the Gram's
+        lower triangle need not be the exact conjugate of its upper one).
+
+        Zero-padding to the widest block keeps each tile's largest singular
+        value, so one batched SVD serves any block structure.  Vector tiles
+        take their l2 norm instead, scaled by the power of two of their
+        largest entry, so no square over- or underflows."""
+        a, b = (np.minimum(i, j), np.maximum(i, j)) if self.same else (i, j)
+        distinct = np.zeros(self.bounds.shape, dtype=bool)
+        distinct[a, b] = True
+        ta, tb = np.nonzero(distinct)
+        rows, cols = self.rows[ta], self.cols[tb]
+        tiles = self.gram[rows[:, :, None], cols[:, None, :]]
+        tiles[(rows < 0)[:, :, None] | (cols < 0)[:, None, :]] = 0.0
+        norms = np.empty(self.bounds.shape)
+        if 1 in tiles.shape[1:]:
+            mags = np.abs(tiles)
+            power = np.frexp(mags.max(axis=(1, 2)))[1]
+            np.ldexp(mags, -power[:, None, None], out=mags)
+            norms[ta, tb] = np.ldexp(np.sqrt(np.sum(mags * mags, axis=(1, 2))), power)
+        else:
+            norms[ta, tb] = np.linalg.svd(tiles, compute_uv=False)[:, 0]
+        return norms[a, b]
 
 
 def cross_gram(D1: BlockDictionary, D2: BlockDictionary | None = None) -> CrossGram:
-    """The Gram of cross_norm_table(D1, D2) and its tile bounds, both read-only.
+    """The CrossGram of D1 and D2 (D2 None: of D1 with itself), its arrays read-only.
 
-    The bounds of one dictionary (D2 None) are those of the tiles i <= j,
-    mirrored, as in the table: the Gram's lower triangle need not be the
-    exact conjugate of its upper one.
+    With single-column blocks on both sides the bounds are |D1^H D2|, the
+    norm table itself.  Otherwise they sum the squares of |D1^H D2| scaled by
+    the power of two of its largest entry, so none overflows.  The bounds of
+    one dictionary are those of the tiles i <= j, mirrored.
     """
     same = D2 is None
     D2 = D1 if same else D2
     gram = D1.matrix.conj().T @ D2.matrix
-    squares = np.abs(gram)
-    bounds = D2.structure.block_sums(
-        D1.structure.block_sums(np.square(squares, out=squares)), axis=1)
-    np.sqrt(bounds, out=bounds)
+    bounds = np.abs(gram)
+    rows = D1.structure.padded_columns()
+    cols = rows if same else D2.structure.padded_columns()
+    if max(rows.shape[1], cols.shape[1]) > 1:
+        power = np.frexp(bounds.max())[1]
+        np.ldexp(bounds, -power, out=bounds)
+        bounds = D2.structure.block_sums(
+            D1.structure.block_sums(np.square(bounds, out=bounds)), axis=1)
+        np.ldexp(np.sqrt(bounds, out=bounds), power, out=bounds)
     if same:
         lower = np.tril_indices(D1.n_blocks, -1)
         bounds[lower] = bounds.T[lower]
-    gram.flags.writeable = bounds.flags.writeable = False
-    return CrossGram(gram, bounds)
+    for array in (gram, bounds, rows, cols):
+        array.flags.writeable = False
+    return CrossGram(gram, bounds, rows, cols, same)
 
 
 def largest_cross_norm(D1: BlockDictionary, D2: BlockDictionary | None = None,
@@ -443,33 +450,24 @@ def largest_cross_norm(D1: BlockDictionary, D2: BlockDictionary | None = None,
     of largest scaled bound (and any tied with the last of them) are
     evaluated exactly, and then only the other pairs whose bound, widened by
     the rounding slack, still reaches the best of them: the maximum is among
-    these.  Exact values use the table's own tiles, orientation (i <= j for
-    one dictionary) and call, so they carry its bits.
+    these.  Exact values come from the table's ``CrossGram.norms``, so they
+    carry its bits.  A Gram that overflows (entries past about 1e154) raises.
     """
-    same = D2 is None
-    D2 = D1 if same else D2
-    gram, bounds = D1.cross_gram if same else cross_gram(D1, D2)
+    grams = D1.cross_gram if D2 is None else cross_gram(D1, D2)
+    bounds = grams.bounds
+    if not np.isfinite(bounds).all():
+        raise ValueError("the cross-Gram D1^H D2 overflows: dictionary entries past about 1e154")
     mask = np.ones(bounds.shape, dtype=bool) if pairs is None else pairs
-    if D1.structure.dim == D1.n_blocks and D2.structure.dim == D2.n_blocks:
+    width = max(grams.rows.shape[1], grams.cols.shape[1])
+    if width == 1:
         return float((bounds / divisor)[mask].max())
-    width = max(D1.structure.sizes + D2.structure.sizes)
-    upper = np.where(mask, (bounds * (1 + _BOUND_MARGIN) + width * _BOUND_FLOOR) / divisor,
-                     -np.inf).ravel()
+    floor = width * _BOUND_FLOOR * bounds.max()
+    upper = np.where(mask, (bounds * (1 + _BOUND_MARGIN) + floor) / divisor, -np.inf).ravel()
     divisor = np.broadcast_to(divisor, bounds.shape)
-    rows = D1.structure.padded_columns()
-    cols = rows if same else D2.structure.padded_columns()
 
     def exact(flat):
-        """Table entries at the flat pair indices over divisor, one tile evaluation
-        per distinct tile."""
         i, j = np.divmod(flat, bounds.shape[1])
-        a, b = (np.minimum(i, j), np.maximum(i, j)) if same else (i, j)
-        tiles = np.zeros(bounds.shape, dtype=bool)
-        tiles[a, b] = True
-        ta, tb = np.nonzero(tiles)
-        norms = np.empty(bounds.shape)
-        norms[ta, tb] = _tile_norms(gram, rows[ta], cols[tb])
-        return norms[a, b] / divisor[i, j]
+        return grams.norms(i, j) / divisor[i, j]
 
     k = min(_FIRST_TILES, np.count_nonzero(mask))
     first = np.flatnonzero(upper >= np.sort(upper)[upper.size - k])   # ties included

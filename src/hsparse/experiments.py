@@ -105,8 +105,9 @@ class ExperimentConfig:
             if key not in TOLERANCE_KEYS:
                 raise ValueError(f"unknown tolerances key {key!r}; known: {sorted(TOLERANCE_KEYS)}")
             exact_number(key, value, TOLERANCE_KEYS[key][2])
-        if not isinstance(self.algorithms, (list, tuple)):
-            raise ValueError(f"algorithms must be a list, got {self.algorithms!r}")
+        if not (isinstance(self.algorithms, (list, tuple))
+                and all(isinstance(a, str) for a in self.algorithms)):
+            raise ValueError(f"algorithms must be a list of names, got {self.algorithms!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string, got {self.out!r}")
         self.algorithms = tuple(sorted(set(self.algorithms)))

@@ -311,6 +311,22 @@ class TestExperimentAndCertify:
         assert code == 0
         assert json.loads(out)["mu_comparison"] == "equal"
 
+    @pytest.mark.parametrize("period", ["1e-80", "1e80", "1e150"])
+    def test_certify_multicoset_is_scale_free(self, period, tmp_path, capsys):
+        """The sampling period scales every entry and cancels from mu_h, even
+        where squaring a Gram entry would over- or underflow."""
+        docs = []
+        for p in ("1", period):
+            dict_path = str(tmp_path / f"coset-{p}.json")
+            run(capsys, "model", "multicoset", "--n", "8", "--rows", "1,2,3", "--period", p,
+                "--out", dict_path)
+            code, out, _ = run(capsys, "certify", dict_path)
+            assert code == 0
+            docs.append(json.loads(out))
+        reference, doc = docs
+        assert doc["mu_comparison"] == "equal" and doc["max_guaranteed_s_coherence"] == 1
+        assert doc["mu_h"] == pytest.approx(reference["mu_h"], rel=0, abs=1e-12)
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):
@@ -341,6 +357,8 @@ class TestExitCodes:
         {"s_max": "2"},
         {"seed": True},
         {"algorithms": 5},
+        {"algorithms": [["bp"]]},
+        {"algorithms": [1, "bp"]},
         {"out": 5},
         [1, 2],
         {"algorithms": ["p0"], "tolerances": {"p0_tol": -1}},
@@ -352,6 +370,7 @@ class TestExitCodes:
         {"dictionary": {"kind": "file", "path": 0}},
     ], ids=["unknown-key", "string-value", "list", "fractional-max-iter", "nan",
             "string-trials", "string-s-max", "bool-seed", "number-algorithms",
+            "nested-algorithms", "number-in-algorithms",
             "number-out", "top-level-list", "negative-p0-tol", "negative-omp-tol-res",
             "number-block-sizes", "number-multicoset-rows", "list-n", "list-period",
             "number-path"])

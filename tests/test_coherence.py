@@ -828,13 +828,12 @@ def test_prune_sends_few_tiles_to_the_svd(monkeypatch):
     import hsparse.blocks
     D = random_block_dictionary(64, (4,) * 64, 1)
     expected = {hilbert_coherence: table_mu_h(D), block_coherences: table_mu_block(D)}
-    svd, tile_norms = np.linalg.svd, hsparse.blocks._tile_norms
+    svd, norms = np.linalg.svd, hsparse.blocks.CrossGram.norms
     tiles, gathers = [], []
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, *args, **kw: tiles.append(len(a)) or svd(a, *args, **kw))
-    monkeypatch.setattr(hsparse.blocks, "_tile_norms",
-                        lambda gram, rows, cols: gathers.append(len(rows))
-                        or tile_norms(gram, rows, cols))
+    monkeypatch.setattr(hsparse.blocks.CrossGram, "norms",
+                        lambda self, i, j: gathers.append(len(i)) or norms(self, i, j))
     for measure, value in expected.items():
         tiles.clear()
         result = measure(D)
@@ -878,12 +877,69 @@ def test_maximum_behind_many_larger_bounds():
 
 
 def test_maximum_with_subnormal_bounds():
-    """At scale 2^-266 the tile bounds sum subnormal squares, which keep
-    about 8 significant bits.  Tile diag(a, t) is among the pairs evaluated
-    first; the rank-one tile holding mu_block exceeds it by 1e-6 relative,
-    less than its bound's rounding, so only the absolute slack keeps it."""
+    """At scale 2^-266 unscaled squares of the Gram's entries would be
+    subnormal, keeping about 8 significant bits.  Tile diag(a, t) is among
+    the pairs evaluated first; the rank-one tile holding mu_block exceeds it
+    by 1e-6 relative, so a bound that lost those bits would drop it."""
     a = 0.6
     s = a * (1 + 1e-6) / np.sqrt(2)
     D = flat_tiles_dictionary([(a, 0.0, 0.0, 0.45), (s, s, 0.0, 0.0)], scale=2.0 ** -266)
     assert block_coherences(D)[0] == table_mu_block(D)
     assert hilbert_coherence(D) == table_mu_h(D)
+
+
+def test_maximum_with_subnormal_scaled_bounds():
+    """The same tiles with every cross entry 2^-532 of a 2^600 diagonal: the
+    squares, scaled by the power of two of the largest entry, are subnormal
+    and keep about 8 significant bits.  The rank-one tile's bound may round
+    below diag(a, t)'s norm, so only the absolute slack, which scales with
+    the largest bound, keeps it."""
+    a, tiny = 0.6, 2.0 ** -532
+    s = a * (1 + 1e-6) / np.sqrt(2)
+    D = flat_tiles_dictionary([(a * tiny, 0.0, 0.0, 0.45 * tiny), (s * tiny, s * tiny, 0.0, 0.0)],
+                              c=0.5 * tiny, scale=2.0 ** 300)
+    assert block_coherences(D)[0] == table_mu_block(D)
+    assert hilbert_coherence(D) == table_mu_h(D)
+
+
+def scaled(D, k):
+    return BlockDictionary(D.matrix * 2.0 ** k, D.structure)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["columns", "uniform", "mixed"]), n=st.integers(2, 8),
+       extra_rows=st.integers(0, 4), other=st.sampled_from([(1, 1, 1), (2,), (2, 1)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_coherences_are_scale_free(kind, n, extra_rows, other, seed):
+    """mu_h, the mutual coherence against a second dictionary and the composite
+    family of D * 2^k equal those of D for k at which squaring a Gram entry
+    overflows (270, 500) or underflows (-280, -500)."""
+    rng = np.random.default_rng(seed)
+    sizes = {"columns": (1,) * n, "uniform": (2,) * n,
+             "mixed": tuple(rng.integers(1, 4, n).tolist())}[kind]
+    rows = max(sizes + other) + extra_rows
+    mats = [complex_gaussian(rng, rows, sum(part)) for part in (sizes, other)]
+    mats[0] /= np.linalg.norm(mats[0], axis=0)   # equal column norms: the family applies
+    D, E = (BlockDictionary(mat, BlockStructure(part)) for mat, part in zip(mats, (sizes, other)))
+
+    def measures(D, E):
+        family = block_coherences(D) if kind != "mixed" else ()
+        return [hilbert_coherence(D), mutual_hilbert_coherence(D, E),
+                *(-1.0 if value is None else value for value in family)]
+
+    reference = measures(D, E)
+    for k in (-500, -280, 270, 500):
+        assert measures(scaled(D, k), scaled(E, k)) == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(1,) * 6, (2,) * 3, (1, 2, 3)])
+def test_overflowing_gram_is_rejected(sizes):
+    """Entries past about 1e154 overflow D^H D: the maxima name the overflow
+    rather than return inf, 0 or NaN."""
+    D = scaled(random_block_dictionary(6, sizes, 3), 520)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="overflow"):
+        hilbert_coherence(D)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="overflow"):
+        mutual_hilbert_coherence(D, D)
