@@ -47,9 +47,8 @@ _UNRANK_RUN = 4 * _SUBSET_CHUNK
 # covers the rounding of the Frobenius sum and of the SVD's sigma_max, each
 # about 1e-15 relative.
 _BOUND_MARGIN = 1e-8
-# Slack on the same bound per unit of tile width, times the largest bound:
-# squares scaled by 2^-p (2^p at most twice the largest Gram entry) that round
-# to subnormals err by at most 2^-1075 each; w^2 of them cost w 2^(p - 537).
+# Absolute slack on the same bound per unit of tile width: w^2 squares of unit
+# Gram entries that round to subnormals, 2^-1075 each, move the root w 2^-537.5.
 _BOUND_FLOOR = 2.0 ** -536
 # Pairs of largest bound that largest_cross_norm evaluates before pruning: on
 # random 64 x 256 dictionaries of 4-column blocks one pair alone leaves up to
@@ -185,16 +184,18 @@ class BlockDictionary:
 
     Each column block must be injective: its smallest singular value has to be
     bounded away from zero relative to its largest.  Rank-deficient blocks are
-    rejected at construction.  Per-block extreme singular values are stored
-    since the coherence and recovery routines reuse them heavily; they come
-    from one batched SVD per distinct block size.  The factors that every
+    rejected at construction.  ``unit`` is the matrix times 2^-exponent, its
+    largest entry component in [1/2, 1), exactly (ldexp on the C-ordered
+    float view), so the coherence and spark routines, which read unit and
+    ``unit_sigma`` (each block's extreme singular values, one batched SVD per
+    block size), give D and D 2^k the same bits.  The factors that every
     solve on the dictionary can reuse are computed on first use and kept for
     its lifetime; each is the expression a solver would otherwise evaluate
     per call, so results are bit-identical whether it is kept or not.
     """
 
     def __init__(self, matrix, structure: BlockStructure):
-        mat = np.array(matrix, dtype=np.complex128, copy=True)
+        mat = np.array(matrix, dtype=np.complex128, copy=True, order="C")
         if mat.ndim != 2:
             raise ValueError("dictionary matrix must be two-dimensional")
         if mat.shape[1] != structure.dim:
@@ -204,22 +205,25 @@ class BlockDictionary:
             raise ValueError("need at least as many rows as the widest block")
         if not np.isfinite(mat).all():
             raise ValueError("dictionary matrix has non-finite entries")
-        # Smallest and largest singular value of each block, one row per block,
-        # from one batched SVD per distinct block size.
+        exponent = int(np.frexp(np.abs(mat.view(np.float64)).max())[1])
+        unit = np.ldexp(mat.view(np.float64), -exponent).view(np.complex128)
+        # Smallest and largest singular value of each block of unit, from one
+        # batched SVD per distinct block size.
         sizes = np.array(structure.sizes)
         padded = structure.padded_columns()
         sigma = np.empty((structure.n_blocks, 2))
         for d in np.unique(sizes):
             members = np.flatnonzero(sizes == d)
-            blocks = np.moveaxis(mat[:, padded[members, :d]], 1, 0)
+            blocks = np.moveaxis(unit[:, padded[members, :d]], 1, 0)
             sigma[members] = np.linalg.svd(blocks, compute_uv=False)[:, [-1, 0]]
         not_injective = (sigma[:, 1] <= 0.0) | (sigma[:, 0] <= RANK_TOL * sigma[:, 1])
         if not_injective.any():
             raise ValueError(f"column block {int(np.argmax(not_injective))} is not injective")
-        mat.flags.writeable = sigma.flags.writeable = False
-        self.matrix = mat
-        self.structure = structure
-        self._sigma = sigma
+        smin = np.ldexp(sigma[:, 0], exponent)
+        for array in (mat, unit, sigma, smin):
+            array.flags.writeable = False
+        self.matrix, self.unit, self.exponent, self.structure = mat, unit, exponent, structure
+        self.unit_sigma, self._sigma_min = sigma, smin
         # Kept screening bases per cardinality, and per kept support its
         # (batch of bases, row in the batch); see screening_bases.
         self._bases: dict[int, list] = {}
@@ -238,7 +242,7 @@ class BlockDictionary:
         return self.matrix[:, self.structure.block_slice(i)]
 
     def block_sigma_min(self) -> np.ndarray:
-        return self._sigma[:, 0]
+        return self._sigma_min
 
     @cached_property
     def cross_gram(self) -> "CrossGram":
@@ -266,7 +270,7 @@ class BlockDictionary:
         """
         if k in self._bases:
             return self._bases[k]
-        bases = ((supports, *_screening_basis(column_stacks(self, cols)))
+        bases = ((supports, *_screening_basis(column_stacks(self.matrix, cols)))
                  for supports, cols in support_stacks(self, k))
         # list() copies the keys in one step, so a thread keeping another
         # cardinality meanwhile cannot break the iteration.
@@ -302,7 +306,7 @@ class BlockDictionary:
                 factors[i] = stacks[row], pinv[row]
         for at in misses.values():
             cols = np.array([self.structure.column_indices(supports[i]) for i in at])
-            stacks, pinv, _ = _screening_basis(column_stacks(self, cols))
+            stacks, pinv, _ = _screening_basis(column_stacks(self.matrix, cols))
             for row, i in enumerate(at):
                 factors[i] = stacks[row], pinv[row]
         return factors
@@ -355,9 +359,8 @@ def h1_norm(v: BlockVector) -> float:
 
 
 def block_sigma(D: BlockDictionary, i: int) -> tuple[float, float]:
-    """Smallest and largest singular value of column block i."""
-    D.structure.check_index(i)
-    return tuple(D._sigma[i].tolist())
+    """Smallest and largest singular value of column block i, in D's own units."""
+    return tuple(np.ldexp(D.unit_sigma[D.structure.check_index(i)], D.exponent).tolist())
 
 
 def cross_block_norm(D: BlockDictionary, i: int, j: int) -> float:
@@ -368,15 +371,15 @@ def cross_block_norm(D: BlockDictionary, i: int, j: int) -> float:
 
 def cross_norm_table(D1: BlockDictionary, D2: BlockDictionary | None = None) -> np.ndarray:
     """Spectral norms of all cross-Gram tiles D1_i^H D2_j as an n1 x n2 array: the
-    ``CrossGram.norms`` of ``D1.cross_gram`` (D2 None) or ``cross_gram(D1, D2)``."""
-    grams = D1.cross_gram if D2 is None else cross_gram(D1, D2)
+    ``CrossGram.norms`` of ``D1.cross_gram`` (D2 None) or ``cross_gram(D1, D2)``, in D's units."""
+    D2, grams = (D1, D1.cross_gram) if D2 is None else (D2, cross_gram(D1, D2))
     i, j = np.indices(grams.bounds.shape).reshape(2, -1)
-    return grams.norms(i, j).reshape(grams.bounds.shape)
+    return np.ldexp(grams.norms(i, j).reshape(grams.bounds.shape), D1.exponent + D2.exponent)
 
 
 class CrossGram(NamedTuple):
-    """The Gram D1^H D2, each n1 x n2 tile's Frobenius norm (an upper bound on its
-    spectral norm), each side's ``padded_columns``, and whether it is D1's own."""
+    """The Gram D1.unit^H D2.unit, each n1 x n2 tile's Frobenius norm (an upper
+    bound on its spectral norm), each side's ``padded_columns``, and whether it is D1's own."""
 
     gram: np.ndarray
     bounds: np.ndarray
@@ -392,7 +395,7 @@ class CrossGram(NamedTuple):
         Zero-padding to the widest block keeps each tile's largest singular
         value, so one batched SVD serves any block structure.  Vector tiles
         take their l2 norm instead, scaled by the power of two of their
-        largest entry, so no square over- or underflows."""
+        largest entry, so no square of a tile far below the largest underflows."""
         a, b = (np.minimum(i, j), np.maximum(i, j)) if self.same else (i, j)
         distinct = np.zeros(self.bounds.shape, dtype=bool)
         distinct[a, b] = True
@@ -414,23 +417,21 @@ class CrossGram(NamedTuple):
 def cross_gram(D1: BlockDictionary, D2: BlockDictionary | None = None) -> CrossGram:
     """The CrossGram of D1 and D2 (D2 None: of D1 with itself), its arrays read-only.
 
-    With single-column blocks on both sides the bounds are |D1^H D2|, the
-    norm table itself.  Otherwise they sum the squares of |D1^H D2| scaled by
-    the power of two of its largest entry, so none overflows.  The bounds of
-    one dictionary are those of the tiles i <= j, mirrored.
+    The Gram is D1.unit^H D2.unit, every entry below 2 M in magnitude, so
+    nothing overflows.  With single-column blocks on both sides the bounds
+    are its magnitudes, the norm table itself; otherwise the roots of the
+    tiles' sums of squared magnitudes.  The bounds of one dictionary are
+    those of the tiles i <= j, mirrored.
     """
     same = D2 is None
     D2 = D1 if same else D2
-    gram = D1.matrix.conj().T @ D2.matrix
+    gram = D1.unit.conj().T @ D2.unit
     bounds = np.abs(gram)
     rows = D1.structure.padded_columns()
     cols = rows if same else D2.structure.padded_columns()
     if max(rows.shape[1], cols.shape[1]) > 1:
-        power = np.frexp(bounds.max())[1]
-        np.ldexp(bounds, -power, out=bounds)
-        bounds = D2.structure.block_sums(
-            D1.structure.block_sums(np.square(bounds, out=bounds)), axis=1)
-        np.ldexp(np.sqrt(bounds, out=bounds), power, out=bounds)
+        bounds = np.sqrt(D2.structure.block_sums(
+            D1.structure.block_sums(np.square(bounds, out=bounds)), axis=1))
     if same:
         lower = np.tril_indices(D1.n_blocks, -1)
         bounds[lower] = bounds.T[lower]
@@ -441,8 +442,9 @@ def cross_gram(D1: BlockDictionary, D2: BlockDictionary | None = None) -> CrossG
 
 def largest_cross_norm(D1: BlockDictionary, D2: BlockDictionary | None = None,
                        divisor=1.0, pairs: np.ndarray | None = None) -> float:
-    """max of cross_norm_table(D1, D2) / divisor over the pairs a boolean n1 x n2
-    mask selects (every pair when None), bit for bit, without the whole table.
+    """max of the tile norms of ``cross_gram(D1, D2)`` / divisor, both in unit's
+    units, over the pairs a boolean n1 x n2 mask selects (every pair when
+    None), bit for bit, without the whole table.
 
     Each tile's Frobenius norm, from ``cross_gram`` (cached on D1 when D2 is
     None), bounds its spectral norm from above.  When every block is one
@@ -450,18 +452,16 @@ def largest_cross_norm(D1: BlockDictionary, D2: BlockDictionary | None = None,
     of largest scaled bound (and any tied with the last of them) are
     evaluated exactly, and then only the other pairs whose bound, widened by
     the rounding slack, still reaches the best of them: the maximum is among
-    these.  Exact values come from the table's ``CrossGram.norms``, so they
-    carry its bits.  A Gram that overflows (entries past about 1e154) raises.
+    these.  Exact values come from ``CrossGram.norms``, so they carry the
+    bits of the table's.
     """
     grams = D1.cross_gram if D2 is None else cross_gram(D1, D2)
     bounds = grams.bounds
-    if not np.isfinite(bounds).all():
-        raise ValueError("the cross-Gram D1^H D2 overflows: dictionary entries past about 1e154")
     mask = np.ones(bounds.shape, dtype=bool) if pairs is None else pairs
     width = max(grams.rows.shape[1], grams.cols.shape[1])
     if width == 1:
         return float((bounds / divisor)[mask].max())
-    floor = width * _BOUND_FLOOR * bounds.max()
+    floor = width * _BOUND_FLOOR
     upper = np.where(mask, (bounds * (1 + _BOUND_MARGIN) + floor) / divisor, -np.inf).ravel()
     divisor = np.broadcast_to(divisor, bounds.shape)
 
@@ -535,8 +535,8 @@ def support_stacks(D: BlockDictionary, k: int):
 
     Yields (supports, cols): a (B, k) int64 array of block indices and the
     (B, w) array of the column indices each subset stacks, all of width w;
-    ``column_stacks(D, cols)`` gathers the (B, M, w) stacks themselves, so a
-    caller that can settle a subset from the indices alone never gathers it.
+    ``column_stacks`` gathers the (B, M, w) stacks themselves, so a caller
+    that can settle a subset from the indices alone never gathers it.
     With single-column blocks the two are the same array object (a block's
     index is its column's); no caller writes into either.
     Every batch of a width but its last has B = _SUBSET_CHUNK rows.  Nothing
@@ -615,9 +615,9 @@ def _subset_tables(sizes: tuple[int, ...], k: int):
     return suffix[0, k], big, bounds, steps, block_at
 
 
-def column_stacks(D: BlockDictionary, cols: np.ndarray) -> np.ndarray:
-    """The (B, M, w) stacks of D's columns named by the rows of a (B, w) index array."""
-    return np.moveaxis(D.matrix[:, cols], 1, 0)
+def column_stacks(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (B, M, w) stacks of the matrix columns named by the rows of a (B, w) index array."""
+    return np.moveaxis(matrix[:, cols], 1, 0)
 
 
 def _screening_basis(stacks):

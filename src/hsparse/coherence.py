@@ -6,7 +6,7 @@ row block.  From it come the recovery thresholds; the spark (the fewest
 blocks a nonzero kernel vector can occupy) gives the sharper one.  The
 composite block-coherence family (``mu_block``, ``nu``, ``mu_hat``) is kept
 for comparison: ``mu_h <= mu_hat`` whenever the latter is valid, with
-equality for orthonormal blocks.
+equality for orthonormal blocks.  All are scale-free and read D.unit.
 """
 
 from __future__ import annotations
@@ -101,14 +101,14 @@ def hilbert_coherence(D: BlockDictionary) -> float:
 
     The maximum runs over both orderings (i, j), i != j, of every pair of
     ``cross_norm_table(D)``, each entry divided by sigma_min of its row
-    block i squared.  ``largest_cross_norm`` finds it bit for bit from the
-    tile bounds cached in ``D.cross_gram``, running the SVD only on the
-    tiles that can hold it.  For unit-norm columns in size-1 blocks this
-    reduces to the classical maximum inner-product coherence.
+    block i squared, both of ``D.unit``.  ``largest_cross_norm`` finds it bit
+    for bit from the tile bounds cached in ``D.cross_gram``, running the SVD
+    only on the tiles that can hold it.  For unit-norm columns in size-1
+    blocks this reduces to the classical maximum inner-product coherence.
     """
     if D.n_blocks < 2:
         raise ValueError("coherence undefined for a single subspace")
-    return largest_cross_norm(D, divisor=D.block_sigma_min()[:, None] ** 2,
+    return largest_cross_norm(D, divisor=D.unit_sigma[:, :1] ** 2,
                               pairs=~np.eye(D.n_blocks, dtype=bool))
 
 
@@ -117,7 +117,7 @@ def mutual_hilbert_coherence(D1: BlockDictionary, D2: BlockDictionary) -> float:
     if D1.shape[0] != D2.shape[0]:
         raise ValueError(
             f"dictionaries map into different spaces: {D1.shape[0]} vs {D2.shape[0]} rows")
-    scale = np.outer(D1.block_sigma_min(), D2.block_sigma_min())
+    scale = np.outer(D1.unit_sigma[:, 0], D2.unit_sigma[:, 0])
     return largest_cross_norm(D1, D2, divisor=scale)
 
 
@@ -139,12 +139,12 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     n = D.n_blocks
     if n < 2:
         raise ValueError("coherence undefined for a single subspace")
-    norms = np.linalg.norm(D.matrix, axis=0)
+    norms = np.linalg.norm(D.unit, axis=0)
     if norms.max() - norms.min() > UNIT_COLUMN_TOL * norms.max():
         raise ValueError("composite block coherence requires equal column norms")
     scale = float(np.mean(norms ** 2))   # every Gram entry carries one squared norm
     mu_block = largest_cross_norm(D, pairs=np.triu(np.ones((n, n), dtype=bool), 1)) / scale / d
-    blocks = D.matrix.reshape(-1, n, d).transpose(1, 0, 2)
+    blocks = D.unit.reshape(-1, n, d).transpose(1, 0, 2)
     grams = np.abs(blocks.conj().transpose(0, 2, 1) @ blocks)
     grams[:, np.arange(d), np.arange(d)] = 0.0
     nu = float(grams.max()) / scale
@@ -179,9 +179,9 @@ def _deficient(D: BlockDictionary, k: int, tol: float) -> bool:
     bound clears tol^2 has sigma_min / sigma_max above tol.  The threshold
     depends only on w; a NaN det fails it.  The stacks left unproven go to
     the SVD, which decides, most singular first, in chunks that double from
-    one.  A column with squared norm below tiny / eps, whose products lose
-    bits to underflow, gets a zero diagonal, so no tile holding it has a
-    factor; D^H D overflows once entries pass about 1e154.  A batch whose
+    one.  The Gram and stacks are those of ``D.unit``: a column with squared
+    norm below tiny / eps, whose products lose bits to underflow, gets a
+    zero diagonal, so no tile holding it has a factor.  A batch whose
     Cholesky raises goes to the SVD whole; a NaN pivot reads as unproven.
     """
     M, N = D.shape
@@ -208,7 +208,7 @@ def _deficient(D: BlockDictionary, k: int, tol: float) -> bool:
                 continue
             unproven = cols[left][np.argsort(det[left])]
         for c in range(len(unproven).bit_length()):
-            sv = np.linalg.svd(column_stacks(D, unproven[2 ** c - 1:2 ** (c + 1) - 1]),
+            sv = np.linalg.svd(column_stacks(D.unit, unproven[2 ** c - 1:2 ** (c + 1) - 1]),
                                compute_uv=False)
             if np.any(sv[:, -1] <= tol * sv[:, 0]):
                 return True

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -311,20 +312,25 @@ class TestExperimentAndCertify:
         assert code == 0
         assert json.loads(out)["mu_comparison"] == "equal"
 
-    @pytest.mark.parametrize("period", ["1e-80", "1e80", "1e150"])
+    @pytest.mark.parametrize("period", ["1e-160", "1e-80", "1e80", "1e150"])
     def test_certify_multicoset_is_scale_free(self, period, tmp_path, capsys):
-        """The sampling period scales every entry and cancels from mu_h, even
-        where squaring a Gram entry would over- or underflow."""
+        """The sampling period scales every entry and cancels from mu_h and the
+        spark, even where squaring a Gram entry (1e-80, 1e80, 1e150) or D^H D
+        itself (1e-160) would over- or underflow, and no warning is raised."""
         docs = []
-        for p in ("1", period):
-            dict_path = str(tmp_path / f"coset-{p}.json")
-            run(capsys, "model", "multicoset", "--n", "8", "--rows", "1,2,3", "--period", p,
-                "--out", dict_path)
-            code, out, _ = run(capsys, "certify", dict_path)
-            assert code == 0
-            docs.append(json.loads(out))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for p in ("1", period):
+                dict_path = str(tmp_path / f"coset-{p}.json")
+                run(capsys, "model", "multicoset", "--n", "8", "--rows", "1,2,3", "--period", p,
+                    "--out", dict_path)
+                code, out, err = run(capsys, "certify", dict_path)
+                assert code == 0 and "Warning" not in err
+                docs.append(json.loads(out))
+        assert caught == []
         reference, doc = docs
         assert doc["mu_comparison"] == "equal" and doc["max_guaranteed_s_coherence"] == 1
+        assert doc["spark"] == reference["spark"] == 4
         assert doc["mu_h"] == pytest.approx(reference["mu_h"], rel=0, abs=1e-12)
 
 

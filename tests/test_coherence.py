@@ -272,13 +272,13 @@ class TestSparkExhaustive:
         assert spark_exhaustive(D2) == before
 
 
-def kernel_spark_oracle_blocks(D):
+def kernel_spark_oracle_blocks(D, tol=1e-10):
     n = D.n_blocks
     for k in range(1, n + 1):
         for combo in itertools.combinations(range(n), k):
             cols = np.hstack([D.block(i) for i in combo])
             smax = np.linalg.svd(cols, compute_uv=False)[0]
-            if np.linalg.matrix_rank(cols, tol=1e-10 * smax) < cols.shape[1]:
+            if np.linalg.matrix_rank(cols, tol=tol * smax) < cols.shape[1]:
                 return k
     return None
 
@@ -378,8 +378,8 @@ def test_screened_deficiency_matches_svd(case, seed, tol, factor, scale):
     unitary DFT (equal column norms), so their sigma_min / sigma_max sits at
     factor times the cutoff; every k below the width bound is compared.  The
     whole matrix is then multiplied by scale, a power of two: exact, so every
-    sigma ratio is kept while the unscaled tiles are factored far from unit
-    norm."""
+    sigma ratio is kept, and the screen, which reads D.unit, must give every
+    scale the same verdicts."""
     rows, sizes, real, partners = case
     planted = sum(sizes[-partners - 1:])
     rng = np.random.default_rng(seed)
@@ -469,17 +469,42 @@ def test_near_parallel_columns_factor_in_one_call_per_batch(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e160, 1e-158, 1e-170])
 def test_gram_out_of_range_goes_to_the_svd(scale):
-    """A dictionary scaled so far that D^H D leaves the normal range still
-    gets the SVD's spark: at 1e160 the Gram overflows, at 1e-158 its
-    diagonal is subnormal (the screen used to prove the planted dependency
-    full rank and read spark 6), at 1e-170 it is zero and every Cholesky
-    call raises."""
+    """A dictionary scaled to where D^H D itself would leave the normal range
+    (overflow at 1e160, a subnormal diagonal at 1e-158, on which the screen
+    once proved the planted dependency full rank and read spark 6, zero at
+    1e-170) gets the SVD's spark.  The screen factors the Gram of D.unit,
+    which stays in range, so no warning is raised on the way."""
     rng = np.random.default_rng(6)
     mat = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
     mat[:, 7] = mat[:, 3] - 2 * mat[:, 5]
     D = BlockDictionary(mat * scale, uniform_structure(8))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert spark_exhaustive(D) == kernel_spark_oracle_blocks(D) == 3
+    assert spark_exhaustive(D) == kernel_spark_oracle_blocks(D) == 3
+
+
+@pytest.mark.parametrize("tol", [coherence.SPARK_DEFICIENCY_TOL, 1e-4])
+def test_spread_within_a_dictionary_gets_the_svd_spark(tol):
+    """Blocks 3-6 of a 6-row dictionary are scaled by 2^-shift while blocks
+    0-2 stay O(1): block 4's two columns have sigma ratio tol / 10 or 100
+    tol, and block 5 is block 3 minus twice the first column of block 6.
+    Every stack pairing a tiny block with an O(1) one is deficient, so the
+    spark is 1 or 2, and the k = 1 probe decides it.  From about 2^-485 on,
+    the tiny blocks' Gram tiles keep few bits or none, and the zero diagonal
+    of their columns sends them to the SVD: without it the screen proved
+    block 4 full rank at 2^-515 to 2^-527 and read spark 2."""
+    sizes = (1, 2, 1, 1, 2, 1, 2)
+    structure = BlockStructure(sizes)
+    first = structure.offsets
+    for shift, ratio, seed in itertools.product((515, 518, 524, 527, 540), (tol / 10, 100 * tol),
+                                                range(6)):
+        rng = np.random.default_rng(seed)
+        mat = complex_gaussian(rng, 6, structure.dim)
+        u, _ = np.linalg.qr(mat[:, first[4]:first[4] + 2])
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        mat[:, first[4]:first[4] + 2] = (u * [1.0, ratio]) @ hadamard
+        mat[:, first[5]] = mat[:, first[3]] - 2 * mat[:, first[6]]
+        mat[:, first[3]:] *= 2.0 ** -shift
+        D = BlockDictionary(mat, structure)
+        assert spark_exhaustive(D, tol=tol) == kernel_spark_oracle_blocks(D, tol), (shift, seed)
 
 
 def test_screen_spares_generic_stacks_the_svd(monkeypatch):
@@ -499,20 +524,23 @@ def test_screen_spares_generic_stacks_the_svd(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** -300, 2.0 ** 300])
 def test_screen_reads_gram_tiles(monkeypatch, scale):
-    """Every batch reaches np.linalg.cholesky as its Gram tiles, unscaled:
+    """Every batch reaches np.linalg.cholesky as the Gram tiles of D.unit:
     off the diagonal equal entry for entry to gram[cols][:, :, cols], on it
     1 + s times that, with s = 4 M (2M + 1) eps, on a dictionary with mixed
-    block sizes, exact zeros and a real block."""
+    block sizes, exact zeros and a real block.  The gram is that of the
+    unscaled dictionary's unit, so every scale gives the same tiles."""
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
     mat[:, :3] = np.eye(6)[:, :3]
     mat[:, 4] = -mat[:, 4].real
-    D = BlockDictionary(mat * scale, BlockStructure((1, 2, 1, 3, 1, 2)))
+    structure = BlockStructure((1, 2, 1, 3, 1, 2))
+    D = BlockDictionary(mat * scale, structure)
     calls, batches = recording_cholesky(monkeypatch)
     for k in below_width_bound(D):
         coherence._deficient(D, k, coherence.SPARK_DEFICIENCY_TOL)
     assert calls and len(calls) == len(batches)
-    gram = D.matrix.conj().T @ D.matrix
+    unit = BlockDictionary(mat, structure).unit
+    gram = unit.conj().T @ unit
     shift = 1 + 4 * 6 * (2 * 6 + 1) * np.finfo(float).eps
     for cols, tiles, _ in calls:
         expected = gram[cols[:, :, None], cols[:, None, :]]
@@ -560,6 +588,27 @@ def test_picket_fence_spark(n):
     divisor d of n has a DFT of d spikes spaced by n / d, a kernel vector on
     d + n / d blocks, and d = 2 for n = 4 and 8, 3 for n = 9 reach it."""
     assert spark_exhaustive(identity_dft_pair(n)) == math.ceil(2 * math.sqrt(n))
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13, 17, 19])
+def test_prime_multicoset_spark_is_chebotarevs(n):
+    """Chebotarev's theorem: every square minor of the DFT matrix of prime
+    order n is nonzero.  Any m < n coset rows over the n spectral cells keep
+    every m x m minor nonzero, so any m columns are independent and any
+    m + 1 are not: spark m + 1, for three random row sets per n."""
+    rng = np.random.default_rng(n)
+    for m in rng.integers(1, n, 3).tolist():
+        rows = tuple(rng.choice(np.arange(1, n + 1), m, replace=False).tolist())
+        assert spark_exhaustive(multicoset_matrix(MultiCosetSpec(n, rows))) == m + 1, rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_identity_dft_spark_is_taos(p):
+    """Tao's uncertainty principle for the cyclic group of prime order p
+    (2005): |supp x| + |supp Fx| >= p + 1 for x != 0, so a kernel vector of
+    [I | F] occupies at least p + 1 blocks, and p + 1 columns in p rows are
+    dependent: spark p + 1, the width bound itself."""
+    assert spark_exhaustive(identity_dft_pair(p)) == p + 1
 
 
 @pytest.mark.parametrize("tol", [1.0, 1.5, math.inf])
@@ -755,7 +804,7 @@ def complex_gaussian(rng, rows, cols):
 
 def structured_matrix(kind, sizes, extra_rows, seed):
     """A matrix for the block sizes: Gaussian, Gaussian with unit columns,
-    Gaussian scaled by 2^-280 (the squares in the tile bounds underflow),
+    Gaussian scaled by 2^-280 (squares of D's own Gram entries underflow),
     Gaussian with block 0 repeated as a last block, or a phased permutation
     (mutually orthogonal blocks, every cross tile exactly 0)."""
     rng = np.random.default_rng(seed)
@@ -889,12 +938,12 @@ def test_maximum_with_subnormal_bounds():
 
 
 def test_maximum_with_subnormal_scaled_bounds():
-    """The same tiles with every cross entry 2^-532 of a 2^600 diagonal: the
-    squares, scaled by the power of two of the largest entry, are subnormal
-    and keep about 8 significant bits.  The rank-one tile's bound may round
-    below diag(a, t)'s norm, so only the absolute slack, which scales with
-    the largest bound, keeps it."""
-    a, tiny = 0.6, 2.0 ** -532
+    """The same tiles with every cross entry 2^-530 of the diagonal, at scale
+    2^300: the squares of the unit Gram's cross entries are subnormal and
+    keep about 8 significant bits.  The rank-one tile's bound may round below
+    diag(a, t)'s norm, so only the absolute slack width * 2^-536 keeps it
+    (without it the maxima are wrong at 2^-528 to 2^-531)."""
+    a, tiny = 0.6, 2.0 ** -530
     s = a * (1 + 1e-6) / np.sqrt(2)
     D = flat_tiles_dictionary([(a * tiny, 0.0, 0.0, 0.45 * tiny), (s * tiny, s * tiny, 0.0, 0.0)],
                               c=0.5 * tiny, scale=2.0 ** 300)
@@ -911,9 +960,10 @@ def scaled(D, k):
        extra_rows=st.integers(0, 4), other=st.sampled_from([(1, 1, 1), (2,), (2, 1)]),
        seed=st.integers(0, 2**32 - 1))
 def test_coherences_are_scale_free(kind, n, extra_rows, other, seed):
-    """mu_h, the mutual coherence against a second dictionary and the composite
-    family of D * 2^k equal those of D for k at which squaring a Gram entry
-    overflows (270, 500) or underflows (-280, -500)."""
+    """mu_h, the mutual coherence against a second dictionary, the composite
+    family and the spark of D * 2^k equal those of D bit for bit, for k at
+    which squaring a Gram entry of D would overflow (270, 500) or underflow
+    (-280, -500), and at which D^H D itself would (540, 600, -540, -600)."""
     rng = np.random.default_rng(seed)
     sizes = {"columns": (1,) * n, "uniform": (2,) * n,
              "mixed": tuple(rng.integers(1, 4, n).tolist())}[kind]
@@ -924,22 +974,9 @@ def test_coherences_are_scale_free(kind, n, extra_rows, other, seed):
 
     def measures(D, E):
         family = block_coherences(D) if kind != "mixed" else ()
-        return [hilbert_coherence(D), mutual_hilbert_coherence(D, E),
+        return [hilbert_coherence(D), mutual_hilbert_coherence(D, E), spark_exhaustive(D),
                 *(-1.0 if value is None else value for value in family)]
 
     reference = measures(D, E)
-    for k in (-500, -280, 270, 500):
-        assert measures(scaled(D, k), scaled(E, k)) == pytest.approx(reference, rel=1e-12)
-
-
-@pytest.mark.parametrize("sizes", [(1,) * 6, (2,) * 3, (1, 2, 3)])
-def test_overflowing_gram_is_rejected(sizes):
-    """Entries past about 1e154 overflow D^H D: the maxima name the overflow
-    rather than return inf, 0 or NaN."""
-    D = scaled(random_block_dictionary(6, sizes, 3), 520)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="overflow"):
-        hilbert_coherence(D)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="overflow"):
-        mutual_hilbert_coherence(D, D)
+    for k in (-600, -540, -500, -280, 270, 500, 540, 600):
+        assert measures(scaled(D, k), scaled(E, k)) == reference, k

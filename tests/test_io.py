@@ -133,7 +133,7 @@ def test_array_documents_round_trip_bit_exact(tmp_path_factory, sizes, data):
     assert np.array_equal(bits(load_block_vector(path).entries), bits(vector.entries))
 
     # Drawn values on the first row over a scaled identity per block, so each
-    # block stays injective; 1e300 keeps its SVD clear of overflow.
+    # block stays injective; 1e300 keeps its singular values finite.
     matrix = np.zeros((1 + max(sizes), dim), dtype=np.complex128)
     matrix[0] = draw_entries(1e300)
     for i, d in enumerate(sizes):
