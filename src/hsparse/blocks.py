@@ -185,13 +185,13 @@ class BlockDictionary:
     Each column block must be injective: its smallest singular value has to be
     bounded away from zero relative to its largest.  Rank-deficient blocks are
     rejected at construction.  ``unit`` is the matrix times 2^-exponent, its
-    largest entry component in [1/2, 1), exactly (ldexp on the C-ordered
-    float view), so the coherence and spark routines, which read unit and
+    largest entry component in [1/2, 1), exactly (ldexp on the C-ordered float
+    view).  The coherence, spark, omp picks and kernel audit read unit and
     ``unit_sigma`` (each block's extreme singular values, one batched SVD per
-    block size), give D and D 2^k the same bits.  The factors that every
-    solve on the dictionary can reuse are computed on first use and kept for
-    its lifetime; each is the expression a solver would otherwise evaluate
-    per call, so results are bit-identical whether it is kept or not.
+    block size), so they are scale-free.  The factors that every solve on the
+    dictionary can reuse are computed on first use and kept for its lifetime;
+    each is the expression a solver would otherwise evaluate per call, so
+    results are bit-identical whether it is kept or not.
     """
 
     def __init__(self, matrix, structure: BlockStructure):
@@ -219,11 +219,10 @@ class BlockDictionary:
         not_injective = (sigma[:, 1] <= 0.0) | (sigma[:, 0] <= RANK_TOL * sigma[:, 1])
         if not_injective.any():
             raise ValueError(f"column block {int(np.argmax(not_injective))} is not injective")
-        smin = np.ldexp(sigma[:, 0], exponent)
-        for array in (mat, unit, sigma, smin):
+        for array in (mat, unit, sigma):
             array.flags.writeable = False
         self.matrix, self.unit, self.exponent, self.structure = mat, unit, exponent, structure
-        self.unit_sigma, self._sigma_min = sigma, smin
+        self.unit_sigma = sigma
         # Kept screening bases per cardinality, and per kept support its
         # (batch of bases, row in the batch); see screening_bases.
         self._bases: dict[int, list] = {}
@@ -240,9 +239,6 @@ class BlockDictionary:
     def block(self, i: int) -> np.ndarray:
         """Column block i (read-only view)."""
         return self.matrix[:, self.structure.block_slice(i)]
-
-    def block_sigma_min(self) -> np.ndarray:
-        return self._sigma_min
 
     @cached_property
     def cross_gram(self) -> "CrossGram":

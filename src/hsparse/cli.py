@@ -110,7 +110,8 @@ def _build_parser() -> _Parser:
     q = unc.add_parser("audit-kernel")
     q.add_argument("--dict", dest="dictionary", required=True)
     q.add_argument("--vector", required=True)
-    q.add_argument("--tol-kernel", type=float, default=KERNEL_RESIDUAL_TOL)
+    q.add_argument("--tol-kernel", type=float, default=KERNEL_RESIDUAL_TOL,
+                   help="largest ||D.unit v|| / ||v|| of a kernel vector (unit = D 2^-e)")
     q.add_argument("--out")
     q = unc.add_parser("audit-pair")
     q.add_argument("--dict-a", required=True)

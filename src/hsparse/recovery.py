@@ -348,20 +348,21 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
     ||block^H r|| / sigma_min(block) (ties to the lowest index; blocks
     already selected are skipped so a numerically stale correlation cannot
     stall the loop), refits by least squares on the enlarged support, and
-    updates the residual.  A trial stops once ||r|| <= tol_res * max(||y||, 1);
-    running out of iterations or blocks gives status "max-iterations".
+    updates the residual.  A trial stops once ||r|| <= tol_res * max(||y||, 1),
+    an absolute floor; running out of iterations or blocks: "max-iterations".
 
-    Each running trial's correlations are its own product of the adjoint
-    D^H, taken once per call, with its residual, so its pick is that of a
-    pursuit of it alone, ties included; one block-norm pass then weighs them
-    all.  The pseudo-inverses of the enlarged supports come from
-    ``D.factors`` (kept by p0, or factored in one batched SVD per stack
-    width).  Each trial's fit, residual and stop test stay its own, so
-    every trial gets its own RecoveryResult, in the order of ys, equal bit
-    for bit to a pursuit of it alone.  A fit is the pseudo-inverse times y,
-    scattered into zeros; its residual y - Phi solution is the one the next
-    stop test takes the norm of, and the result's ``residual_norm`` is that
-    norm from the trial's last stop test.
+    Each running trial's correlations are its own product of ``D.unit^H``
+    with its residual, so its pick is that of a pursuit of it alone, ties
+    included; one block-norm pass over ``D.unit_sigma`` weighs them all.
+    unit's 2^-exponent cancels, so these are D's own weights, but they
+    scale as ||r||, not ||D|| ||r||.  The pseudo-inverses of the enlarged
+    supports come from ``D.factors`` (kept by p0, or factored in one batched
+    SVD per stack width).  Each trial's fit, residual and stop test stay its
+    own, in D's units, so every trial gets its own RecoveryResult, in the
+    order of ys, equal bit for bit to a pursuit of it alone.  A fit is the
+    pseudo-inverse times y, scattered into zeros; its residual y - Phi
+    solution is the one the next stop test takes the norm of, and the
+    result's ``residual_norm`` is that norm from the trial's last stop test.
     """
     max_iter = D.n_blocks if max_iter is None else exact_number("max_iter", max_iter, int)
     if max_iter < 1:
@@ -370,7 +371,7 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
         raise ValueError("tol_res must be nonnegative")
     yvs = [D.measurement(y) for y in ys]
     stops = [tol_res * max(vector_norm(yv), 1.0) for yv in yvs]
-    adjoint, smin = D.matrix.conj().T, D.block_sigma_min()[:, None]
+    adjoint, smin = D.unit.conj().T, D.unit_sigma[:, :1]
     solutions = [np.zeros(D.structure.dim, dtype=np.complex128) for _ in yvs]
     residuals = [yv.copy() for yv in yvs]
     residual_norms = [0.0] * len(yvs)

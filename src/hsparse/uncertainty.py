@@ -27,7 +27,8 @@ from .models import complex_standard_normal, unitary_dft
 KERNEL_RANK_TOL = 1e-12
 # Comparison slack when evaluating the (exact) theorem inequalities.
 AUDIT_SLACK = 1e-9
-# Relative residual ||D v|| / ||v|| up to which v counts as a kernel vector.
+# Relative residual ||D.unit v|| / ||v|| up to which v counts as a kernel
+# vector; for unit-norm columns at most twice as loose as in D's own units.
 KERNEL_RESIDUAL_TOL = 1e-10
 # Relative gap up to which two sampled images count as one measurement.
 IMAGE_MATCH_TOL = 1e-9
@@ -96,8 +97,8 @@ def kernel_uncertainty_audit(D: BlockDictionary, v: BlockVector,
 
     For each k = 1..n the best k-block set is found, its epsilon computed,
     and the bound (1 - eps)(1 + 1/mu_h) compared against k.  Every row must
-    hold for a genuine kernel vector; the full profile is returned so a
-    violation pinpoints the offending set size.
+    hold for a kernel vector, ||D.unit v|| <= tol_kernel ||v|| (scale-free,
+    like mu_h); the full profile pinpoints the offending set size.
     """
     if not tol_kernel >= 0:   # also rejects NaN
         raise ValueError("tol_kernel must be nonnegative")
@@ -106,7 +107,7 @@ def kernel_uncertainty_audit(D: BlockDictionary, v: BlockVector,
     vn = v.norm()
     if vn <= 0.0:
         raise ValueError("zero vector has no concentration profile")
-    if float(np.linalg.norm(D.matrix @ v.entries)) > tol_kernel * vn:
+    if float(np.linalg.norm(D.unit @ v.entries)) > tol_kernel * vn:
         raise ValueError("not a kernel vector")
     mu = hilbert_coherence(D)
     if mu <= 0.0:

@@ -160,13 +160,15 @@ class TestBlockSigma:
     @settings(max_examples=40, deadline=None)
     @given(sizes=block_sizes, extra_rows=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
     def test_sigma_matches_per_block_svd(self, sizes, extra_rows, seed):
-        """The per-size batched SVDs of D.unit, taken back to D's units by its
-        exponent, give the per-block loop's values on D bit for bit."""
+        """The per-size batched SVDs of D.unit give the per-block loop's values
+        on D.unit bit for bit, and block_sigma, which takes them back to D's
+        units by its exponent, those of the loop on D."""
         D = gaussian_dictionary(sizes, extra_rows, seed)
-        loop = np.array([np.linalg.svd(D.block(i), compute_uv=False)[[-1, 0]]
-                         for i in range(D.n_blocks)])
-        assert np.array_equal([block_sigma(D, i) for i in range(D.n_blocks)], loop)
-        assert np.array_equal(D.block_sigma_min(), loop[:, 0])
+        for matrix, sigma in [(D.unit, D.unit_sigma),
+                              (D.matrix, [block_sigma(D, i) for i in range(D.n_blocks)])]:
+            loop = [np.linalg.svd(matrix[:, D.structure.block_slice(i)], compute_uv=False)[[-1, 0]]
+                    for i in range(D.n_blocks)]
+            assert np.array_equal(sigma, loop)
 
     def test_first_failing_block_named_across_sizes(self):
         """Blocks 2 (second of size 2) and 3 (size 1) both fail; the lower index is named."""

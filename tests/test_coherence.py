@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import hsparse.coherence as coherence
 from hsparse.blocks import column_stacks, cross_gram
-from hsparse import (BlockDictionary, BlockStructure, block_coherences,
+from hsparse import (BlockDictionary, BlockStructure, block_coherences, block_sigma,
                      coherence_report, cross_block_norm, cross_norm_table, guarantee_check,
                      hilbert_coherence, mutual_hilbert_coherence, spark_exhaustive,
                      identity_dft_pair, multicoset_matrix, MultiCosetSpec,
@@ -283,9 +284,14 @@ def kernel_spark_oracle_blocks(D, tol=1e-10):
     return None
 
 
+def sigma_min(D):
+    """Each block's smallest singular value in D's own units, from block_sigma."""
+    return np.array([block_sigma(D, i)[0] for i in range(D.n_blocks)])
+
+
 def pairwise_hilbert_coherence(D):
     """Reference: the per-pair loop over cross_block_norm."""
-    smin = D.block_sigma_min()
+    smin = sigma_min(D)
     best = 0.0
     for i, j in itertools.combinations(range(D.n_blocks), 2):
         cross = cross_block_norm(D, i, j)
@@ -763,7 +769,7 @@ def test_cross_gram_is_the_shared_read_only_value():
                  for i in range(5)]
     np.testing.assert_allclose(bounds, frobenius, rtol=1e-13)
     assert np.array_equal(bounds, bounds.T) and np.all(bounds >= cross_norm_table(D))
-    for array in (value.gram, value.bounds, D.block_sigma_min()):
+    for array in (value.gram, value.bounds, D.unit, D.unit_sigma):
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         value.bounds[0, 0] = 0.0
@@ -777,7 +783,7 @@ def test_cross_gram_is_the_shared_read_only_value():
 
 def table_mu_h(D):
     """mu_h read off the whole table, as hilbert_coherence computed it before."""
-    scaled = cross_norm_table(D) / D.block_sigma_min()[:, None] ** 2
+    scaled = cross_norm_table(D) / sigma_min(D)[:, None] ** 2
     return float(scaled[~np.eye(D.n_blocks, dtype=bool)].max())
 
 
@@ -789,7 +795,7 @@ def table_mu_block(D):
 
 
 def table_mutual(D1, D2):
-    scale = np.outer(D1.block_sigma_min(), D2.block_sigma_min())
+    scale = np.outer(sigma_min(D1), sigma_min(D2))
     return float((cross_norm_table(D1, D2) / scale).max())
 
 
@@ -980,3 +986,16 @@ def test_coherences_are_scale_free(kind, n, extra_rows, other, seed):
     reference = measures(D, E)
     for k in (-600, -540, -500, -280, 270, 500, 540, 600):
         assert measures(scaled(D, k), scaled(E, k)) == reference, k
+
+
+@pytest.mark.parametrize("compute_spark", [True, False])
+def test_entries_near_the_float_limit_certify(compute_spark):
+    """Entries near 1.5e308 construct and certify without a warning: the
+    dictionary keeps no singular value in D's own units, where a block's
+    sigma_min of about 2.1e308 would overflow."""
+    mat = np.array([[1.5e308, 0.75e308], [1.5e308, -1.5e308], [0, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        doc = run_certify(BlockDictionary(mat, uniform_structure(2)), compute_spark=compute_spark)
+    assert doc["mu_h"] == pytest.approx(0.25, rel=1e-15)
+    assert doc["spark"] == ("trivial-kernel" if compute_spark else "not-computed")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import hsparse.blocks as blocks
 import hsparse.recovery as recovery
 from hsparse import (BlockDictionary, BlockStructure, BpParams, BlockVector,
-                     ZERO_BLOCK_TOL, coherence_report, complex_standard_normal,
+                     ZERO_BLOCK_TOL, block_sigma, coherence_report, complex_standard_normal,
                      guarantee_check, h1_norm, hbp_solve, hbp_solve_batch, homp,
                      homp_batch, hp0_exhaustive, hp0_exhaustive_batch,
                      identity_dft_pair, random_block_dictionary,
@@ -392,12 +392,34 @@ class TestHomp:
         assert r.iterations == 1
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_homp_is_scale_free(seed):
+    """omp on (D 2^k, y 2^k) picks the blocks it picks on (D, y), so supports,
+    iterations and statuses agree, for k at which D^H r squared would
+    overflow (270, 400, 500) or would not (100): the picks weigh D.unit^H r
+    by unit_sigma.  Negative k are left out on purpose: the stop rule's
+    floor max(||y||, 1) is absolute, so a y scaled below norm 1 stops on
+    the floor, not on tol_res relative to ||y||."""
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(d) for d in rng.integers(1, 4, size=16))
+    for D in (identity_dft_pair(16), random_block_dictionary(12, sizes, seed)):
+        ys = [planted(D, rng.choice(D.n_blocks, size=s, replace=False), seed + trial)[1]
+              for s in range(1, 6) for trial in range(6)]
+        reference = [(r.support, r.iterations, r.status) for r in homp_batch(D, ys)]
+        for k in (100, 270, 400, 500):
+            scaled = BlockDictionary(D.matrix * 2.0 ** k, D.structure)
+            got = homp_batch(scaled, [y * 2.0 ** k for y in ys])
+            assert [(r.support, r.iterations, r.status) for r in got] == reference, k
+
+
 def homp_checked_steps(D, y, tol_res=1e-10, max_iter=None):
-    """Reference omp loop whose every refit is a checked block_least_squares call."""
+    """Reference omp loop whose every refit is a checked block_least_squares
+    call, weighing its picks in D's own units, not unit's."""
     max_iter = D.n_blocks if max_iter is None else max_iter
     yv = D.measurement(y)
     stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
-    smin = D.block_sigma_min()
+    smin = np.array([block_sigma(D, i)[0] for i in range(D.n_blocks)])
     solution = BlockVector.zeros(D.structure)
     residual = yv.copy()
     selected = []

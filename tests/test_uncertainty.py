@@ -89,6 +89,21 @@ class TestKernelAudit:
         with pytest.raises(ValueError, match="zero vector"):
             kernel_uncertainty_audit(D, BlockVector(np.zeros(8), D.structure))
 
+    @pytest.mark.parametrize("k", [-200, -60, 60, 200])
+    def test_kernel_test_is_scale_free(self, k):
+        """The kernel test reads D.unit, so D 2^k accepts its own kernel sample
+        with D's profile and rejects the vector of
+        test_non_kernel_vector_rejected, where a test in D's own units would
+        reject the sample at 2^60 and accept that vector at 2^-60."""
+        D = identity_dft_pair(16)
+        reference = kernel_uncertainty_audit(D, kernel_sample(D, 3))
+        scaled = BlockDictionary(D.matrix * 2.0 ** k, D.structure)
+        assert kernel_uncertainty_audit(scaled, kernel_sample(scaled, 3)) == reference
+        small = identity_dft_pair(4)
+        small = BlockDictionary(small.matrix * 2.0 ** k, small.structure)
+        with pytest.raises(ValueError, match="not a kernel vector"):
+            kernel_uncertainty_audit(small, BlockVector(np.ones(8), small.structure))
+
 
 class TestGupAudit:
     def test_self_representation_in_identity(self):
