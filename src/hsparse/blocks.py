@@ -253,20 +253,23 @@ class BlockDictionary:
         return pinv
 
     def screening_bases(self, k: int):
-        """(supports, stacks, pinv, cond) per batch of ``support_stacks(self, k)``.
+        """(supports, stacks, pinv, cond, basis) per batch of ``support_stacks(self, k)``.
 
         supports is the (B, k) batch of block indices, and the rest is what
         ``_screening_basis`` factors from its (B, M, w) column stacks: the
         stacks, each contiguous; their pseudo-inverses (numpy's ``pinv`` with
         the RANK_TOL cutoff), so ||y - S P y|| is the residual of
-        ``block_least_squares`` on a support; and cond, the largest over the
-        smallest singular value above that cutoff.  A cardinality's
-        bases are kept while the dictionary's total stays within
-        FACTOR_CACHE_BYTES; past it they are streamed afresh per call.
+        ``block_least_squares`` on a support; cond, the largest over the
+        smallest singular value above that cutoff; and basis, the rows U^H
+        of each stack's orthonormal range basis U in one (B r, M) matrix
+        (r = min(M, w); zero rows below the cutoff), from which p0's screen
+        reads ||y||^2 - ||U^H y||^2.  A cardinality's bases are kept while
+        the dictionary's total stays within FACTOR_CACHE_BYTES; past it they
+        are streamed afresh per call.
         """
         if k in self._bases:
             return self._bases[k]
-        bases = ((supports, *_screening_basis(column_stacks(self.matrix, cols)))
+        bases = ((supports, *_screening_basis(column_stacks(self.matrix, cols), rows=True))
                  for supports, cols in support_stacks(self, k))
         # list() copies the keys in one step, so a thread keeping another
         # cardinality meanwhile cannot break the iteration.
@@ -287,8 +290,8 @@ class BlockDictionary:
 
         A support whose cardinality ``screening_bases`` keeps reads its kept
         pair.  The others are factored here, those of one stack width
-        together in one batched ``_screening_basis``, bit for bit as one
-        alone; they are not kept.
+        together in one batched ``_screening_basis`` without basis rows, bit
+        for bit as one alone; they are not kept.
         """
         factors: list = [None] * len(supports)
         misses: dict[int, list[int]] = {}
@@ -298,11 +301,11 @@ class BlockDictionary:
                 width = sum(self.structure.sizes[b] for b in support)
                 misses.setdefault(width, []).append(i)
             else:
-                (_, stacks, pinv, _), row = hit
+                (_, stacks, pinv, _, _), row = hit
                 factors[i] = stacks[row], pinv[row]
         for at in misses.values():
             cols = np.array([self.structure.column_indices(supports[i]) for i in at])
-            stacks, pinv, _ = _screening_basis(column_stacks(self.matrix, cols))
+            stacks, pinv, _, _ = _screening_basis(column_stacks(self.matrix, cols))
             for row, i in enumerate(at):
                 factors[i] = stacks[row], pinv[row]
         return factors
@@ -344,9 +347,19 @@ def h0_norm(v: BlockVector, tol: float = ZERO_BLOCK_TOL) -> int:
 
 def vector_norm(x: np.ndarray) -> float:
     """``np.linalg.norm`` of a contiguous 1-D complex vector without its
-    dispatch: numpy's expression sqrt(re.re + im.im), so the same bits."""
+    dispatch: numpy's expression sqrt(re.re + im.im), so the same bits.
+    When that sum of squares leaves the float range, the norm is taken on x
+    scaled by the power of two of its largest component and scaled back
+    (inf only when the norm itself exceeds the range); the overflow of the
+    first sum warns unless the caller holds ``np.errstate(over="ignore")``."""
     re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    squares = re.dot(re) + im.dot(im)
+    if math.isfinite(squares):
+        return math.sqrt(squares)
+    power = int(np.frexp(max(np.abs(re).max(), np.abs(im).max()))[1])
+    re, im = np.ldexp(re, -power), np.ldexp(im, -power)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(re.dot(re) + im.dot(im)), power))
 
 
 def h1_norm(v: BlockVector) -> float:
@@ -354,9 +367,21 @@ def h1_norm(v: BlockVector) -> float:
     return float(v.block_norms().sum())
 
 
+def _in_units(values: np.ndarray, exponent: int, what: str) -> np.ndarray:
+    """values * 2^exponent by an exact ldexp; ValueError naming what when a
+    value leaves the float range."""
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, exponent)
+    if np.isinf(values).any():
+        raise ValueError(f"{what} overflows the float range in the dictionary's own units")
+    return values
+
+
 def block_sigma(D: BlockDictionary, i: int) -> tuple[float, float]:
     """Smallest and largest singular value of column block i, in D's own units."""
-    return tuple(np.ldexp(D.unit_sigma[D.structure.check_index(i)], D.exponent).tolist())
+    i = D.structure.check_index(i)
+    sigma = _in_units(D.unit_sigma[i], D.exponent, f"block {i}'s singular values")
+    return tuple(sigma.tolist())
 
 
 def cross_block_norm(D: BlockDictionary, i: int, j: int) -> float:
@@ -370,7 +395,8 @@ def cross_norm_table(D1: BlockDictionary, D2: BlockDictionary | None = None) -> 
     ``CrossGram.norms`` of ``D1.cross_gram`` (D2 None) or ``cross_gram(D1, D2)``, in D's units."""
     D2, grams = (D1, D1.cross_gram) if D2 is None else (D2, cross_gram(D1, D2))
     i, j = np.indices(grams.bounds.shape).reshape(2, -1)
-    return np.ldexp(grams.norms(i, j).reshape(grams.bounds.shape), D1.exponent + D2.exponent)
+    return _in_units(grams.norms(i, j).reshape(grams.bounds.shape),
+                     D1.exponent + D2.exponent, "the cross-norm table")
 
 
 class CrossGram(NamedTuple):
@@ -616,24 +642,34 @@ def column_stacks(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.moveaxis(matrix[:, cols], 1, 0)
 
 
-def _screening_basis(stacks):
-    """(stacks, pinv, cond) of a (B, M, w) batch of stacks, made contiguous;
-    the one routine that factors a support (see screening_bases)."""
+def _screening_basis(stacks, rows: bool = False):
+    """(stacks, pinv, cond, basis) of a (B, M, w) batch of stacks, made
+    contiguous; the one routine that factors a support (see screening_bases).
+    basis, the (B r, M) rows that p0's screen multiplies, is built only when
+    rows is set, and is None otherwise: omp's fresh factors never screen."""
     stacks = np.ascontiguousarray(stacks)
     # numpy's pinv(stacks, rcond=RANK_TOL) step by step, which keeps the
-    # singular values that cond needs.
+    # singular values that cond needs.  The SVD is of the conjugate, so
+    # u^T = (conj u)^H holds the conjugated left singular vectors of stacks.
     u, s, vh = np.linalg.svd(stacks.conj(), full_matrices=False)
     kept = s > RANK_TOL * s[:, :1]
     inverse = np.divide(1, s, where=kept, out=np.zeros_like(s))
-    pinv = np.swapaxes(vh, 1, 2) @ (inverse[:, :, None] * np.swapaxes(u, 1, 2))
+    ut = np.swapaxes(u, 1, 2)
+    pinv = np.swapaxes(vh, 1, 2) @ (inverse[:, :, None] * ut)
     cond = s[:, 0] / np.where(kept, s, np.inf).min(axis=1)
-    return stacks, pinv, cond
+    basis = None
+    if rows:
+        basis = np.array(ut, order="C")
+        basis[~kept] = 0
+        basis = basis.reshape(-1, stacks.shape[1])
+    return stacks, pinv, cond, basis
 
 
 def _bases_bytes(D: BlockDictionary, k: int) -> int:
     """Upper bound on the bytes of the screening bases of all k-subsets:
-    stack and pseudo-inverse, supports and cond, and the lookup entry."""
+    stack, pseudo-inverse and basis rows, supports and cond, and the lookup
+    entry."""
     rows = D.shape[0]
     widest = sum(sorted(D.structure.sizes)[-k:])
-    return math.comb(D.n_blocks, k) * (2 * rows * widest * 16 + 8 * (k + 1)
-                                       + _FIT_ENTRY_BYTES + 8 * k)
+    return math.comb(D.n_blocks, k) * ((2 * widest + min(rows, widest)) * rows * 16
+                                       + 8 * (k + 1) + _FIT_ENTRY_BYTES + 8 * k)

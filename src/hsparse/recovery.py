@@ -43,11 +43,13 @@ STATUS_NON_UNIQUE = "non-unique"
 BP_SUPPORT_REL_TOL = 1e-6
 # Relative pseudo-inverse residual above which bp reports y "infeasible".
 BP_RANGE_TOL = 1e-9
-# Multiple of eps * cond * ||y|| by which p0's batched screen may understate
-# the residual of the per-support refit that decides feasibility.
+# Rounding allowance of p0's screen, the c of its two terms: the per-support
+# refit's residual may exceed the projection residual ||(I - U U^H) y|| by
+# c eps cond ||y||, and the computed ||y||^2 - ||U^H y||^2 may fall short of
+# its exact value by c (M + r) eps ||y||^2 (see _screen).
 _SCREEN_ROUNDING = 100.0
-# Bytes of the (B, M, T) residual one p0 screening product may build; the
-# open trials of a level are screened in slices that fit it.
+# Bytes of the (B r, T) product one p0 screening batch may build; the open
+# trials of a level are screened in slices that fit it.
 _SCREEN_BYTES = 4 * 2**20
 
 
@@ -127,20 +129,22 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
     ``iterations`` counts every support of every scanned cardinality.
 
     Each cardinality screens the measurements still open at once: per batch
-    of supports, one product R = Y - S (P Y) of the stacks S, their
-    pseudo-inverses P (RANK_TOL cutoff) and the open columns of Y, taken in
-    slices of trials that keep R within _SCREEN_BYTES.  Supports that pass,
-    with an allowance for the rounding of the batched product, are refitted
-    by ``block_least_squares`` in lexicographic order and admitted on that
+    of supports, one product C = U^H Y of the stacked rows U^H of the
+    supports' orthonormal range bases (RANK_TOL cutoff) with the open
+    columns of Y, taken in slices of trials that keep C within
+    _SCREEN_BYTES, gives each support's squared projection residual
+    ||y||^2 - ||U^H y||^2.  Supports that pass, with an allowance for the
+    rounding of the screen and of the refit, are refitted by
+    ``block_least_squares`` in lexicographic order and admitted on that
     refit's residual alone; refitting stops at the first admitted solution
     farther than tol from an earlier one, which settles "non-unique".
-    S and P come from ``D.screening_bases``, and the refits read the same
-    pairs through ``D.factors``, so D factors each support once for all
-    measurements, refits and later calls, as long as they fit in
-    blocks.FACTOR_CACHE_BYTES; larger ones are recomputed on every call and
-    their refits factor the support afresh.  Every measurement
-    gets its own RecoveryResult, in the order of ys, equal bit for bit to
-    a search for it alone.
+    U^H comes from ``D.screening_bases`` with the stacks S and their
+    pseudo-inverses P, and the refits read S and P through ``D.factors``,
+    so D factors each support once for all measurements, refits and later
+    calls, as long as they fit in blocks.FACTOR_CACHE_BYTES; larger ones are
+    recomputed on every call and their refits factor the support afresh.
+    Every measurement gets its own RecoveryResult, in the order of ys,
+    equal bit for bit to a search for it alone.
     """
     n = D.n_blocks
     if n > cap:
@@ -166,8 +170,7 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
             break
         evaluated += math.comb(n, k)
         Y = np.stack([yvs[j] for j in open_trials], axis=1)
-        passing = _screen(D.screening_bases(k), Y, y_norms[open_trials],
-                          feas_tols[open_trials])
+        passing = _screen(D.screening_bases(k), Y, feas_tols[open_trials])
         still_open = []
         for j, candidates in zip(open_trials, passing):
             found = _refit(D, sorted(candidates), yvs[j], feas_tols[j], tol)
@@ -182,18 +185,39 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
     return results
 
 
-def _screen(bases, Y: np.ndarray, y_norms: np.ndarray,
-            feas_tols: np.ndarray) -> list[list[tuple[int, ...]]]:
-    """Per column of Y, the supports whose screened residual passes."""
+def _screen(bases, Y: np.ndarray, feas_tols: np.ndarray) -> list[list[tuple[int, ...]]]:
+    """Per column of the C-ordered Y, the supports whose screened residual passes.
+
+    A support passes when rho2 = ||y||^2 - ||U^H y||^2 is at most
+    (feas_tol + cond slack)^2 + c (M + r) eps ||y||^2, with slack = c eps ||y||
+    and c = _SCREEN_ROUNDING.  If its refit's residual is at most feas_tol,
+    the projection residual ||(I - U U^H) y|| is at most feas_tol + cond slack,
+    so its square is below the first term, and the computed Pythagorean
+    difference exceeds its exact value by less than the second; a negative
+    rho2 passes.  The screen is thus a superset filter and the refits decide.
+    Its squares are taken on each column of Y scaled by the power of two of
+    its largest component, so none of them overflows.
+    """
     passing: list[list[tuple[int, ...]]] = [[] for _ in range(Y.shape[1])]
-    slack = _SCREEN_ROUNDING * np.finfo(float).eps * y_norms
-    for supports, stacks, pinv, cond in bases:
-        step = max(1, _SCREEN_BYTES // (16 * stacks.shape[0] * stacks.shape[1]))
+    eps = np.finfo(float).eps
+    power = np.frexp(np.maximum(np.abs(Y.real), np.abs(Y.imag)).max(axis=0))[1]
+    Y = np.ldexp(Y.view(np.float64), -np.repeat(power, 2)).view(np.complex128)
+    y2 = np.add.reduce(np.square(Y.view(np.float64)), axis=0)
+    y2 = y2[0::2] + y2[1::2]
+    tols = np.ldexp(feas_tols, -power)
+    slack = _SCREEN_ROUNDING * eps * np.sqrt(y2)
+    for supports, _, _, cond, basis in bases:
+        r = basis.shape[0] // supports.shape[0]
+        floor = _SCREEN_ROUNDING * (Y.shape[0] + r) * eps * y2
+        step = max(1, _SCREEN_BYTES // (16 * basis.shape[0]))
         for first in range(0, Y.shape[1], step):
             part = slice(first, first + step)
-            Yp = Y[:, part]
-            screened = np.linalg.norm(Yp - stacks @ (pinv @ Yp), axis=1)
-            ok = screened <= feas_tols[part] + cond[:, None] * slack[part]
+            # |U^H y|^2 summed over each support's rows, on the float view
+            # (real and imaginary parts interleaved).
+            C = (basis @ Y[:, part]).view(np.float64)
+            C = np.add.reduce(np.square(C, out=C).reshape(supports.shape[0], r, -1), axis=1)
+            rho2 = y2[part] - (C[:, 0::2] + C[:, 1::2])
+            ok = rho2 <= (tols[part] + cond[:, None] * slack[part]) ** 2 + floor[part]
             for row, col in zip(*np.nonzero(ok)):
                 passing[first + col].append(tuple(supports[row].tolist()))
     return passing
@@ -355,7 +379,9 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
     with its residual, so its pick is that of a pursuit of it alone, ties
     included; one block-norm pass over ``D.unit_sigma`` weighs them all.
     unit's 2^-exponent cancels, so these are D's own weights, but they
-    scale as ||r||, not ||D|| ||r||.  The pseudo-inverses of the enlarged
+    scale as ||r||, not ||D|| ||r||; a trial whose squared correlations
+    overflow is weighed on them scaled by a power of two, which keeps its
+    pick.  The pseudo-inverses of the enlarged
     supports come from ``D.factors`` (kept by p0, or factored in one batched
     SVD per stack width).  Each trial's fit, residual and stop test stay its
     own, in D's units, so every trial gets its own RecoveryResult, in the
@@ -370,7 +396,10 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
     if not tol_res >= 0:   # also rejects NaN
         raise ValueError("tol_res must be nonnegative")
     yvs = [D.measurement(y) for y in ys]
-    stops = [tol_res * max(vector_norm(yv), 1.0) for yv in yvs]
+    # Squares of y, of the residuals and of the correlations may leave the
+    # float range: vector_norm and the pick weights then rescale.
+    with np.errstate(over="ignore"):
+        stops = [tol_res * max(vector_norm(yv), 1.0) for yv in yvs]
     adjoint, smin = D.unit.conj().T, D.unit_sigma[:, :1]
     solutions = [np.zeros(D.structure.dim, dtype=np.complex128) for _ in yvs]
     residuals = [yv.copy() for yv in yvs]
@@ -380,8 +409,10 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
     running = range(len(yvs))
     while True:
         still = []
+        with np.errstate(over="ignore"):
+            for j in running:
+                residual_norms[j] = vector_norm(residuals[j])
         for j in running:
-            residual_norms[j] = vector_norm(residuals[j])
             if residual_norms[j] <= stops[j]:
                 continue
             if len(selected[j]) >= max_iter or len(selected[j]) == D.n_blocks:
@@ -392,7 +423,13 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
         if not running:
             break
         corr = np.stack([adjoint @ residuals[j] for j in running], axis=1)
-        weights = D.structure.norms(corr) / smin
+        with np.errstate(over="ignore"):
+            weights = D.structure.norms(corr)
+        for col in np.flatnonzero(np.isinf(weights).any(axis=0)).tolist():
+            # The trial's correlations scaled by a power of two keep its argmax.
+            power = int(np.frexp(np.abs(corr[:, col]).max())[1])
+            weights[:, col] = D.structure.norms(corr[:, col] * 2.0 ** -power)
+        weights /= smin
         for col, j in enumerate(running):
             weights[selected[j], col] = -np.inf
         for j, pick in zip(running, np.argmax(weights, axis=0).tolist()):

@@ -10,7 +10,7 @@ from hsparse.blocks import _SUBSET_CHUNK, support_stacks
 from hsparse import (BlockDictionary, BlockStructure, BlockVector,
                      best_concentration_set, block_least_squares, block_sigma,
                      concentration_epsilon, cross_block_norm, cross_norm_table,
-                     h0_norm, h1_norm, uniform_structure)
+                     h0_norm, h1_norm, hilbert_coherence, uniform_structure)
 
 
 def gaussian_dictionary(sizes, extra_rows, seed):
@@ -241,6 +241,20 @@ class TestCrossBlockNorm:
         table = cross_norm_table(D1, D2)
         assert table.shape == (2, 3)
         np.testing.assert_allclose(table, oracle, rtol=0, atol=1e-13)
+
+
+def test_values_past_the_float_range_in_own_units_raise():
+    """block_sigma and cross_norm_table take unit's values back to D's units;
+    where that leaves the float range they raise a ValueError naming the
+    overflow, and warn nothing, while mu_h, read on unit, is finite."""
+    D = BlockDictionary([[1.5e308, 0.75e308], [1.5e308, -1.5e308], [0, 1.5e308]],
+                        uniform_structure(2))
+    for i in range(2):
+        with pytest.raises(ValueError, match="block .* overflows"):
+            block_sigma(D, i)
+    with pytest.raises(ValueError, match="table overflows"):
+        cross_norm_table(D)
+    assert hilbert_coherence(D) == pytest.approx(0.25, rel=1e-15)
 
 
 class TestConcentration:

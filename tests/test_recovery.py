@@ -216,7 +216,7 @@ def test_block_least_squares_matches_pinv_reference(D, monkeypatch):
     factored = []
     basis = blocks._screening_basis
     monkeypatch.setattr(blocks, "_screening_basis",
-                        lambda stacks: factored.append(stacks) or basis(stacks))
+                        lambda stacks, **options: factored.append(stacks) or basis(stacks, **options))
     for budget in (blocks.FACTOR_CACHE_BYTES, 0):
         monkeypatch.setattr(blocks, "FACTOR_CACHE_BYTES", budget)
         fits = BlockDictionary(D.matrix, D.structure)
@@ -235,6 +235,51 @@ def test_block_least_squares_matches_pinv_reference(D, monkeypatch):
         assert len(factored) == len(fresh)
         for stacks, support in zip(factored, fresh):
             assert np.array_equal(stacks, [stack_of[support]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(3, 7), sizes=st.lists(st.integers(1, 2), min_size=4, max_size=7),
+       seed=st.integers(0, 2**32 - 1),
+       offsets=st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3))
+def test_screen_passes_every_feasible_support(rows, sizes, seed, offsets):
+    """p0's screen passes every support whose block_least_squares residual is
+    at most feas_tol.  The dictionaries copy, scale and nearly copy columns
+    across blocks, as dictionaries_with_deficient_stacks does, so some
+    stacks are cut by the RANK_TOL cutoff and some ill-conditioned.  Each
+    measurement is planted on a support and moved off its range by 0.5-1.5
+    feas_tol, so the residuals sit at the tolerance, where the rounding of
+    ||y||^2 - ||U^H y||^2 decides."""
+    tol = 1e-8
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(sizes))
+    shape = (rows, structure.dim)
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    targets = rng.choice(structure.dim, 3, replace=False).tolist()
+    for target, factor, noise in zip(targets, [1, -2.5j, 1], [0, 0, 1e-6]):
+        source = int(rng.choice(np.flatnonzero(block_of != block_of[target])))
+        mat[:, target] = factor * mat[:, source] + noise * rng.standard_normal(rows)
+    try:
+        D = BlockDictionary(mat, structure)
+    except ValueError:   # a block made dependent
+        assume(False)
+    ys = []
+    for offset in offsets:
+        support = sorted(rng.choice(len(sizes), int(rng.integers(1, 3)), replace=False))
+        _, y = planted(D, support, int(rng.integers(1000)))
+        stack = np.hstack([D.block(i) for i in support])
+        away = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        away -= stack @ (np.linalg.pinv(stack) @ away)
+        assume(np.linalg.norm(away) > 1e-3)
+        ys.append(y + offset * tol * max(np.linalg.norm(y), 1.0) * away / np.linalg.norm(away))
+    Y = np.stack(ys, axis=1)
+    feas_tols = tol * np.maximum(np.linalg.norm(Y, axis=0), 1.0)
+    for k in (1, 2, 3):
+        passing = recovery._screen(D.screening_bases(k), Y, feas_tols)
+        for support in itertools.combinations(range(len(sizes)), k):
+            for j, y in enumerate(ys):
+                if recovery.block_least_squares(D, support, y)[1] <= feas_tols[j]:
+                    assert support in passing[j], (k, support, j)
 
 
 class TestHbp:
@@ -398,16 +443,18 @@ def test_homp_is_scale_free(seed):
     """omp on (D 2^k, y 2^k) picks the blocks it picks on (D, y), so supports,
     iterations and statuses agree, for k at which D^H r squared would
     overflow (270, 400, 500) or would not (100): the picks weigh D.unit^H r
-    by unit_sigma.  Negative k are left out on purpose: the stop rule's
-    floor max(||y||, 1) is absolute, so a y scaled below norm 1 stops on
-    the floor, not on tol_res relative to ||y||."""
+    by unit_sigma.  At 520 and 540 ||y||^2 and the squares of D.unit^H r
+    overflow too, so the stop rule's norm and the pick weights are taken on
+    vectors rescaled by a power of two.  Negative k are left out on
+    purpose: the stop rule's floor max(||y||, 1) is absolute, so a y scaled
+    below norm 1 stops on the floor, not on tol_res relative to ||y||."""
     rng = np.random.default_rng(seed)
     sizes = tuple(int(d) for d in rng.integers(1, 4, size=16))
     for D in (identity_dft_pair(16), random_block_dictionary(12, sizes, seed)):
         ys = [planted(D, rng.choice(D.n_blocks, size=s, replace=False), seed + trial)[1]
               for s in range(1, 6) for trial in range(6)]
         reference = [(r.support, r.iterations, r.status) for r in homp_batch(D, ys)]
-        for k in (100, 270, 400, 500):
+        for k in (100, 270, 400, 500, 520, 540):
             scaled = BlockDictionary(D.matrix * 2.0 ** k, D.structure)
             got = homp_batch(scaled, [y * 2.0 ** k for y in ys])
             assert [(r.support, r.iterations, r.status) for r in got] == reference, k
