@@ -253,23 +253,24 @@ class BlockDictionary:
         return pinv
 
     def screening_bases(self, k: int):
-        """(supports, stacks, pinv, cond, basis) per batch of ``support_stacks(self, k)``.
+        """(supports, pinv, cond, basis) per batch of ``support_stacks(self, k)``.
 
         supports is the (B, k) batch of block indices, and the rest is what
-        ``_screening_basis`` factors from its (B, M, w) column stacks: the
-        stacks, each contiguous; their pseudo-inverses (numpy's ``pinv`` with
-        the RANK_TOL cutoff), so ||y - S P y|| is the residual of
-        ``block_least_squares`` on a support; cond, the largest over the
-        smallest singular value above that cutoff; and basis, the rows U^H
-        of each stack's orthonormal range basis U in one (B r, M) matrix
-        (r = min(M, w); zero rows below the cutoff), from which p0's screen
-        reads ||y||^2 - ||U^H y||^2.  A cardinality's bases are kept while
-        the dictionary's total stays within FACTOR_CACHE_BYTES; past it they
-        are streamed afresh per call.
+        ``_screening_basis`` factors from its (B, M, w) column stacks S:
+        their pseudo-inverses P (numpy's ``pinv`` with the RANK_TOL cutoff),
+        so ||y - S P y|| is the residual of ``block_least_squares`` on a
+        support; cond, the largest over the smallest singular value above
+        that cutoff; and basis, the rows U^H of each stack's orthonormal
+        range basis U in one (B r, M) matrix (r = min(M, w); zero rows below
+        the cutoff), from which p0's screen reads ||y||^2 - ||U^H y||^2.
+        The stacks themselves are not kept: a refit gathers its own from
+        the matrix.  A cardinality's bases are kept while the dictionary's
+        total stays within FACTOR_CACHE_BYTES; past it they are streamed
+        afresh per call.
         """
         if k in self._bases:
             return self._bases[k]
-        bases = ((supports, *_screening_basis(column_stacks(self.matrix, cols), rows=True))
+        bases = ((supports, *_screening_basis(column_stacks(self.matrix, cols)))
                  for supports, cols in support_stacks(self, k))
         # list() copies the keys in one step, so a thread keeping another
         # cardinality meanwhile cannot break the iteration.
@@ -283,15 +284,15 @@ class BlockDictionary:
         self._bases[k] = bases
         return bases
 
-    def factors(self, supports) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(stack, pseudo-inverse) of each sorted, valid support;
-        ``block_least_squares`` fits every support from this pair, and omp
-        reads a step's supports in one call.
+    def factors(self, supports) -> list[np.ndarray]:
+        """The pseudo-inverse of each sorted, valid support's stack;
+        ``block_least_squares`` fits every support with it, and omp reads a
+        step's supports in one call.
 
         A support whose cardinality ``screening_bases`` keeps reads its kept
-        pair.  The others are factored here, those of one stack width
-        together in one batched ``_screening_basis`` without basis rows, bit
-        for bit as one alone; they are not kept.
+        pseudo-inverse.  The others are factored here, those of one stack
+        width together in one batched ``_screening_basis``, bit for bit as
+        one alone; they are not kept.
         """
         factors: list = [None] * len(supports)
         misses: dict[int, list[int]] = {}
@@ -301,13 +302,13 @@ class BlockDictionary:
                 width = sum(self.structure.sizes[b] for b in support)
                 misses.setdefault(width, []).append(i)
             else:
-                (_, stacks, pinv, _, _), row = hit
-                factors[i] = stacks[row], pinv[row]
+                (_, pinv, _, _), row = hit
+                factors[i] = pinv[row]
         for at in misses.values():
             cols = np.array([self.structure.column_indices(supports[i]) for i in at])
-            stacks, pinv, _, _ = _screening_basis(column_stacks(self.matrix, cols))
+            pinv = _screening_basis(column_stacks(self.matrix, cols))[0]
             for row, i in enumerate(at):
-                factors[i] = stacks[row], pinv[row]
+                factors[i] = pinv[row]
         return factors
 
     def measurement(self, y) -> np.ndarray:
@@ -536,19 +537,19 @@ def block_least_squares(D: BlockDictionary, support, y) -> tuple[BlockVector, fl
     Returns the coefficient vector embedded in the full space (blocks outside
     the support are zero) together with the residual norm.  Singular values of
     the stacked blocks below RANK_TOL times the largest are treated as zero,
-    so rank-deficient stacks get the minimum-norm minimizer.  The stack and
-    its pseudo-inverse come from ``D.factors``: the pair p0 keeps for the
-    support, or one factored afresh.
+    so rank-deficient stacks get the minimum-norm minimizer.  The stack is
+    gathered from the matrix, and its pseudo-inverse comes from
+    ``D.factors``: the one p0 keeps for the support, or one factored afresh.
     """
     idx = tuple(sorted({D.structure.check_index(i) for i in support}))
     if not idx:
         raise ValueError("support must contain at least one block")
     yv = D.measurement(y)
-    stacked, pinv = D.factors([idx])[0]
-    coef = pinv @ yv
-    residual = vector_norm(yv - stacked @ coef)
+    cols = D.structure.column_indices(idx)
+    coef = D.factors([idx])[0] @ yv
+    residual = vector_norm(yv - np.ascontiguousarray(D.matrix[:, cols]) @ coef)
     full = np.zeros(D.structure.dim, dtype=np.complex128)
-    full[D.structure.column_indices(idx)] = coef
+    full[cols] = coef
     return BlockVector(full, D.structure), residual
 
 
@@ -642,11 +643,10 @@ def column_stacks(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.moveaxis(matrix[:, cols], 1, 0)
 
 
-def _screening_basis(stacks, rows: bool = False):
-    """(stacks, pinv, cond, basis) of a (B, M, w) batch of stacks, made
-    contiguous; the one routine that factors a support (see screening_bases).
-    basis, the (B r, M) rows that p0's screen multiplies, is built only when
-    rows is set, and is None otherwise: omp's fresh factors never screen."""
+def _screening_basis(stacks):
+    """(pinv, cond, basis) of a (B, M, w) batch of stacks, taken on a
+    contiguous copy; the one routine that factors a support (see
+    screening_bases)."""
     stacks = np.ascontiguousarray(stacks)
     # numpy's pinv(stacks, rcond=RANK_TOL) step by step, which keeps the
     # singular values that cond needs.  The SVD is of the conjugate, so
@@ -657,19 +657,15 @@ def _screening_basis(stacks, rows: bool = False):
     ut = np.swapaxes(u, 1, 2)
     pinv = np.swapaxes(vh, 1, 2) @ (inverse[:, :, None] * ut)
     cond = s[:, 0] / np.where(kept, s, np.inf).min(axis=1)
-    basis = None
-    if rows:
-        basis = np.array(ut, order="C")
-        basis[~kept] = 0
-        basis = basis.reshape(-1, stacks.shape[1])
-    return stacks, pinv, cond, basis
+    basis = np.array(ut, order="C")
+    basis[~kept] = 0
+    return pinv, cond, basis.reshape(-1, stacks.shape[1])
 
 
 def _bases_bytes(D: BlockDictionary, k: int) -> int:
     """Upper bound on the bytes of the screening bases of all k-subsets:
-    stack, pseudo-inverse and basis rows, supports and cond, and the lookup
-    entry."""
+    pseudo-inverse and basis rows, supports and cond, and the lookup entry."""
     rows = D.shape[0]
     widest = sum(sorted(D.structure.sizes)[-k:])
-    return math.comb(D.n_blocks, k) * ((2 * widest + min(rows, widest)) * rows * 16
+    return math.comb(D.n_blocks, k) * ((widest + min(rows, widest)) * rows * 16
                                        + 8 * (k + 1) + _FIT_ENTRY_BYTES + 8 * k)

@@ -43,13 +43,14 @@ STATUS_NON_UNIQUE = "non-unique"
 BP_SUPPORT_REL_TOL = 1e-6
 # Relative pseudo-inverse residual above which bp reports y "infeasible".
 BP_RANGE_TOL = 1e-9
-# Rounding allowance of p0's screen, the c of its two terms: the per-support
+# Rounding allowance of p0's screen, the c of its terms: the per-support
 # refit's residual may exceed the projection residual ||(I - U U^H) y|| by
-# c eps cond ||y||, and the computed ||y||^2 - ||U^H y||^2 may fall short of
-# its exact value by c (M + r) eps ||y||^2 (see _screen).
+# c eps cond ||y||, the computed ||y||^2 - ||U^H y||^2 may fall short of its
+# exact value by c (M + r) eps ||y||^2, and the computed ||y - U (U^H y)||
+# of its own by c (M + r) eps ||y|| (see _screen).
 _SCREEN_ROUNDING = 100.0
-# Bytes of the (B r, T) product one p0 screening batch may build; the open
-# trials of a level are screened in slices that fit it.
+# Bytes of the (B r, T) product one p0 screening batch may build, and of the
+# basis rows its confirmation gathers; both are taken in slices that fit it.
 _SCREEN_BYTES = 4 * 2**20
 
 
@@ -133,14 +134,16 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
     supports' orthonormal range bases (RANK_TOL cutoff) with the open
     columns of Y, taken in slices of trials that keep C within
     _SCREEN_BYTES, gives each support's squared projection residual
-    ||y||^2 - ||U^H y||^2.  Supports that pass, with an allowance for the
-    rounding of the screen and of the refit, are refitted by
-    ``block_least_squares`` in lexicographic order and admitted on that
-    refit's residual alone; refitting stops at the first admitted solution
-    farther than tol from an earlier one, which settles "non-unique".
-    U^H comes from ``D.screening_bases`` with the stacks S and their
-    pseudo-inverses P, and the refits read S and P through ``D.factors``,
-    so D factors each support once for all measurements, refits and later
+    ||y||^2 - ||U^H y||^2; the (support, trial) pairs it keeps are then
+    screened on ||y - U (U^H y)|| in one batched pass, which the
+    cancellation of that difference cannot blur.  Supports that pass, with
+    an allowance for the rounding of the screen and of the refit, are
+    refitted by ``block_least_squares`` in lexicographic order and admitted
+    on that refit's residual alone; refitting stops at the first admitted
+    solution farther than tol from an earlier one, which settles
+    "non-unique".  U^H comes from ``D.screening_bases`` with the stacks'
+    pseudo-inverses P, and the refits read P through ``D.factors``, so D
+    factors each support once for all measurements, refits and later
     calls, as long as they fit in blocks.FACTOR_CACHE_BYTES; larger ones are
     recomputed on every call and their refits factor the support afresh.
     Every measurement gets its own RecoveryResult, in the order of ys,
@@ -170,7 +173,8 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
             break
         evaluated += math.comb(n, k)
         Y = np.stack([yvs[j] for j in open_trials], axis=1)
-        passing = _screen(D.screening_bases(k), Y, feas_tols[open_trials])
+        passing = _screen(D.screening_bases(k), Y, y_norms[open_trials],
+                          feas_tols[open_trials])
         still_open = []
         for j, candidates in zip(open_trials, passing):
             found = _refit(D, sorted(candidates), yvs[j], feas_tols[j], tol)
@@ -185,42 +189,59 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
     return results
 
 
-def _screen(bases, Y: np.ndarray, feas_tols: np.ndarray) -> list[list[tuple[int, ...]]]:
-    """Per column of the C-ordered Y, the supports whose screened residual passes.
+def _screen(bases, Y: np.ndarray, y_norms: np.ndarray,
+            feas_tols: np.ndarray) -> list[list[tuple[int, ...]]]:
+    """Per column of Y, the supports whose screened residual passes.
 
-    A support passes when rho2 = ||y||^2 - ||U^H y||^2 is at most
-    (feas_tol + cond slack)^2 + c (M + r) eps ||y||^2, with slack = c eps ||y||
-    and c = _SCREEN_ROUNDING.  If its refit's residual is at most feas_tol,
-    the projection residual ||(I - U U^H) y|| is at most feas_tol + cond slack,
-    so its square is below the first term, and the computed Pythagorean
-    difference exceeds its exact value by less than the second; a negative
-    rho2 passes.  The screen is thus a superset filter and the refits decide.
-    Its squares are taken on each column of Y scaled by the power of two of
-    its largest component, so none of them overflows.
+    With slack = c eps ||y|| and c = _SCREEN_ROUNDING, a support whose
+    refit's residual is at most feas_tol has a projection residual
+    ||(I - U U^H) y|| of at most bound = feas_tol + cond slack.  The screen
+    reads rho2 = ||y||^2 - ||U^H y||^2, computed within c (M + r) eps ||y||^2
+    of its exact value, so it drops the supports whose rho2 exceeds bound^2
+    by more than that.  Cancellation leaves rho2 no sharper than about
+    sqrt(c (M + r) eps) ||y||, so the others pass only when their
+    ||y - U (U^H y)||, computed within c (M + r) eps ||y|| of its exact
+    value, is at most bound plus that.  The screen is thus a superset
+    filter as sharp as the projection residual, and the refits decide.  An
+    open trial's ||y|| is finite (an overflowing one makes feas_tol inf and
+    closes the trial before any screen), so none of these squares overflows.
     """
     passing: list[list[tuple[int, ...]]] = [[] for _ in range(Y.shape[1])]
     eps = np.finfo(float).eps
-    power = np.frexp(np.maximum(np.abs(Y.real), np.abs(Y.imag)).max(axis=0))[1]
-    Y = np.ldexp(Y.view(np.float64), -np.repeat(power, 2)).view(np.complex128)
-    y2 = np.add.reduce(np.square(Y.view(np.float64)), axis=0)
-    y2 = y2[0::2] + y2[1::2]
-    tols = np.ldexp(feas_tols, -power)
-    slack = _SCREEN_ROUNDING * eps * np.sqrt(y2)
-    for supports, _, _, cond, basis in bases:
-        r = basis.shape[0] // supports.shape[0]
-        floor = _SCREEN_ROUNDING * (Y.shape[0] + r) * eps * y2
+    y2 = y_norms ** 2
+    slack = _SCREEN_ROUNDING * eps * y_norms
+    for supports, _, cond, basis in bases:
+        rows = basis.reshape(supports.shape[0], -1, Y.shape[0])
+        rounding = _SCREEN_ROUNDING * (Y.shape[0] + rows.shape[1]) * eps
         step = max(1, _SCREEN_BYTES // (16 * basis.shape[0]))
         for first in range(0, Y.shape[1], step):
             part = slice(first, first + step)
             # |U^H y|^2 summed over each support's rows, on the float view
             # (real and imaginary parts interleaved).
             C = (basis @ Y[:, part]).view(np.float64)
-            C = np.add.reduce(np.square(C, out=C).reshape(supports.shape[0], r, -1), axis=1)
+            C = np.add.reduce(np.square(C, out=C).reshape(*rows.shape[:2], -1), axis=1)
             rho2 = y2[part] - (C[:, 0::2] + C[:, 1::2])
-            ok = rho2 <= (tols[part] + cond[:, None] * slack[part]) ** 2 + floor[part]
-            for row, col in zip(*np.nonzero(ok)):
-                passing[first + col].append(tuple(supports[row].tolist()))
+            bound = feas_tols[part] + cond[:, None] * slack[part]
+            near = np.nonzero(rho2 <= bound ** 2 + rounding * y2[part])
+            at = first + near[1]
+            ok = (_projection_residuals(rows, near[0], Y[:, at])
+                  <= bound[near] + rounding * y_norms[at])
+            for row, col in zip(near[0][ok].tolist(), at[ok].tolist()):
+                passing[col].append(tuple(supports[row].tolist()))
     return passing
+
+
+def _projection_residuals(rows: np.ndarray, which: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """||y - U (U^H y)|| of each column y of Y against the basis rows U^H of
+    rows[which[i]], in slices whose gathered rows stay within _SCREEN_BYTES."""
+    out = np.empty(len(which))
+    step = max(1, _SCREEN_BYTES // (16 * rows[0].size))
+    for first in range(0, len(which), step):
+        part = slice(first, first + step)
+        U, y = rows[which[part]], Y[:, part].T
+        projection = np.einsum("prm,pr->pm", U.conj(), np.einsum("prm,pm->pr", U, y))
+        out[part] = np.linalg.norm(y - projection, axis=1)
+    return out
 
 
 def _refit(D: BlockDictionary, candidates, yv: np.ndarray, feas_tol: float,
@@ -435,7 +456,7 @@ def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
         for j, pick in zip(running, np.argmax(weights, axis=0).tolist()):
             selected[j].append(pick)
         supports = [tuple(sorted(selected[j])) for j in running]
-        for j, support, (_, pinv) in zip(running, supports, D.factors(supports)):
+        for j, support, pinv in zip(running, supports, D.factors(supports)):
             solutions[j] = np.zeros(D.structure.dim, dtype=np.complex128)
             solutions[j][D.structure.column_indices(support)] = pinv @ yvs[j]
             residuals[j] = yvs[j] - D.matrix @ solutions[j]

@@ -216,7 +216,7 @@ def test_block_least_squares_matches_pinv_reference(D, monkeypatch):
     factored = []
     basis = blocks._screening_basis
     monkeypatch.setattr(blocks, "_screening_basis",
-                        lambda stacks, **options: factored.append(stacks) or basis(stacks, **options))
+                        lambda stacks: factored.append(stacks) or basis(stacks))
     for budget in (blocks.FACTOR_CACHE_BYTES, 0):
         monkeypatch.setattr(blocks, "FACTOR_CACHE_BYTES", budget)
         fits = BlockDictionary(D.matrix, D.structure)
@@ -243,12 +243,15 @@ def test_block_least_squares_matches_pinv_reference(D, monkeypatch):
        offsets=st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3))
 def test_screen_passes_every_feasible_support(rows, sizes, seed, offsets):
     """p0's screen passes every support whose block_least_squares residual is
-    at most feas_tol.  The dictionaries copy, scale and nearly copy columns
-    across blocks, as dictionaries_with_deficient_stacks does, so some
-    stacks are cut by the RANK_TOL cutoff and some ill-conditioned.  Each
-    measurement is planted on a support and moved off its range by 0.5-1.5
-    feas_tol, so the residuals sit at the tolerance, where the rounding of
-    ||y||^2 - ||U^H y||^2 decides."""
+    at most feas_tol, and no support whose residual exceeds its bound
+    feas_tol + cond slack by more than the refit's and the screen's own
+    rounding.  The dictionaries copy, scale and nearly copy columns across
+    blocks, as dictionaries_with_deficient_stacks does, so some stacks are
+    cut by the RANK_TOL cutoff and some ill-conditioned.  Each measurement
+    is planted on a support and moved off its range by 0.5-1.5 feas_tol, so
+    the residuals sit at the tolerance, where the rounding of
+    ||y||^2 - ||U^H y||^2 decides, or by 10 feas_tol, a residual that this
+    rounding alone would let through."""
     tol = 1e-8
     rng = np.random.default_rng(seed)
     structure = BlockStructure(tuple(sizes))
@@ -264,7 +267,7 @@ def test_screen_passes_every_feasible_support(rows, sizes, seed, offsets):
     except ValueError:   # a block made dependent
         assume(False)
     ys = []
-    for offset in offsets:
+    for offset in offsets + [10.0]:
         support = sorted(rng.choice(len(sizes), int(rng.integers(1, 3)), replace=False))
         _, y = planted(D, support, int(rng.integers(1000)))
         stack = np.hstack([D.block(i) for i in support])
@@ -273,13 +276,25 @@ def test_screen_passes_every_feasible_support(rows, sizes, seed, offsets):
         assume(np.linalg.norm(away) > 1e-3)
         ys.append(y + offset * tol * max(np.linalg.norm(y), 1.0) * away / np.linalg.norm(away))
     Y = np.stack(ys, axis=1)
-    feas_tols = tol * np.maximum(np.linalg.norm(Y, axis=0), 1.0)
+    y_norms = np.linalg.norm(Y, axis=0)
+    feas_tols = tol * np.maximum(y_norms, 1.0)
+    eps = np.finfo(float).eps
     for k in (1, 2, 3):
-        passing = recovery._screen(D.screening_bases(k), Y, feas_tols)
+        bases = D.screening_bases(k)
+        passing = recovery._screen(bases, Y, y_norms, feas_tols)
+        conds = {tuple(support): (cond, len(basis) // len(supports))
+                 for supports, _, conds_, basis in bases
+                 for support, cond in zip(supports.tolist(), conds_)}
         for support in itertools.combinations(range(len(sizes)), k):
+            cond, r = conds[support]
             for j, y in enumerate(ys):
-                if recovery.block_least_squares(D, support, y)[1] <= feas_tols[j]:
+                residual = recovery.block_least_squares(D, support, y)[1]
+                if residual <= feas_tols[j]:
                     assert support in passing[j], (k, support, j)
+                rounding = recovery._SCREEN_ROUNDING * eps * y_norms[j]
+                if support in passing[j]:
+                    assert residual <= (feas_tols[j] + 2 * cond * rounding
+                                        + 2 * (rows + r) * rounding), (k, support, j)
 
 
 class TestHbp:
