@@ -21,16 +21,15 @@ from .models import (CorrelationSequence, CrossCorrelationTable, MultiCosetSpec,
                      complex_standard_normal, dirichlet_coherence, fourier_basis,
                      identity_basis, identity_dft_pair, multicoset_matrix,
                      random_block_dictionary, si_mutual_coherence)
-from .recovery import (BpParams, RecoveryResult, guarantee_check, hbp_solve,
-                       hbp_solve_batch, homp, homp_batch, hp0_exhaustive,
-                       hp0_exhaustive_batch)
+from .recovery import (RecoveryResult, guarantee_check, hbp_solve, hbp_solve_batch,
+                       homp, homp_batch, hp0_exhaustive, hp0_exhaustive_batch)
 from .uncertainty import (GupAudit, KernelBound, gup_audit, kernel_sample,
                           kernel_uncertainty_audit, picket_fence)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDictionary", "BlockStructure", "BlockVector", "BpParams",
+    "BlockDictionary", "BlockStructure", "BlockVector",
     "CoherenceReport", "ConcentrationCertificate", "CorrelationSequence",
     "CrossCorrelationTable", "GupAudit", "KernelBound", "MultiCosetSpec",
     "NumericalAnomaly", "RecoveryResult", "RANK_TOL", "ZERO_BLOCK_TOL",

@@ -177,11 +177,11 @@ def _deficient(D: BlockDictionary, k: int, tol: float) -> bool:
     unscaled).  The shift raised lambda_min by at most s t, so subtracting s
     bounds it for the stack's own tile, and lambda_max <= t: a stack whose
     bound clears tol^2 has sigma_min / sigma_max above tol.  The threshold
-    depends only on w; a NaN det fails it.  The stacks left unproven go to
-    the SVD, which decides, most singular first, in chunks that double from
-    one.  The Gram and stacks are those of ``D.unit``: a column with squared
-    norm below tiny / eps, whose products lose bits to underflow, gets a
-    zero diagonal, so no tile holding it has a factor.  A batch whose
+    depends only on w; a NaN det fails it.  A batch's stacks left unproven
+    go to one batched SVD call, which decides.  The Gram and stacks are
+    those of ``D.unit``: a column with squared norm below tiny / eps, whose
+    products lose bits to underflow, gets a zero diagonal, so no tile
+    holding it has a factor.  A batch whose
     Cholesky raises goes to the SVD whole; a NaN pivot reads as unproven.
     """
     M, N = D.shape
@@ -206,12 +206,10 @@ def _deficient(D: BlockDictionary, k: int, tol: float) -> bool:
             left = ~(det > (tol ** 2 + err + s) / ((w - 1) / fro) ** (w - 1))
             if not left.any():
                 continue
-            unproven = cols[left][np.argsort(det[left])]
-        for c in range(len(unproven).bit_length()):
-            sv = np.linalg.svd(column_stacks(D.unit, unproven[2 ** c - 1:2 ** (c + 1) - 1]),
-                               compute_uv=False)
-            if np.any(sv[:, -1] <= tol * sv[:, 0]):
-                return True
+            unproven = cols[left]
+        sv = np.linalg.svd(column_stacks(D.unit, unproven), compute_uv=False)
+        if np.any(sv[:, -1] <= tol * sv[:, 0]):
+            return True
     return False
 
 

@@ -20,8 +20,7 @@ from .coherence import SPARK_ENUMERATION_CAP, coherence_report
 from .io import exact_number
 from .models import (MultiCosetSpec, complex_standard_normal, identity_dft_pair,
                      multicoset_matrix, random_block_dictionary)
-from .recovery import (BpParams, RecoveryResult, hbp_solve_batch, homp_batch,
-                       hp0_exhaustive_batch)
+from .recovery import RecoveryResult, hbp_solve_batch, homp_batch, hp0_exhaustive_batch
 # bench/spans.py times the per-solve names it finds in this module.
 from .recovery import hbp_solve, homp, hp0_exhaustive  # noqa: F401
 
@@ -202,7 +201,7 @@ def run_algorithm(algo: str, D: BlockDictionary, ys, tolerances: dict,
     if algo == "omp":
         return homp_batch(D, ys, **opts)
     if algo == "bp":
-        return hbp_solve_batch(D, ys, BpParams(**opts))
+        return hbp_solve_batch(D, ys, **opts)
     raise ValueError(f"unknown algorithm: {algo!r}")
 
 

@@ -70,27 +70,6 @@ class RecoveryResult:
     status: str
 
 
-@dataclass(frozen=True)
-class BpParams:
-    """Splitting parameters for the mixed-norm solver."""
-
-    rho: float = 1.0
-    tol_primal: float = 1e-9
-    tol_dual: float = 1e-9
-    max_iter: int = 100_000
-
-    def __post_init__(self):
-        # Negated comparisons, so that NaN fails them too.
-        if not (self.rho > 0 and self.tol_primal > 0 and self.tol_dual > 0):
-            raise ValueError("splitting parameters must be positive")
-        if not (self.tol_primal < 1 and self.tol_dual < 1):
-            raise ValueError("tolerances must be below 1")
-        # 3.0 is kept as 3, so that range() takes it.
-        object.__setattr__(self, "max_iter", exact_number("max_iter", self.max_iter, int))
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be at least 1")
-
-
 def _result(D: BlockDictionary, solution: BlockVector, y: np.ndarray,
             iterations: int, status: str, support_tol: float = ZERO_BLOCK_TOL,
             residual_norm: float | None = None,
@@ -106,15 +85,13 @@ def _result(D: BlockDictionary, solution: BlockVector, y: np.ndarray,
     return RecoveryResult(solution, support, iterations, residual_norm, status)
 
 
-def hp0_exhaustive(D: BlockDictionary, y, tol: float = 1e-8,
-                   cap: int = SPARK_ENUMERATION_CAP,
-                   max_cardinality: int | None = None) -> RecoveryResult:
+def hp0_exhaustive(D: BlockDictionary, y, **options) -> RecoveryResult:
     """Fewest-occupied-blocks recovery by exhaustive support search:
     ``hp0_exhaustive_batch`` of the one measurement y (see there)."""
-    return hp0_exhaustive_batch(D, [y], tol, cap, max_cardinality)[0]
+    return hp0_exhaustive_batch(D, [y], **options)[0]
 
 
-def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
+def hp0_exhaustive_batch(D: BlockDictionary, ys, *, tol: float = 1e-8,
                          cap: int = SPARK_ENUMERATION_CAP,
                          max_cardinality: int | None = None) -> list[RecoveryResult]:
     """Fewest-occupied-blocks recovery of each measurement in ys by
@@ -147,24 +124,31 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
     calls, as long as they fit in blocks.FACTOR_CACHE_BYTES; larger ones are
     recomputed on every call and their refits factor the support afresh.
     Every measurement gets its own RecoveryResult, in the order of ys,
-    equal bit for bit to a search for it alone.
+    equal bit for bit to a search for it alone.  ||y|| comes from
+    ``vector_norm`` and the screen reads y scaled by a power of two, so D 2^k
+    and y 2^k give the supports of D and y up to the float range's top; the
+    floor 1 of max(||y||, 1) is absolute, as omp's is, so at the small end a
+    y of norm at most tol closes as zero (at 2^-300 every y does).
     """
     n = D.n_blocks
-    if n > cap:
+    if n > exact_number("cap", cap, int):
         raise ValueError("exhaustive search infeasible; raise cap explicitly")
     if not tol >= 0:   # also rejects NaN
         raise ValueError("tol must be nonnegative")
+    depth = n if max_cardinality is None else min(
+        exact_number("max_cardinality", max_cardinality, int), n)
     yvs = [D.measurement(y) for y in ys]
-    y_norms = np.array([float(np.linalg.norm(yv)) for yv in yvs])
+    # ||y||^2 may leave the float range: vector_norm then rescales.
+    with np.errstate(over="ignore"):
+        y_norms = np.array([vector_norm(yv) for yv in yvs])
     feas_tols = tol * np.maximum(y_norms, 1.0)
-    depth = n if max_cardinality is None else min(int(max_cardinality), n)
     zero = BlockVector.zeros(D.structure)
 
     results: list[RecoveryResult | None] = [None] * len(yvs)
     open_trials = []
     for j, yv in enumerate(yvs):
         if y_norms[j] <= feas_tols[j]:
-            results[j] = _result(D, zero, yv, 0, STATUS_EXACT)
+            results[j] = _result(D, zero, yv, 0, STATUS_EXACT, residual_norm=float(y_norms[j]))
         else:
             open_trials.append(j)
     evaluated = 0
@@ -185,7 +169,8 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, tol: float = 1e-8,
                 results[j] = _result(D, solution, yvs[j], evaluated, status)
         open_trials = still_open
     for j in open_trials:
-        results[j] = _result(D, zero, yvs[j], evaluated, STATUS_INFEASIBLE)
+        results[j] = _result(D, zero, yvs[j], evaluated, STATUS_INFEASIBLE,
+                             residual_norm=float(y_norms[j]))
     return results
 
 
@@ -202,11 +187,16 @@ def _screen(bases, Y: np.ndarray, y_norms: np.ndarray,
     sqrt(c (M + r) eps) ||y||, so the others pass only when their
     ||y - U (U^H y)||, computed within c (M + r) eps ||y|| of its exact
     value, is at most bound plus that.  The screen is thus a superset
-    filter as sharp as the projection residual, and the refits decide.  An
-    open trial's ||y|| is finite (an overflowing one makes feas_tol inf and
-    closes the trial before any screen), so none of these squares overflows.
+    filter as sharp as the projection residual, and the refits decide.  Each
+    column is read scaled by the power of two of its ||y||, which is exact
+    for every entry above 2^-1021 ||y||, far below the rounding allowed, so
+    it leaves the passes unchanged: ||y|| then lies in [1/2, 1) and an open
+    trial's feas_tol below it, so none of these squares overflows.
     """
     passing: list[list[tuple[int, ...]]] = [[] for _ in range(Y.shape[1])]
+    power = np.frexp(y_norms)[1]
+    Y = np.ldexp(Y.view(np.float64), -np.repeat(power, 2)).view(np.complex128)
+    y_norms, feas_tols = np.ldexp(y_norms, -power), np.ldexp(feas_tols, -power)
     eps = np.finfo(float).eps
     y2 = y_norms ** 2
     slack = _SCREEN_ROUNDING * eps * y_norms
@@ -259,14 +249,14 @@ def _refit(D: BlockDictionary, candidates, yv: np.ndarray, feas_tol: float,
     return (feasible[0], STATUS_EXACT) if feasible else None
 
 
-def hbp_solve(D: BlockDictionary, y, params: BpParams | None = None) -> RecoveryResult:
+def hbp_solve(D: BlockDictionary, y, **options) -> RecoveryResult:
     """Mixed-norm minimization subject to Phi u = y: ``hbp_solve_batch``
     of the one measurement y (see there)."""
-    return hbp_solve_batch(D, [y], params)[0]
+    return hbp_solve_batch(D, [y], **options)[0]
 
 
-def hbp_solve_batch(D: BlockDictionary, ys,
-                    params: BpParams | None = None) -> list[RecoveryResult]:
+def hbp_solve_batch(D: BlockDictionary, ys, *, rho: float = 1.0, tol_primal: float = 1e-9,
+                    tol_dual: float = 1e-9, max_iter: int = 100_000) -> list[RecoveryResult]:
     """Mixed-norm minimization subject to Phi u = y for each measurement in
     ys, by one splitting loop over the columns of Y = [y_1 ... y_T].
 
@@ -300,7 +290,14 @@ def hbp_solve_batch(D: BlockDictionary, ys,
     exactly block-sparse.  Status is "converged" or "max-iterations", from
     the column's own stop tests, or "infeasible".
     """
-    params = params or BpParams()
+    # Negated comparisons, so that NaN fails them too.
+    if not (rho > 0 and tol_primal > 0 and tol_dual > 0):
+        raise ValueError("splitting parameters must be positive")
+    if not (tol_primal < 1 and tol_dual < 1):
+        raise ValueError("tolerances must be below 1")
+    max_iter = exact_number("max_iter", max_iter, int)   # 3.0 is kept as 3, for range()
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1")
     Y = np.empty((D.shape[0], len(ys)), dtype=np.complex128)
     for j, y in enumerate(ys):
         Y[:, j] = D.measurement(y)
@@ -309,7 +306,6 @@ def hbp_solve_batch(D: BlockDictionary, ys,
     structure = D.structure
     # The test block_sums makes: single-coordinate blocks need no repeat.
     sizes = None if structure.dim == structure.n_blocks else np.asarray(structure.sizes)
-    rho = params.rho
 
     def prox(v: np.ndarray) -> np.ndarray:
         # max(0, 1 - 1/(rho max(||v_i||, 1e-300))) v_i with the ufuncs of
@@ -337,14 +333,14 @@ def hbp_solve_batch(D: BlockDictionary, ys,
     infeasible = range_gap > BP_RANGE_TOL * np.maximum(column_norms(Y), 1.0)
 
     U = least_norm   # the answer for infeasible columns; the rest are overwritten
-    iterations = [0 if gap else params.max_iter for gap in infeasible]
+    iterations = [0 if gap else max_iter for gap in infeasible]
     status = [STATUS_INFEASIBLE if gap else STATUS_MAX_ITER for gap in infeasible]
     active = np.flatnonzero(~infeasible)
     y = Y[:, active]
     u = np.zeros((structure.dim, active.size), dtype=np.complex128)
     w = np.zeros_like(u)
     lam = np.zeros_like(u)
-    for it in range(1, params.max_iter + 1):
+    for it in range(1, max_iter + 1):
         if not active.size:
             break
         t = w - lam
@@ -352,10 +348,10 @@ def hbp_solve_batch(D: BlockDictionary, ys,
         v = u + lam
         w_old, w = w, prox(v)
         lam = v - w   # (lam + u) - w, since IEEE addition commutes
-        done = column_norms(u - w) <= params.tol_primal * np.maximum(column_norms(u), 1.0)
+        done = column_norms(u - w) <= tol_primal * np.maximum(column_norms(u), 1.0)
         if not done.any():
             continue
-        done &= column_norms(w - w_old) <= params.tol_dual * np.maximum(column_norms(w), 1.0)
+        done &= column_norms(w - w_old) <= tol_dual * np.maximum(column_norms(w), 1.0)
         finished = active[done]
         if finished.size:
             U[:, finished] = u[:, done]
@@ -377,14 +373,13 @@ def hbp_solve_batch(D: BlockDictionary, ys,
     return results
 
 
-def homp(D: BlockDictionary, y, tol_res: float = 1e-10,
-         max_iter: int | None = None) -> RecoveryResult:
+def homp(D: BlockDictionary, y, **options) -> RecoveryResult:
     """Greedy block pursuit of the one measurement y: ``homp_batch`` of [y]
     (see there)."""
-    return homp_batch(D, [y], tol_res, max_iter)[0]
+    return homp_batch(D, [y], **options)[0]
 
 
-def homp_batch(D: BlockDictionary, ys, tol_res: float = 1e-10,
+def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
                max_iter: int | None = None) -> list[RecoveryResult]:
     """Greedy block pursuit with injectivity-weighted selection of each
     measurement in ys, by one loop over the trials still running.

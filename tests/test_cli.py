@@ -9,7 +9,7 @@ import pytest
 
 import hsparse
 import hsparse.experiments as experiments
-from hsparse import (BlockDictionary, BlockVector, BpParams, hbp_solve, homp,
+from hsparse import (BlockDictionary, BlockVector, hbp_solve, homp,
                      hp0_exhaustive, identity_dft_pair, random_block_dictionary,
                      uniform_structure)
 from hsparse.cli import main
@@ -94,12 +94,12 @@ class TestRecover:
     @pytest.mark.parametrize("algo, flags, direct", [
         ("p0", ["--tol-p0", "1.0"], lambda D, y: hp0_exhaustive(D, y, tol=1.0)),
         ("omp", ["--tol-res", "0.9"], lambda D, y: homp(D, y, tol_res=0.9)),
-        ("bp", ["--rho", "4"], lambda D, y: hbp_solve(D, y, BpParams(rho=4.0))),
+        ("bp", ["--rho", "4"], lambda D, y: hbp_solve(D, y, rho=4.0)),
         ("bp", ["--tol-primal", "1e-4"],
-         lambda D, y: hbp_solve(D, y, BpParams(tol_primal=1e-4))),
+         lambda D, y: hbp_solve(D, y, tol_primal=1e-4)),
         ("bp", ["--tol-dual", "1e-4"],
-         lambda D, y: hbp_solve(D, y, BpParams(tol_dual=1e-4))),
-        ("bp", ["--max-iter", "3"], lambda D, y: hbp_solve(D, y, BpParams(max_iter=3))),
+         lambda D, y: hbp_solve(D, y, tol_dual=1e-4)),
+        ("bp", ["--max-iter", "3"], lambda D, y: hbp_solve(D, y, max_iter=3)),
     ], ids=["tol-p0", "tol-res", "rho", "tol-primal", "tol-dual", "max-iter"])
     def test_option_reaches_solver(self, algo, flags, direct, tmp_path, capsys):
         D = identity_dft_pair(8)

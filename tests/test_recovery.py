@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import math
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 import hsparse.blocks as blocks
 import hsparse.recovery as recovery
-from hsparse import (BlockDictionary, BlockStructure, BpParams, BlockVector,
+from hsparse import (BlockDictionary, BlockStructure, BlockVector,
                      ZERO_BLOCK_TOL, block_sigma, coherence_report, complex_standard_normal,
                      guarantee_check, h1_norm, hbp_solve, hbp_solve_batch, homp,
                      homp_batch, hp0_exhaustive, hp0_exhaustive_batch,
@@ -352,28 +351,31 @@ class TestHbp:
     def test_max_iterations_status(self):
         D = identity_dft_pair(8)
         _, y = planted(D, (0, 5), seed=1)
-        r = hbp_solve(D, y, BpParams(max_iter=3))
+        r = hbp_solve(D, y, max_iter=3)
         assert r.status == "max-iterations"
         assert r.iterations == 3
 
     def test_params_validated(self):
-        with pytest.raises(ValueError):
-            BpParams(rho=0.0)
-        with pytest.raises(ValueError):
-            BpParams(tol_primal=1.5)
+        D = identity_dft_pair(4)
+        with pytest.raises(ValueError, match="must be positive"):
+            hbp_solve(D, np.zeros(4), rho=0.0)
+        with pytest.raises(ValueError, match="must be below 1"):
+            hbp_solve(D, np.zeros(4), tol_primal=1.5)
 
     @pytest.mark.parametrize("field", ["rho", "tol_primal", "tol_dual"])
     def test_nan_params_rejected(self, field):
         # NaN used to pass every range check and run the full 100,000 iterations.
-        with pytest.raises(ValueError):
-            BpParams(**{field: float("nan")})
+        with pytest.raises(ValueError, match="must be positive"):
+            hbp_solve(identity_dft_pair(4), np.zeros(4), **{field: float("nan")})
 
     @pytest.mark.parametrize("value", [2.5, float("inf")])
     def test_non_integral_max_iter_rejected(self, value):
         # Both used to pass and raise TypeError from range() inside the loop.
+        D = identity_dft_pair(8)
+        _, y = planted(D, (0, 5), seed=1)
         with pytest.raises(ValueError, match="max_iter must be an integer"):
-            BpParams(max_iter=value)
-        assert BpParams(max_iter=3.0).max_iter == 3
+            hbp_solve(D, y, max_iter=value)
+        assert hbp_solve(D, y, max_iter=3.0).iterations == 3
 
 
 @pytest.mark.parametrize("value", [2.5, float("inf")])
@@ -398,6 +400,39 @@ def test_negative_tolerance_rejected(solve, option, value):
     _, y = planted(D, (1, 9), seed=0)
     with pytest.raises(ValueError, match=f"{option} must be nonnegative"):
         solve(D, y, **{option: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("option", ["max_cardinality", "cap"])
+def test_hp0_non_integral_option_rejected(option, value):
+    """Rejected up front; max_cardinality=2.5 used to search to depth 2 and
+    True to depth 1."""
+    D = identity_dft_pair(8)
+    _, y = planted(D, (1, 9), seed=0)
+    with pytest.raises(ValueError, match=f"{option} must be an integer"):
+        hp0_exhaustive(D, y, **{option: value})
+
+
+@pytest.mark.parametrize("depth", [None, 1])
+def test_hp0_is_scale_free(depth):
+    """p0 on (D 2^k, y 2^k) finds the supports, iterations and statuses it
+    finds on (D, y), also where ||y||^2 overflows (520, 540): ||y|| comes
+    from vector_norm and the screen reads y scaled by a power of two.  At
+    depth 1 the measurements of two or three blocks end "infeasible".
+    Negative k are left out on purpose: the floor max(||y||, 1) is absolute,
+    so a y scaled below norm tol closes as zero."""
+    D = random_block_dictionary(8, (1, 2, 1, 2, 1, 1), 3)
+    ys = [planted(D, (0, 2, 3), seed=0)[1]]
+    ys += [planted(D, support, seed)[1] for seed, support in
+           enumerate([(1,), (4,), (2, 5), (0, 1), (1, 3, 5)])]
+    reference = [(r.support, r.iterations, r.status)
+                 for r in hp0_exhaustive_batch(D, ys, max_cardinality=depth)]
+    assert reference[0] == (((0, 2, 3), 41, "exact") if depth is None
+                            else ((), 6, "infeasible"))
+    for k in (0, 300, 520, 540):
+        scaled = BlockDictionary(D.matrix * 2.0 ** k, D.structure)
+        got = hp0_exhaustive_batch(scaled, [y * 2.0 ** k for y in ys], max_cardinality=depth)
+        assert [(r.support, r.iterations, r.status) for r in got] == reference, k
 
 
 class TestHomp:
@@ -630,7 +665,7 @@ def solve(algo, D, y, depth):
     if algo == "p0":
         return hp0_exhaustive(D, y, max_cardinality=depth)
     if algo == "bp":
-        return hbp_solve(D, y, BpParams(max_iter=300))
+        return hbp_solve(D, y, max_iter=300)
     return homp(D, y)
 
 
@@ -704,26 +739,26 @@ def test_batch_matches_solves_of_one(rows, sizes, uniform, max_iter, seed):
     if rows > structure.dim:
         ys.append(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
     ys = [ys[i] for i in rng.permutation(len(ys))]
-    params = BpParams(max_iter=max_iter)
-    rounding = 2e-12 / min(params.tol_primal, params.tol_dual)
+    defaults = hbp_solve_batch.__kwdefaults__
+    rounding = 2e-12 / min(defaults["tol_primal"], defaults["tol_dual"])
 
-    batch = hbp_solve_batch(D, ys, params)
+    batch = hbp_solve_batch(D, ys, max_iter=max_iter)
     assert len(batch) == len(ys)
-    reference = hbp_loop_reference(D, ys, params)
+    reference = hbp_loop_reference(D, ys, max_iter=max_iter)
     for j, (y, got, (*_, margin)) in enumerate(zip(ys, batch, reference)):
-        alone = hbp_solve(D, y, params)
+        alone = hbp_solve(D, y, max_iter=max_iter)
         if margin > rounding:
             assert (got.status, got.support, got.iterations) == (
                 alone.status, alone.support, alone.iterations)
         elif got.iterations != alone.iterations:
-            capped = dataclasses.replace(
-                params, max_iter=max(1, min(got.iterations, alone.iterations)))
-            got, alone = hbp_solve_batch(D, ys, capped)[j], hbp_solve(D, y, capped)
+            capped = max(1, min(got.iterations, alone.iterations))
+            got = hbp_solve_batch(D, ys, max_iter=capped)[j]
+            alone = hbp_solve(D, y, max_iter=capped)
         gap = np.linalg.norm(got.solution.entries - alone.solution.entries)
         assert gap <= 1e-12 * np.linalg.norm(alone.solution.entries)
 
 
-def hbp_loop_reference(D, ys, params):
+def hbp_loop_reference(D, ys, rho=1.0, tol_primal=1e-9, tol_dual=1e-9, max_iter=100_000):
     """The splitting loop of hbp_solve_batch written out with one numpy
     expression per step: the prox out of place with np.repeat on every
     structure, the multiplier update as lam + u - w, and both stop tests on
@@ -742,7 +777,7 @@ def hbp_loop_reference(D, ys, params):
 
     def prox(t):
         nb = D.structure.norms(t)
-        factor = np.maximum(0.0, 1.0 - 1.0 / (params.rho * np.maximum(nb, 1e-300)))
+        factor = np.maximum(0.0, 1.0 - 1.0 / (rho * np.maximum(nb, 1e-300)))
         return np.repeat(factor, sizes, axis=0) * t
 
     def column_norms(x):
@@ -755,14 +790,14 @@ def hbp_loop_reference(D, ys, params):
     margin = np.abs(range_gap / range_bound - 1)
 
     U = least_norm
-    iterations = [0 if gap else params.max_iter for gap in infeasible]
+    iterations = [0 if gap else max_iter for gap in infeasible]
     status = ["infeasible" if gap else "max-iterations" for gap in infeasible]
     active = np.flatnonzero(~infeasible)
     y = Y[:, active]
     u = np.zeros((D.structure.dim, active.size), dtype=np.complex128)
     w = np.zeros_like(u)
     lam = np.zeros_like(u)
-    for it in range(1, params.max_iter + 1):
+    for it in range(1, max_iter + 1):
         if not active.size:
             break
         t = w - lam
@@ -772,8 +807,8 @@ def hbp_loop_reference(D, ys, params):
         w = w_new
         lam = lam + u - w
         primal_gap = column_norms(u - w)
-        primal_bound = params.tol_primal * np.maximum(column_norms(u), 1.0)
-        dual_bound = params.tol_dual * np.maximum(column_norms(w), 1.0)
+        primal_bound = tol_primal * np.maximum(column_norms(u), 1.0)
+        dual_bound = tol_dual * np.maximum(column_norms(w), 1.0)
         done = (primal_gap <= primal_bound) & (dual_move <= dual_bound)
         r = np.maximum(primal_gap / primal_bound, dual_move / dual_bound)
         margin[active] = np.minimum(margin[active], np.abs(r - 1))
@@ -820,12 +855,10 @@ def test_batch_matches_loop_reference_bit_for_bit(rows, sizes, uniform, rho, max
     if rows > structure.dim:
         ys.append(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
     ys = [ys[i] for i in rng.permutation(len(ys))]
-    params = BpParams(rho=rho, max_iter=max_iter)
-
-    batch = hbp_solve_batch(D, ys, params)
+    batch = hbp_solve_batch(D, ys, rho=rho, max_iter=max_iter)
     assert len(batch) == len(ys)
     for y, got, (solution, iterations, status, _) in zip(
-            ys, batch, hbp_loop_reference(D, ys, params)):
+            ys, batch, hbp_loop_reference(D, ys, rho=rho, max_iter=max_iter)):
         norms = structure.norms(solution.entries)
         cutoff = max(ZERO_BLOCK_TOL, recovery.BP_SUPPORT_REL_TOL * float(norms.max()))
         assert np.array_equal(got.solution.entries, solution.entries)
