@@ -186,12 +186,13 @@ class BlockDictionary:
     bounded away from zero relative to its largest.  Rank-deficient blocks are
     rejected at construction.  ``unit`` is the matrix times 2^-exponent, its
     largest entry component in [1/2, 1), exactly (ldexp on the C-ordered float
-    view).  The coherence, spark, omp picks and kernel audit read unit and
+    view).  The coherence, spark, kernel audit and solvers read unit,
     ``unit_sigma`` (each block's extreme singular values, one batched SVD per
-    block size), so they are scale-free.  The factors that every solve on the
-    dictionary can reuse are computed on first use and kept for its lifetime;
-    each is the expression a solver would otherwise evaluate per call, so
-    results are bit-identical whether it is kept or not.
+    block size) and ``unit_measurements``, so they are scale-free.  The
+    factors that every solve on the dictionary can reuse are computed on
+    first use and kept for its lifetime; each is the expression a solver
+    would otherwise evaluate per call, so results are bit-identical whether
+    it is kept or not.
     """
 
     def __init__(self, matrix, structure: BlockStructure):
@@ -247,8 +248,8 @@ class BlockDictionary:
 
     @cached_property
     def pinv(self) -> np.ndarray:
-        """bp's pseudo-inverse of the matrix (RANK_TOL cutoff), built on first read; read-only."""
-        pinv = np.linalg.pinv(self.matrix, rcond=RANK_TOL)
+        """bp's pseudo-inverse of unit (RANK_TOL cutoff), built on first read; read-only."""
+        pinv = np.linalg.pinv(self.unit, rcond=RANK_TOL)
         pinv.flags.writeable = False
         return pinv
 
@@ -256,21 +257,20 @@ class BlockDictionary:
         """(supports, pinv, cond, basis) per batch of ``support_stacks(self, k)``.
 
         supports is the (B, k) batch of block indices, and the rest is what
-        ``_screening_basis`` factors from its (B, M, w) column stacks S:
+        ``_screening_basis`` factors from its (B, M, w) column stacks S of unit:
         their pseudo-inverses P (numpy's ``pinv`` with the RANK_TOL cutoff),
         so ||y - S P y|| is the residual of ``block_least_squares`` on a
         support; cond, the largest over the smallest singular value above
         that cutoff; and basis, the rows U^H of each stack's orthonormal
         range basis U in one (B r, M) matrix (r = min(M, w); zero rows below
         the cutoff), from which p0's screen reads ||y||^2 - ||U^H y||^2.
-        The stacks themselves are not kept: a refit gathers its own from
-        the matrix.  A cardinality's bases are kept while the dictionary's
-        total stays within FACTOR_CACHE_BYTES; past it they are streamed
-        afresh per call.
+        The stacks are not kept: a refit gathers its own.  A cardinality's
+        bases are kept while the dictionary's total stays within
+        FACTOR_CACHE_BYTES; past it they are streamed afresh per call.
         """
         if k in self._bases:
             return self._bases[k]
-        bases = ((supports, *_screening_basis(column_stacks(self.matrix, cols)))
+        bases = ((supports, *_screening_basis(column_stacks(self.unit, cols)))
                  for supports, cols in support_stacks(self, k))
         # list() copies the keys in one step, so a thread keeping another
         # cardinality meanwhile cannot break the iteration.
@@ -285,7 +285,7 @@ class BlockDictionary:
         return bases
 
     def factors(self, supports) -> list[np.ndarray]:
-        """The pseudo-inverse of each sorted, valid support's stack;
+        """The pseudo-inverse of each sorted, valid support's stack of unit;
         ``block_least_squares`` fits every support with it, and omp reads a
         step's supports in one call.
 
@@ -306,7 +306,7 @@ class BlockDictionary:
                 factors[i] = pinv[row]
         for at in misses.values():
             cols = np.array([self.structure.column_indices(supports[i]) for i in at])
-            pinv = _screening_basis(column_stacks(self.matrix, cols))[0]
+            pinv = _screening_basis(column_stacks(self.unit, cols))[0]
             for row, i in enumerate(at):
                 factors[i] = pinv[row]
         return factors
@@ -319,6 +319,24 @@ class BlockDictionary:
         if not np.isfinite(yv).all():
             raise ValueError("measurement has non-finite entries")
         return yv
+
+    def unit_measurements(self, ys) -> np.ndarray:
+        """Row j is ``measurement(ys[j])`` times 2^-exponent, exactly (ldexp
+        on the float view), as the solvers read it.  ValueError when
+        2 M d ||y 2^-exponent||^2 leaves the float range (d the widest
+        block), which bounds every square a solver forms."""
+        scaled = np.empty((len(ys), self.shape[0]), dtype=np.complex128)
+        for j, y in enumerate(ys):
+            scaled[j] = self.measurement(y)
+        floats = scaled.view(np.float64)
+        with np.errstate(over="ignore"):
+            np.ldexp(floats, -self.exponent, out=floats)
+        # einsum does not warn on overflow, and a Python float product is inf.
+        squares = max(np.einsum("ij,ij->i", floats, floats).tolist(), default=0.0)
+        if not 2 * self.shape[0] * max(self.structure.sizes) * squares < math.inf:
+            raise ValueError("measurement too large for the dictionary: "
+                             "2 M d ||y 2^-exponent||^2 leaves the float range")
+        return scaled
 
     def __repr__(self) -> str:
         m, n = self.shape
@@ -348,19 +366,9 @@ def h0_norm(v: BlockVector, tol: float = ZERO_BLOCK_TOL) -> int:
 
 def vector_norm(x: np.ndarray) -> float:
     """``np.linalg.norm`` of a contiguous 1-D complex vector without its
-    dispatch: numpy's expression sqrt(re.re + im.im), so the same bits.
-    When that sum of squares leaves the float range, the norm is taken on x
-    scaled by the power of two of its largest component and scaled back
-    (inf only when the norm itself exceeds the range); the overflow of the
-    first sum warns unless the caller holds ``np.errstate(over="ignore")``."""
+    dispatch: numpy's expression sqrt(re.re + im.im), so the same bits."""
     re, im = x.real, x.imag
-    squares = re.dot(re) + im.dot(im)
-    if math.isfinite(squares):
-        return math.sqrt(squares)
-    power = int(np.frexp(max(np.abs(re).max(), np.abs(im).max()))[1])
-    re, im = np.ldexp(re, -power), np.ldexp(im, -power)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(math.sqrt(re.dot(re) + im.dot(im)), power))
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def h1_norm(v: BlockVector) -> float:
@@ -537,17 +545,21 @@ def block_least_squares(D: BlockDictionary, support, y) -> tuple[BlockVector, fl
     Returns the coefficient vector embedded in the full space (blocks outside
     the support are zero) together with the residual norm.  Singular values of
     the stacked blocks below RANK_TOL times the largest are treated as zero,
-    so rank-deficient stacks get the minimum-norm minimizer.  The stack is
-    gathered from the matrix, and its pseudo-inverse comes from
-    ``D.factors``: the one p0 keeps for the support, or one factored afresh.
+    so rank-deficient stacks get the minimum-norm minimizer.  The fit reads
+    y 2^-exponent, the stack of unit and its pseudo-inverse from
+    ``D.factors`` (the one p0 keeps for the support, or one factored
+    afresh); the residual norm goes back to D's units by one ldexp.  y is
+    not range-checked here: p0 reads its measurements through
+    ``D.unit_measurements`` once, before its refits.
     """
     idx = tuple(sorted({D.structure.check_index(i) for i in support}))
     if not idx:
         raise ValueError("support must contain at least one block")
-    yv = D.measurement(y)
+    yv = np.ldexp(D.measurement(y).view(np.float64), -D.exponent).view(np.complex128)
     cols = D.structure.column_indices(idx)
     coef = D.factors([idx])[0] @ yv
-    residual = vector_norm(yv - np.ascontiguousarray(D.matrix[:, cols]) @ coef)
+    residual = vector_norm(yv - np.ascontiguousarray(D.unit[:, cols]) @ coef)
+    residual = float(np.ldexp(residual, D.exponent))
     full = np.zeros(D.structure.dim, dtype=np.complex128)
     full[cols] = coef
     return BlockVector(full, D.structure), residual
@@ -558,7 +570,7 @@ def support_stacks(D: BlockDictionary, k: int):
 
     Yields (supports, cols): a (B, k) int64 array of block indices and the
     (B, w) array of the column indices each subset stacks, all of width w;
-    ``column_stacks`` gathers the (B, M, w) stacks themselves, so a caller
+    ``column_stacks`` gathers the (B, M, w) stacks of ``D.unit``, so a caller
     that can settle a subset from the indices alone never gathers it.
     With single-column blocks the two are the same array object (a block's
     index is its column's); no caller writes into either.

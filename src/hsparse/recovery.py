@@ -12,9 +12,12 @@ Three solvers for y = Phi v with v occupying few blocks:
   correlations, one loop over a batch of measurements; ``homp`` is its
   batch of one.
 
-All three read the factors that depend only on the dictionary from the
-``BlockDictionary`` itself, which keeps them from the first solve on for
-every later one.
+All three read y as ``D.unit_measurements`` (y 2^-exponent) and multiply
+only with ``D.unit`` and the factors of it that D keeps from the first solve
+on.  Solutions and their tolerances keep D's units; ||y||, residuals and
+their floor 2^-exponent are in unit's, so each decision is the one in D's
+units scaled by an exact power of two, and D 2^k with y 2^k gives the bits
+of D with y.  Result residual norms go back to D's units by one ldexp.
 
 ``guarantee_check`` evaluates the two sufficient conditions (spark-based and
 coherence-based) under which all three provably return the planted signal.
@@ -59,8 +62,7 @@ class RecoveryResult:
     """Solver outcome.
 
     ``support`` lists the blocks of ``solution`` with norm above the solver's
-    support cutoff, and ``residual_norm`` is ||y - Phi solution|| recomputed
-    at exit rather than the internally tracked value.
+    support cutoff, and ``residual_norm`` is ||y - Phi solution||.
     """
 
     solution: BlockVector
@@ -74,15 +76,16 @@ def _result(D: BlockDictionary, solution: BlockVector, y: np.ndarray,
             iterations: int, status: str, support_tol: float = ZERO_BLOCK_TOL,
             residual_norm: float | None = None,
             norms: np.ndarray | None = None) -> RecoveryResult:
-    """The RecoveryResult of solution; ``residual_norm`` and ``norms``, when
-    given, must be the values ||y - Phi solution|| and
-    ``solution.block_norms()`` computed here otherwise."""
+    """The RecoveryResult of solution for y in unit's units; ``residual_norm``
+    and ``norms``, when given, must be the values ||y - D.unit solution||
+    and ``solution.block_norms()`` computed here otherwise."""
     if residual_norm is None:
-        residual_norm = vector_norm(y - D.matrix @ solution.entries)
+        residual_norm = vector_norm(y - D.unit @ solution.entries)
     if norms is None:
         norms = solution.block_norms()
     support = tuple(int(i) for i in np.flatnonzero(norms > support_tol))
-    return RecoveryResult(solution, support, iterations, residual_norm, status)
+    return RecoveryResult(solution, support, iterations,
+                          float(np.ldexp(residual_norm, D.exponent)), status)
 
 
 def hp0_exhaustive(D: BlockDictionary, y, **options) -> RecoveryResult:
@@ -124,11 +127,9 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, *, tol: float = 1e-8,
     calls, as long as they fit in blocks.FACTOR_CACHE_BYTES; larger ones are
     recomputed on every call and their refits factor the support afresh.
     Every measurement gets its own RecoveryResult, in the order of ys,
-    equal bit for bit to a search for it alone.  ||y|| comes from
-    ``vector_norm`` and the screen reads y scaled by a power of two, so D 2^k
-    and y 2^k give the supports of D and y up to the float range's top; the
-    floor 1 of max(||y||, 1) is absolute, as omp's is, so at the small end a
-    y of norm at most tol closes as zero (at 2^-300 every y does).
+    equal bit for bit to a search for it alone.  The floor 1 of
+    max(||y||, 1) is absolute (2^-exponent in unit's units), as omp's is, so
+    at the small end a y of norm at most tol closes as zero.
     """
     n = D.n_blocks
     if n > exact_number("cap", cap, int):
@@ -137,11 +138,9 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, *, tol: float = 1e-8,
         raise ValueError("tol must be nonnegative")
     depth = n if max_cardinality is None else min(
         exact_number("max_cardinality", max_cardinality, int), n)
-    yvs = [D.measurement(y) for y in ys]
-    # ||y||^2 may leave the float range: vector_norm then rescales.
-    with np.errstate(over="ignore"):
-        y_norms = np.array([vector_norm(yv) for yv in yvs])
-    feas_tols = tol * np.maximum(y_norms, 1.0)
+    yvs = D.unit_measurements(ys)
+    y_norms = np.array([vector_norm(yv) for yv in yvs])
+    feas_tols = tol * np.maximum(y_norms, 2.0 ** -D.exponent)
     zero = BlockVector.zeros(D.structure)
 
     results: list[RecoveryResult | None] = [None] * len(yvs)
@@ -161,7 +160,7 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, *, tol: float = 1e-8,
                           feas_tols[open_trials])
         still_open = []
         for j, candidates in zip(open_trials, passing):
-            found = _refit(D, sorted(candidates), yvs[j], feas_tols[j], tol)
+            found = _refit(D, sorted(candidates), ys[j], math.ldexp(feas_tols[j], D.exponent), tol)
             if found is None:
                 still_open.append(j)
             else:
@@ -187,16 +186,10 @@ def _screen(bases, Y: np.ndarray, y_norms: np.ndarray,
     sqrt(c (M + r) eps) ||y||, so the others pass only when their
     ||y - U (U^H y)||, computed within c (M + r) eps ||y|| of its exact
     value, is at most bound plus that.  The screen is thus a superset
-    filter as sharp as the projection residual, and the refits decide.  Each
-    column is read scaled by the power of two of its ||y||, which is exact
-    for every entry above 2^-1021 ||y||, far below the rounding allowed, so
-    it leaves the passes unchanged: ||y|| then lies in [1/2, 1) and an open
-    trial's feas_tol below it, so none of these squares overflows.
+    filter as sharp as the projection residual, and the refits decide.
+    Everything here is in unit's units.
     """
     passing: list[list[tuple[int, ...]]] = [[] for _ in range(Y.shape[1])]
-    power = np.frexp(y_norms)[1]
-    Y = np.ldexp(Y.view(np.float64), -np.repeat(power, 2)).view(np.complex128)
-    y_norms, feas_tols = np.ldexp(y_norms, -power), np.ldexp(feas_tols, -power)
     eps = np.finfo(float).eps
     y2 = y_norms ** 2
     slack = _SCREEN_ROUNDING * eps * y_norms
@@ -234,13 +227,14 @@ def _projection_residuals(rows: np.ndarray, which: np.ndarray, Y: np.ndarray) ->
     return out
 
 
-def _refit(D: BlockDictionary, candidates, yv: np.ndarray, feas_tol: float,
+def _refit(D: BlockDictionary, candidates, y, feas_tol: float,
            tol: float) -> tuple[BlockVector, str] | None:
-    """(solution, status) of the first feasible refit among the sorted
+    """(solution, status) of the first feasible refit of y (in D's units, as
+    block_least_squares answers, and so is feas_tol) among the sorted
     candidates, or None when none is feasible; see hp0_exhaustive_batch."""
     feasible: list[BlockVector] = []
     for support in candidates:
-        solution, residual = block_least_squares(D, support, yv)
+        solution, residual = block_least_squares(D, support, y)
         if residual > feas_tol:
             continue
         if any(float(np.linalg.norm(a.entries - solution.entries)) > tol for a in feasible):
@@ -261,7 +255,7 @@ def hbp_solve_batch(D: BlockDictionary, ys, *, rho: float = 1.0, tol_primal: flo
     ys, by one splitting loop over the columns of Y = [y_1 ... y_T].
 
     Each column alternates (1) projection of the current point onto its
-    affine feasible set through the pseudo-inverse ``D.pinv``
+    affine feasible set through ``D.unit`` and its pseudo-inverse ``D.pinv``
     (computed once per dictionary), (2) blockwise shrinkage
     w_i = max(0, 1 - 1/(rho ||t_i||)) t_i of t = u + lambda (the proximal
     step of the sum-of-block-norms objective; the complex block is scaled by
@@ -273,8 +267,8 @@ def hbp_solve_batch(D: BlockDictionary, ys, *, rho: float = 1.0, tol_primal: flo
     passes it, which leaves the outcome of the two tests together unchanged.
     A stopped column is frozen and dropped from the active set, so each step
     is one matrix product over the columns still running.  A column whose y
-    lies outside the numerical range of Phi (relative pseudo-inverse
-    residual above BP_RANGE_TOL) is not iterated: its status is
+    lies outside the numerical range of Phi (pseudo-inverse residual above
+    BP_RANGE_TOL * max(||y||, 1)) is not iterated: its status is
     "infeasible" and its solution pinv(Phi) y.
 
     Every column gets its own RecoveryResult, in the order of ys.  A
@@ -298,10 +292,8 @@ def hbp_solve_batch(D: BlockDictionary, ys, *, rho: float = 1.0, tol_primal: flo
     max_iter = exact_number("max_iter", max_iter, int)   # 3.0 is kept as 3, for range()
     if not max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
-    Y = np.empty((D.shape[0], len(ys)), dtype=np.complex128)
-    for j, y in enumerate(ys):
-        Y[:, j] = D.measurement(y)
-    mat = D.matrix
+    Y = np.ascontiguousarray(D.unit_measurements(ys).T)
+    mat = D.unit
     pinv = D.pinv
     structure = D.structure
     # The test block_sums makes: single-coordinate blocks need no repeat.
@@ -330,7 +322,7 @@ def hbp_solve_batch(D: BlockDictionary, ys, *, rho: float = 1.0, tol_primal: flo
     # Feasibility of each affine set: y must lie in the numerical range.
     least_norm = pinv @ Y
     range_gap = column_norms(mat @ least_norm - Y)
-    infeasible = range_gap > BP_RANGE_TOL * np.maximum(column_norms(Y), 1.0)
+    infeasible = range_gap > BP_RANGE_TOL * np.maximum(column_norms(Y), 2.0 ** -D.exponent)
 
     U = least_norm   # the answer for infeasible columns; the rest are overwritten
     iterations = [0 if gap else max_iter for gap in infeasible]
@@ -393,15 +385,12 @@ def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
 
     Each running trial's correlations are its own product of ``D.unit^H``
     with its residual, so its pick is that of a pursuit of it alone, ties
-    included; one block-norm pass over ``D.unit_sigma`` weighs them all.
-    unit's 2^-exponent cancels, so these are D's own weights, but they
-    scale as ||r||, not ||D|| ||r||; a trial whose squared correlations
-    overflow is weighed on them scaled by a power of two, which keeps its
-    pick.  The pseudo-inverses of the enlarged
+    included; one block-norm pass over ``D.unit_sigma`` weighs them all, D's
+    own weights times 2^-exponent.  The pseudo-inverses of the enlarged
     supports come from ``D.factors`` (kept by p0, or factored in one batched
     SVD per stack width).  Each trial's fit, residual and stop test stay its
-    own, in D's units, so every trial gets its own RecoveryResult, in the
-    order of ys, equal bit for bit to a pursuit of it alone.  A fit is the
+    own, so every trial gets its own RecoveryResult, in the order of ys,
+    equal bit for bit to a pursuit of it alone.  A fit is the
     pseudo-inverse times y, scattered into zeros; its residual y - Phi
     solution is the one the next stop test takes the norm of, and the
     result's ``residual_norm`` is that norm from the trial's last stop test.
@@ -411,11 +400,8 @@ def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
         raise ValueError("max_iter must be at least 1")
     if not tol_res >= 0:   # also rejects NaN
         raise ValueError("tol_res must be nonnegative")
-    yvs = [D.measurement(y) for y in ys]
-    # Squares of y, of the residuals and of the correlations may leave the
-    # float range: vector_norm and the pick weights then rescale.
-    with np.errstate(over="ignore"):
-        stops = [tol_res * max(vector_norm(yv), 1.0) for yv in yvs]
+    yvs = D.unit_measurements(ys)
+    stops = [tol_res * max(vector_norm(yv), 2.0 ** -D.exponent) for yv in yvs]
     adjoint, smin = D.unit.conj().T, D.unit_sigma[:, :1]
     solutions = [np.zeros(D.structure.dim, dtype=np.complex128) for _ in yvs]
     residuals = [yv.copy() for yv in yvs]
@@ -425,10 +411,8 @@ def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
     running = range(len(yvs))
     while True:
         still = []
-        with np.errstate(over="ignore"):
-            for j in running:
-                residual_norms[j] = vector_norm(residuals[j])
         for j in running:
+            residual_norms[j] = vector_norm(residuals[j])
             if residual_norms[j] <= stops[j]:
                 continue
             if len(selected[j]) >= max_iter or len(selected[j]) == D.n_blocks:
@@ -439,13 +423,7 @@ def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
         if not running:
             break
         corr = np.stack([adjoint @ residuals[j] for j in running], axis=1)
-        with np.errstate(over="ignore"):
-            weights = D.structure.norms(corr)
-        for col in np.flatnonzero(np.isinf(weights).any(axis=0)).tolist():
-            # The trial's correlations scaled by a power of two keep its argmax.
-            power = int(np.frexp(np.abs(corr[:, col]).max())[1])
-            weights[:, col] = D.structure.norms(corr[:, col] * 2.0 ** -power)
-        weights /= smin
+        weights = D.structure.norms(corr) / smin
         for col, j in enumerate(running):
             weights[selected[j], col] = -np.inf
         for j, pick in zip(running, np.argmax(weights, axis=0).tolist()):
@@ -454,7 +432,7 @@ def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
         for j, support, pinv in zip(running, supports, D.factors(supports)):
             solutions[j] = np.zeros(D.structure.dim, dtype=np.complex128)
             solutions[j][D.structure.column_indices(support)] = pinv @ yvs[j]
-            residuals[j] = yvs[j] - D.matrix @ solutions[j]
+            residuals[j] = yvs[j] - D.unit @ solutions[j]
     return [_result(D, BlockVector(solution, D.structure), yv, len(chosen), outcome,
                     residual_norm=residual_norm)
             for solution, yv, chosen, outcome, residual_norm

@@ -30,7 +30,8 @@ AUDIT_SLACK = 1e-9
 # Relative residual ||D.unit v|| / ||v|| up to which v counts as a kernel
 # vector; for unit-norm columns at most twice as loose as in D's own units.
 KERNEL_RESIDUAL_TOL = 1e-10
-# Relative gap up to which two sampled images count as one measurement.
+# Gap, relative to the larger image, up to which two sampled images count
+# as one measurement.
 IMAGE_MATCH_TOL = 1e-9
 
 
@@ -130,7 +131,10 @@ def gup_audit(D1: BlockDictionary, D2: BlockDictionary, u: BlockVector,
     The concentration defects are recomputed from the supplied sets rather
     than trusted from the caller.  rhs combines the positive parts
     [(1 - eps)(1 + mu) - |set| mu]^+ for each side, scaled by the inverse
-    squared mutual coherence.
+    squared mutual coherence.  The images D1 u and D2 v match when their
+    gap is at most tol_match times the larger; both are taken from
+    ``D1.unit`` and ``D2.unit`` in one power-of-two scale, so the test is
+    scale-free, like the coherences.
     """
     if not tol_match >= 0:   # also rejects NaN
         raise ValueError("tol_match must be nonnegative")
@@ -138,11 +142,11 @@ def gup_audit(D1: BlockDictionary, D2: BlockDictionary, u: BlockVector,
         raise ValueError("signal and dictionary block structures disagree")
     if u.norm() <= 0.0 or v.norm() <= 0.0:
         raise ValueError("signals must be nonzero")
-    img_u = D1.matrix @ u.entries
-    img_v = D2.matrix @ v.entries
-    gap = float(np.linalg.norm(img_u - img_v))
-    ref = max(float(np.linalg.norm(img_u)), float(np.linalg.norm(img_v)), 1.0)
-    if gap > tol_match * ref:
+    top = max(D1.exponent, D2.exponent)
+    img_u, img_v = (np.ldexp((D.unit @ x.entries).view(np.float64), D.exponent - top)
+                    for D, x in ((D1, u), (D2, v)))
+    if np.linalg.norm(img_u - img_v) > tol_match * max(np.linalg.norm(img_u),
+                                                       np.linalg.norm(img_v)):
         raise ValueError("sampled images differ: the two signals do not share a measurement")
 
     card_u = len({u.structure.check_index(i) for i in set_u})

@@ -206,12 +206,13 @@ def test_block_least_squares_matches_pinv_reference(D, monkeypatch):
     """block_least_squares fits a support of a kept cardinality from the kept
     pseudo-inverse and any other afresh, and every support afresh under a
     zero cache budget; each fit equals one by np.linalg.pinv of the stacked
-    blocks bit for bit, and only the supports not kept reach
-    _screening_basis."""
+    blocks of D bit for bit, and only the supports not kept reach
+    _screening_basis, as stacks of D.unit."""
     rng = np.random.default_rng(0)
     yv = rng.standard_normal(D.shape[0]) + 1j * rng.standard_normal(D.shape[0])
     supports = [c for k in (1, 2, 3) for c in itertools.combinations(range(D.n_blocks), k)]
     stack_of = {c: np.hstack([D.block(i) for i in c]) for c in supports}
+    unit_stack_of = {c: D.unit[:, D.structure.column_indices(c)] for c in supports}
     factored = []
     basis = blocks._screening_basis
     monkeypatch.setattr(blocks, "_screening_basis",
@@ -233,7 +234,7 @@ def test_block_least_squares_matches_pinv_reference(D, monkeypatch):
         fresh = [c for c in supports if budget == 0 or len(c) == 3]
         assert len(factored) == len(fresh)
         for stacks, support in zip(factored, fresh):
-            assert np.array_equal(stacks, [stack_of[support]])
+            assert np.array_equal(stacks, [unit_stack_of[support]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,28 +414,6 @@ def test_hp0_non_integral_option_rejected(option, value):
         hp0_exhaustive(D, y, **{option: value})
 
 
-@pytest.mark.parametrize("depth", [None, 1])
-def test_hp0_is_scale_free(depth):
-    """p0 on (D 2^k, y 2^k) finds the supports, iterations and statuses it
-    finds on (D, y), also where ||y||^2 overflows (520, 540): ||y|| comes
-    from vector_norm and the screen reads y scaled by a power of two.  At
-    depth 1 the measurements of two or three blocks end "infeasible".
-    Negative k are left out on purpose: the floor max(||y||, 1) is absolute,
-    so a y scaled below norm tol closes as zero."""
-    D = random_block_dictionary(8, (1, 2, 1, 2, 1, 1), 3)
-    ys = [planted(D, (0, 2, 3), seed=0)[1]]
-    ys += [planted(D, support, seed)[1] for seed, support in
-           enumerate([(1,), (4,), (2, 5), (0, 1), (1, 3, 5)])]
-    reference = [(r.support, r.iterations, r.status)
-                 for r in hp0_exhaustive_batch(D, ys, max_cardinality=depth)]
-    assert reference[0] == (((0, 2, 3), 41, "exact") if depth is None
-                            else ((), 6, "infeasible"))
-    for k in (0, 300, 520, 540):
-        scaled = BlockDictionary(D.matrix * 2.0 ** k, D.structure)
-        got = hp0_exhaustive_batch(scaled, [y * 2.0 ** k for y in ys], max_cardinality=depth)
-        assert [(r.support, r.iterations, r.status) for r in got] == reference, k
-
-
 class TestHomp:
     def test_zero_measurement(self):
         D = identity_dft_pair(4)
@@ -487,27 +466,70 @@ class TestHomp:
         assert r.iterations == 1
 
 
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_homp_is_scale_free(seed):
-    """omp on (D 2^k, y 2^k) picks the blocks it picks on (D, y), so supports,
-    iterations and statuses agree, for k at which D^H r squared would
-    overflow (270, 400, 500) or would not (100): the picks weigh D.unit^H r
-    by unit_sigma.  At 520 and 540 ||y||^2 and the squares of D.unit^H r
-    overflow too, so the stop rule's norm and the pick weights are taken on
-    vectors rescaled by a power of two.  Negative k are left out on
-    purpose: the stop rule's floor max(||y||, 1) is absolute, so a y scaled
-    below norm 1 stops on the floor, not on tol_res relative to ||y||."""
+def scale_free_cases(seed):
+    """(D, ys) pairs: the random 8-row dictionary with measurements of 1-3
+    blocks, identity/DFT(16), and a random 12-row dictionary with 16 blocks
+    of 1-3 columns, each of the last two with 30 planted measurements of
+    1-5 blocks."""
+    D = random_block_dictionary(8, (1, 2, 1, 2, 1, 1), 3)
+    ys = [planted(D, (0, 2, 3), seed=0)[1]]
+    ys += [planted(D, support, seed)[1] for seed, support in
+           enumerate([(1,), (4,), (2, 5), (0, 1), (1, 3, 5)])]
+    cases = [(D, ys)]
     rng = np.random.default_rng(seed)
     sizes = tuple(int(d) for d in rng.integers(1, 4, size=16))
     for D in (identity_dft_pair(16), random_block_dictionary(12, sizes, seed)):
         ys = [planted(D, rng.choice(D.n_blocks, size=s, replace=False), seed + trial)[1]
               for s in range(1, 6) for trial in range(6)]
-        reference = [(r.support, r.iterations, r.status) for r in homp_batch(D, ys)]
-        for k in (100, 270, 400, 500, 520, 540):
+        cases.append((D, ys))
+    return cases
+
+
+@pytest.mark.parametrize("algo", ["p0", "p0-depth-1", "omp", "bp"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_solvers_are_scale_free(algo, seed):
+    """Each solver on (D 2^k, y 2^k) gives the solution bits, support,
+    iterations and status it gives on (D, y), and the residual norm times
+    exactly 2^k: it reads D.unit and y 2^-exponent, which do not depend on
+    k.  At 520 and 540 ||y||^2 leaves the float range in D's units.  p0
+    runs on the 8-row dictionary alone (identity/DFT(16) has 32 blocks, past
+    its cap), at full depth and at depth 1, where the measurements of two or
+    three blocks end "infeasible"; bp stops after 300 iterations.  Negative
+    k are left out on purpose: the floors max(||y||, 1) are absolute, so a
+    y scaled below them closes on the floor."""
+    solve = {"p0": hp0_exhaustive_batch,
+             "p0-depth-1": lambda D, ys: hp0_exhaustive_batch(D, ys, max_cardinality=1),
+             "omp": homp_batch,
+             "bp": lambda D, ys: hbp_solve_batch(D, ys, max_iter=300)}[algo]
+    cases = scale_free_cases(seed)
+    first = solve(*cases[0])[0]
+    assert first.support == (() if algo == "p0-depth-1" else (0, 2, 3))
+    if algo.startswith("p0"):
+        assert (first.iterations, first.status) == ((41, "exact") if algo == "p0"
+                                                    else (6, "infeasible"))
+    for D, ys in cases[:1] if algo.startswith("p0") else cases:
+        reference = solve(D, ys)
+        for k in (100, 300, 520, 540):
             scaled = BlockDictionary(D.matrix * 2.0 ** k, D.structure)
-            got = homp_batch(scaled, [y * 2.0 ** k for y in ys])
-            assert [(r.support, r.iterations, r.status) for r in got] == reference, k
+            got = solve(scaled, [y * 2.0 ** k for y in ys])
+            for r, g in zip(reference, got):
+                assert np.array_equal(g.solution.entries, r.solution.entries), k
+                assert (g.support, g.iterations, g.status) == (
+                    r.support, r.iterations, r.status), k
+                assert g.residual_norm == math.ldexp(r.residual_norm, k), k
+
+
+@pytest.mark.parametrize("solve", [hp0_exhaustive, homp, hbp_solve], ids=["p0", "omp", "bp"])
+def test_measurement_past_the_float_range_rejected(solve):
+    """D unscaled with y = D v 2^520: 2 M d ||y 2^-exponent||^2 leaves the
+    float range, so each solver raises a ValueError before it starts; at
+    2^505 each still finds v's blocks."""
+    D = random_block_dictionary(8, (1, 2, 1, 2, 1, 1), 3)
+    _, y = planted(D, (0, 2, 3), seed=0)
+    with pytest.raises(ValueError, match="float range"):
+        solve(D, y * 2.0 ** 520)
+    assert solve(D, y * 2.0 ** 505).support == (0, 2, 3)
 
 
 def homp_checked_steps(D, y, tol_res=1e-10, max_iter=None):
@@ -767,11 +789,12 @@ def hbp_loop_reference(D, ys, rho=1.0, tol_primal=1e-9, tol_dual=1e-9, max_iter=
     r the range gap over its bound, then on each iteration the larger of
     the primal gap and the dual move over their bounds (a column stops at
     r <= 1), so the decisions hold under any rounding that moves every r by
-    less than margin."""
+    less than margin.  Like the solver it works in unit's units: D.unit,
+    y 2^-exponent and the range test's floor 2^-exponent."""
     Y = np.empty((D.shape[0], len(ys)), dtype=np.complex128)
     for j, y in enumerate(ys):
-        Y[:, j] = D.measurement(y)
-    mat = D.matrix
+        Y[:, j] = np.ldexp(D.measurement(y).view(float), -D.exponent).view(complex)
+    mat = D.unit
     pinv = D.pinv
     sizes = np.asarray(D.structure.sizes)
 
@@ -785,7 +808,7 @@ def hbp_loop_reference(D, ys, rho=1.0, tol_primal=1e-9, tol_dual=1e-9, max_iter=
 
     least_norm = pinv @ Y
     range_gap = column_norms(mat @ least_norm - Y)
-    range_bound = recovery.BP_RANGE_TOL * np.maximum(column_norms(Y), 1.0)
+    range_bound = recovery.BP_RANGE_TOL * np.maximum(column_norms(Y), 2.0 ** -D.exponent)
     infeasible = range_gap > range_bound
     margin = np.abs(range_gap / range_bound - 1)
 

@@ -198,6 +198,24 @@ class TestGupAudit:
         with pytest.raises(ValueError, match="images differ"):
             gup_audit(I4, F4, u, v, (0,), (0,))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-520, -40, 520])
+    def test_image_match_is_scale_free(self, k):
+        """On identity/Fourier n = 16 scaled by 2^k the picket fence gives the
+        audit of k = 0, without a warning, and the fence with v rolled by one
+        is rejected: the images are compared relative to the larger, in one
+        power-of-two scale.  An absolute floor 1 accepted the rolled pair at
+        2^-40, and squares in D's units overflow at 2^520."""
+        n = 16
+        u, v, U, V = picket_fence(n)
+        I, F = identity_basis(n), fourier_basis(n)
+        reference = gup_audit(I, F, u, v, U, V)
+        I, F = (BlockDictionary(D.matrix * 2.0 ** k, D.structure) for D in (I, F))
+        assert gup_audit(I, F, u, v, U, V) == reference
+        rolled = BlockVector(np.roll(v.entries, 1), F.structure)
+        with pytest.raises(ValueError, match="images differ"):
+            gup_audit(I, F, u, rolled, U, V)
+
     def test_orthogonal_ranges_flagged_anomalous(self):
         # both dictionaries have a kernel, so zero images satisfy the
         # matching-image hypothesis while the mutual coherence vanishes
