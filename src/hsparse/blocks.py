@@ -312,30 +312,32 @@ class BlockDictionary:
         return factors
 
     def measurement(self, y) -> np.ndarray:
-        """y as a flat complex vector with one entry per row, all finite."""
-        yv = np.asarray(y, dtype=np.complex128).reshape(-1)
+        """y as a flat contiguous complex vector, one finite entry per row.
+        ValueError when 2 M d ||y 2^-exponent||^2 leaves the float range (d
+        the widest block), which bounds the squares a solver forms in
+        measurement space and keeps every entry of y 2^-exponent finite."""
+        yv = np.ascontiguousarray(y, dtype=np.complex128).reshape(-1)
         if yv.size != self.shape[0]:
             raise ValueError(f"measurement length {yv.size} does not match {self.shape[0]} rows")
-        if not np.isfinite(yv).all():
-            raise ValueError("measurement has non-finite entries")
+        # Python's hypot neither overflows nor warns, and is inf or NaN when
+        # an entry is; a norm past 2^1023 fails the test all the same.
+        m, p = math.frexp(math.hypot(*yv.view(np.float64).tolist()))
+        unit = math.ldexp(m, min(p - self.exponent, 1023))
+        if not 2 * self.shape[0] * max(self.structure.sizes) * unit * unit < math.inf:
+            if not np.isfinite(yv).all():
+                raise ValueError("measurement has non-finite entries")
+            raise ValueError("measurement too large for the dictionary: "
+                             "2 M d ||y 2^-exponent||^2 leaves the float range")
         return yv
 
     def unit_measurements(self, ys) -> np.ndarray:
         """Row j is ``measurement(ys[j])`` times 2^-exponent, exactly (ldexp
-        on the float view), as the solvers read it.  ValueError when
-        2 M d ||y 2^-exponent||^2 leaves the float range (d the widest
-        block), which bounds every square a solver forms."""
+        on the float view), as the solvers read it."""
         scaled = np.empty((len(ys), self.shape[0]), dtype=np.complex128)
         for j, y in enumerate(ys):
             scaled[j] = self.measurement(y)
         floats = scaled.view(np.float64)
-        with np.errstate(over="ignore"):
-            np.ldexp(floats, -self.exponent, out=floats)
-        # einsum does not warn on overflow, and a Python float product is inf.
-        squares = max(np.einsum("ij,ij->i", floats, floats).tolist(), default=0.0)
-        if not 2 * self.shape[0] * max(self.structure.sizes) * squares < math.inf:
-            raise ValueError("measurement too large for the dictionary: "
-                             "2 M d ||y 2^-exponent||^2 leaves the float range")
+        np.ldexp(floats, -self.exponent, out=floats)
         return scaled
 
     def __repr__(self) -> str:
@@ -549,8 +551,7 @@ def block_least_squares(D: BlockDictionary, support, y) -> tuple[BlockVector, fl
     y 2^-exponent, the stack of unit and its pseudo-inverse from
     ``D.factors`` (the one p0 keeps for the support, or one factored
     afresh); the residual norm goes back to D's units by one ldexp.  y is
-    not range-checked here: p0 reads its measurements through
-    ``D.unit_measurements`` once, before its refits.
+    read by ``D.measurement``, so its range is checked as in the solvers.
     """
     idx = tuple(sorted({D.structure.check_index(i) for i in support}))
     if not idx:

@@ -30,8 +30,8 @@ AUDIT_SLACK = 1e-9
 # Relative residual ||D.unit v|| / ||v|| up to which v counts as a kernel
 # vector; for unit-norm columns at most twice as loose as in D's own units.
 KERNEL_RESIDUAL_TOL = 1e-10
-# Gap, relative to the larger image, up to which two sampled images count
-# as one measurement.
+# Gap, relative to the larger of ||D1|| ||u|| and ||D2|| ||v||, up to which
+# two sampled images D1 u and D2 v count as one measurement.
 IMAGE_MATCH_TOL = 1e-9
 
 
@@ -132,9 +132,9 @@ def gup_audit(D1: BlockDictionary, D2: BlockDictionary, u: BlockVector,
     than trusted from the caller.  rhs combines the positive parts
     [(1 - eps)(1 + mu) - |set| mu]^+ for each side, scaled by the inverse
     squared mutual coherence.  The images D1 u and D2 v match when their
-    gap is at most tol_match times the larger; both are taken from
-    ``D1.unit`` and ``D2.unit`` in one power-of-two scale, so the test is
-    scale-free, like the coherences.
+    gap is at most tol_match times the larger of ||D1|| ||u|| and
+    ||D2|| ||v|| (Frobenius), all from ``D1.unit`` and ``D2.unit`` in one
+    power-of-two scale: scale-free, and kernel rounding residue matches.
     """
     if not tol_match >= 0:   # also rejects NaN
         raise ValueError("tol_match must be nonnegative")
@@ -145,8 +145,9 @@ def gup_audit(D1: BlockDictionary, D2: BlockDictionary, u: BlockVector,
     top = max(D1.exponent, D2.exponent)
     img_u, img_v = (np.ldexp((D.unit @ x.entries).view(np.float64), D.exponent - top)
                     for D, x in ((D1, u), (D2, v)))
-    if np.linalg.norm(img_u - img_v) > tol_match * max(np.linalg.norm(img_u),
-                                                       np.linalg.norm(img_v)):
+    scale = max(math.ldexp(float(np.linalg.norm(D.unit)) * x.norm(), D.exponent - top)
+                for D, x in ((D1, u), (D2, v)))
+    if np.linalg.norm(img_u - img_v) > tol_match * scale:
         raise ValueError("sampled images differ: the two signals do not share a measurement")
 
     card_u = len({u.structure.check_index(i) for i in set_u})
@@ -160,7 +161,7 @@ def gup_audit(D1: BlockDictionary, D2: BlockDictionary, u: BlockVector,
 
     if mu_m <= 0.0:
         # Orthogonal ranges make the bound vacuous; reaching here means the
-        # matching-image hypothesis nevertheless held (both images zero).
+        # matching-image hypothesis nevertheless held (images zero or residue).
         return GupAudit(lhs, math.inf, eps_u, eps_v, mu_phi, mu_psi, mu_m,
                         holds=False, slack=-math.inf, anomaly=True)
 

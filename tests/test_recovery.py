@@ -466,18 +466,21 @@ class TestHomp:
         assert r.iterations == 1
 
 
-def scale_free_cases(seed):
-    """(D, ys) pairs: the random 8-row dictionary with measurements of 1-3
-    blocks, identity/DFT(16), and a random 12-row dictionary with 16 blocks
-    of 1-3 columns, each of the last two with 30 planted measurements of
-    1-5 blocks."""
+def eight_row_case():
+    """The random 8-row dictionary with measurements of 1-3 blocks."""
     D = random_block_dictionary(8, (1, 2, 1, 2, 1, 1), 3)
     ys = [planted(D, (0, 2, 3), seed=0)[1]]
     ys += [planted(D, support, seed)[1] for seed, support in
            enumerate([(1,), (4,), (2, 5), (0, 1), (1, 3, 5)])]
-    cases = [(D, ys)]
+    return D, ys
+
+
+def random_cases(seed):
+    """identity/DFT(16) and a random 12-row dictionary with 16 blocks of 1-3
+    columns, each with 30 planted measurements of 1-5 blocks."""
     rng = np.random.default_rng(seed)
     sizes = tuple(int(d) for d in rng.integers(1, 4, size=16))
+    cases = []
     for D in (identity_dft_pair(16), random_block_dictionary(12, sizes, seed)):
         ys = [planted(D, rng.choice(D.n_blocks, size=s, replace=False), seed + trial)[1]
               for s in range(1, 6) for trial in range(6)]
@@ -485,39 +488,56 @@ def scale_free_cases(seed):
     return cases
 
 
-@pytest.mark.parametrize("algo", ["p0", "p0-depth-1", "omp", "bp"])
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_solvers_are_scale_free(algo, seed):
-    """Each solver on (D 2^k, y 2^k) gives the solution bits, support,
-    iterations and status it gives on (D, y), and the residual norm times
-    exactly 2^k: it reads D.unit and y 2^-exponent, which do not depend on
-    k.  At 520 and 540 ||y||^2 leaves the float range in D's units.  p0
-    runs on the 8-row dictionary alone (identity/DFT(16) has 32 blocks, past
-    its cap), at full depth and at depth 1, where the measurements of two or
-    three blocks end "infeasible"; bp stops after 300 iterations.  Negative
-    k are left out on purpose: the floors max(||y||, 1) are absolute, so a
-    y scaled below them closes on the floor."""
-    solve = {"p0": hp0_exhaustive_batch,
-             "p0-depth-1": lambda D, ys: hp0_exhaustive_batch(D, ys, max_cardinality=1),
-             "omp": homp_batch,
-             "bp": lambda D, ys: hbp_solve_batch(D, ys, max_iter=300)}[algo]
-    cases = scale_free_cases(seed)
-    first = solve(*cases[0])[0]
+SCALE_FREE_SOLVERS = {
+    "p0": hp0_exhaustive_batch,
+    "p0-depth-1": lambda D, ys: hp0_exhaustive_batch(D, ys, max_cardinality=1),
+    "omp": homp_batch,
+    "bp": lambda D, ys: hbp_solve_batch(D, ys, max_iter=300),
+}
+
+
+def assert_scale_free(solve, D, ys):
+    """solve on (D 2^k, y 2^k) gives the solution bits, support, iterations
+    and status it gives on (D, y), and the residual norm times exactly 2^k."""
+    reference = solve(D, ys)
+    for k in (100, 300, 520, 540):
+        scaled = BlockDictionary(D.matrix * 2.0 ** k, D.structure)
+        got = solve(scaled, [y * 2.0 ** k for y in ys])
+        for r, g in zip(reference, got):
+            assert np.array_equal(g.solution.entries, r.solution.entries), k
+            assert (g.support, g.iterations, g.status) == (
+                r.support, r.iterations, r.status), k
+            assert g.residual_norm == math.ldexp(r.residual_norm, k), k
+
+
+@pytest.mark.parametrize("algo", list(SCALE_FREE_SOLVERS))
+def test_solvers_are_scale_free(algo):
+    """Each solver is scale-free on the 8-row dictionary: it reads D.unit
+    and y 2^-exponent, which do not depend on k.  At 520 and 540 ||y||^2
+    leaves the float range in D's units.  p0 runs at full depth and at
+    depth 1, where the measurements of two or three blocks end
+    "infeasible"; bp stops after 300 iterations.  Negative k are left out
+    on purpose: the floors max(||y||, 1) are absolute, so a y scaled below
+    them closes on the floor."""
+    solve = SCALE_FREE_SOLVERS[algo]
+    D, ys = eight_row_case()
+    first = solve(D, ys)[0]
     assert first.support == (() if algo == "p0-depth-1" else (0, 2, 3))
     if algo.startswith("p0"):
         assert (first.iterations, first.status) == ((41, "exact") if algo == "p0"
                                                     else (6, "infeasible"))
-    for D, ys in cases[:1] if algo.startswith("p0") else cases:
-        reference = solve(D, ys)
-        for k in (100, 300, 520, 540):
-            scaled = BlockDictionary(D.matrix * 2.0 ** k, D.structure)
-            got = solve(scaled, [y * 2.0 ** k for y in ys])
-            for r, g in zip(reference, got):
-                assert np.array_equal(g.solution.entries, r.solution.entries), k
-                assert (g.support, g.iterations, g.status) == (
-                    r.support, r.iterations, r.status), k
-                assert g.residual_norm == math.ldexp(r.residual_norm, k), k
+    assert_scale_free(solve, D, ys)
+
+
+@pytest.mark.parametrize("algo", ["omp", "bp"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_omp_and_bp_are_scale_free_on_random_dictionaries(algo, seed):
+    """omp and bp are scale-free on identity/DFT(16) and a random 12-row
+    dictionary, 30 measurements each; p0 is left out, as identity/DFT(16)
+    has 32 blocks, past its cap."""
+    for D, ys in random_cases(seed):
+        assert_scale_free(SCALE_FREE_SOLVERS[algo], D, ys)
 
 
 @pytest.mark.parametrize("solve", [hp0_exhaustive, homp, hbp_solve], ids=["p0", "omp", "bp"])
@@ -530,6 +550,42 @@ def test_measurement_past_the_float_range_rejected(solve):
     with pytest.raises(ValueError, match="float range"):
         solve(D, y * 2.0 ** 520)
     assert solve(D, y * 2.0 ** 505).support == (0, 2, 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_block_least_squares_rejects_a_measurement_past_the_float_range():
+    """block_least_squares reads y through D.measurement, so it raises
+    the solvers' ValueError, without a warning, for y = D e_0 2^520 on D
+    unscaled, and for y = 2^30 on D 2^-1000, where y 2^-exponent itself
+    leaves the float range.  At 2^505 it gives the unscaled fit times
+    exactly 2^505."""
+    D = random_block_dictionary(8, (1, 2, 1, 2, 1, 1), 3)
+    y = D.block(0)[:, 0]
+    tiny = BlockDictionary(D.matrix * 2.0 ** -1000, D.structure)
+    for fits, big in ((D, y * 2.0 ** 520), (tiny, np.full(8, 2.0 ** 30))):
+        with pytest.raises(ValueError, match="float range"):
+            recovery.block_least_squares(fits, (0,), big)
+    solution, residual = recovery.block_least_squares(D, (0,), y)
+    scaled, scaled_residual = recovery.block_least_squares(D, (0,), y * 2.0 ** 505)
+    assert np.array_equal(scaled.entries, solution.entries * 2.0 ** 505)
+    assert scaled_residual == math.ldexp(residual, 505)
+
+
+def test_strided_measurements_read_as_copies():
+    """Columns Y[:, j] and the rows of Y.T of a complex (M, T) array are
+    strided views; block_least_squares and the three solvers read them as
+    they read contiguous measurements."""
+    D, ys = eight_row_case()
+    Y = np.column_stack(ys)
+    for solve in SCALE_FREE_SOLVERS.values():
+        for got, expected in zip(solve(D, Y.T), solve(D, ys)):
+            assert np.array_equal(got.solution.entries, expected.solution.entries)
+            assert got.residual_norm == expected.residual_norm
+    for j, y in enumerate(ys):
+        solution, residual = recovery.block_least_squares(D, (0, 2, 3), Y[:, j])
+        expected, expected_residual = recovery.block_least_squares(D, (0, 2, 3), y)
+        assert np.array_equal(solution.entries, expected.entries)
+        assert residual == expected_residual
 
 
 def homp_checked_steps(D, y, tol_res=1e-10, max_iter=None):

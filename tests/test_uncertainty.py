@@ -216,6 +216,24 @@ class TestGupAudit:
         with pytest.raises(ValueError, match="images differ"):
             gup_audit(I, F, u, rolled, U, V)
 
+    def test_rounding_residue_images_match(self):
+        """Columns a, a/10 and b, b/3 on orthogonal rows with u = (1, -10)
+        and v = (1, -3): each image is rounding residue, 1.1e-16 in one
+        entry, in different rows, so the gap is as large as the images.
+        Measured against ||D1|| ||u|| and ||D2|| ||v|| the images match, and
+        the audit flags the zero mutual coherence."""
+        a = np.array([0.9, 0.2, 0.0, 0.0])
+        b = np.roll(a, 2)
+        Da = BlockDictionary(np.column_stack([a, a / 10]), uniform_structure(2))
+        Db = BlockDictionary(np.column_stack([b, b / 3]), uniform_structure(2))
+        u = BlockVector(np.array([1.0, -10.0]), Da.structure)
+        v = BlockVector(np.array([1.0, -3.0]), Db.structure)
+        img_u, img_v = Da.unit @ u.entries, Db.unit @ v.entries
+        assert img_u.any() and img_v.any() and not (img_u * img_v).any()
+        audit = gup_audit(Da, Db, u, v, (0, 1), (0, 1))
+        assert audit.anomaly
+        assert not audit.holds
+
     def test_orthogonal_ranges_flagged_anomalous(self):
         # both dictionaries have a kernel, so zero images satisfy the
         # matching-image hypothesis while the mutual coherence vanishes
