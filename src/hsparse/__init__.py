@@ -12,8 +12,8 @@ two-dictionary uncertainty bounds.
 from .blocks import (RANK_TOL, ZERO_BLOCK_TOL, BlockDictionary,
                      BlockStructure, BlockVector, ConcentrationCertificate,
                      NumericalAnomaly, best_concentration_set, block_least_squares,
-                     block_sigma, concentration_epsilon, cross_block_norm,
-                     cross_norm_table, h0_norm, h1_norm, uniform_structure)
+                     concentration_epsilon, cross_block_norm, h0_norm, h1_norm,
+                     uniform_structure)
 from .coherence import (CoherenceReport, block_coherences, coherence_report,
                         hilbert_coherence, mutual_hilbert_coherence,
                         spark_exhaustive)
@@ -34,9 +34,8 @@ __all__ = [
     "CrossCorrelationTable", "GupAudit", "KernelBound", "MultiCosetSpec",
     "NumericalAnomaly", "RecoveryResult", "RANK_TOL", "ZERO_BLOCK_TOL",
     "best_concentration_set", "block_coherences", "block_least_squares",
-    "block_sigma", "coherence_report", "complex_standard_normal",
-    "concentration_epsilon", "cross_block_norm", "cross_norm_table",
-    "dirichlet_coherence", "fourier_basis", "guarantee_check", "gup_audit",
+    "coherence_report", "complex_standard_normal", "concentration_epsilon",
+    "cross_block_norm", "dirichlet_coherence", "fourier_basis", "guarantee_check", "gup_audit",
     "h0_norm", "h1_norm", "hbp_solve", "hbp_solve_batch", "hilbert_coherence",
     "homp", "homp_batch", "hp0_exhaustive", "hp0_exhaustive_batch", "identity_basis",
     "identity_dft_pair", "kernel_sample",

@@ -126,9 +126,20 @@ class BlockStructure:
         return cols
 
     def norms(self, x) -> np.ndarray:
-        """l2 norm of each block of x along its first axis, one row per block:
-        ``sqrt(add.reduceat(abs(x)**2, offsets))``."""
-        return np.sqrt(self.block_sums(np.abs(x) ** 2))
+        """l2 norm of each block of x along its first axis, one row per block.
+
+        Each block is taken in the power of two of its largest magnitude, by
+        an exact ldexp before the squares and after the root, so no square
+        overflows or underflows for finite x.  The bits are those of
+        ``sqrt(add.reduceat(abs(x)**2, offsets))`` wherever that expression
+        neither overflows nor underflows, and, column for column, those of a
+        1-D x.  Single-coordinate blocks give abs(x), the same bits."""
+        mags = np.abs(x)
+        if self._dim == self.n_blocks:
+            return mags
+        power = np.frexp(np.maximum.reduceat(mags, self._offsets, axis=0))[1]
+        np.ldexp(mags, -np.repeat(power, self.sizes, axis=0), out=mags)
+        return np.ldexp(np.sqrt(self.block_sums(np.square(mags, out=mags))), power)
 
     def block_sums(self, x, axis: int = 0) -> np.ndarray:
         """Sum of each block of x along axis, ``add.reduceat(x, offsets, axis)``;
@@ -378,36 +389,10 @@ def h1_norm(v: BlockVector) -> float:
     return float(v.block_norms().sum())
 
 
-def _in_units(values: np.ndarray, exponent: int, what: str) -> np.ndarray:
-    """values * 2^exponent by an exact ldexp; ValueError naming what when a
-    value leaves the float range."""
-    with np.errstate(over="ignore"):
-        values = np.ldexp(values, exponent)
-    if np.isinf(values).any():
-        raise ValueError(f"{what} overflows the float range in the dictionary's own units")
-    return values
-
-
-def block_sigma(D: BlockDictionary, i: int) -> tuple[float, float]:
-    """Smallest and largest singular value of column block i, in D's own units."""
-    i = D.structure.check_index(i)
-    sigma = _in_units(D.unit_sigma[i], D.exponent, f"block {i}'s singular values")
-    return tuple(sigma.tolist())
-
-
 def cross_block_norm(D: BlockDictionary, i: int, j: int) -> float:
     """Spectral norm of the cross-Gram of column blocks i and j."""
     gram = D.block(i).conj().T @ D.block(j)
     return float(np.linalg.svd(gram, compute_uv=False)[0])
-
-
-def cross_norm_table(D1: BlockDictionary, D2: BlockDictionary | None = None) -> np.ndarray:
-    """Spectral norms of all cross-Gram tiles D1_i^H D2_j as an n1 x n2 array: the
-    ``CrossGram.norms`` of ``D1.cross_gram`` (D2 None) or ``cross_gram(D1, D2)``, in D's units."""
-    D2, grams = (D1, D1.cross_gram) if D2 is None else (D2, cross_gram(D1, D2))
-    i, j = np.indices(grams.bounds.shape).reshape(2, -1)
-    return _in_units(grams.norms(i, j).reshape(grams.bounds.shape),
-                     D1.exponent + D2.exponent, "the cross-norm table")
 
 
 class CrossGram(NamedTuple):

@@ -99,8 +99,8 @@ class CoherenceReport:
 def hilbert_coherence(D: BlockDictionary) -> float:
     """Largest cross-block spectral norm over squared block injectivity.
 
-    The maximum runs over both orderings (i, j), i != j, of every pair of
-    ``cross_norm_table(D)``, each entry divided by sigma_min of its row
+    The maximum runs over both orderings (i, j), i != j, of every pair's
+    tile norm ``D.cross_gram.norms(i, j)``, divided by sigma_min of its row
     block i squared, both of ``D.unit``.  ``largest_cross_norm`` finds it bit
     for bit from the tile bounds cached in ``D.cross_gram``, running the SVD
     only on the tiles that can hold it.  For unit-norm columns in size-1
@@ -127,8 +127,8 @@ def block_coherences(D: BlockDictionary) -> tuple[float, float, float | None]:
     Defined for uniform block size d and unit-norm columns (Eldar, Kuppinger
     and Boelcskei, 2010): computed on D scaled to unit columns, which needs
     column norms equal within UNIT_COLUMN_TOL.  mu_block is the largest
-    off-diagonal entry of ``cross_norm_table(D)`` (found by
-    ``largest_cross_norm``) over d; nu the largest within-block inner
+    tile norm ``D.cross_gram.norms(i, j)``, i < j (found by
+    ``largest_cross_norm``), over d; nu the largest within-block inner
     product of distinct columns; mu_hat = d * mu_block / (1 - (d-1) * nu),
     None when that denominator is nonpositive (the bound guarantees nothing).
     """

@@ -72,20 +72,24 @@ class RecoveryResult:
     status: str
 
 
-def _result(D: BlockDictionary, solution: BlockVector, y: np.ndarray,
-            iterations: int, status: str, support_tol: float = ZERO_BLOCK_TOL,
-            residual_norm: float | None = None,
-            norms: np.ndarray | None = None) -> RecoveryResult:
-    """The RecoveryResult of solution for y in unit's units; ``residual_norm``
-    and ``norms``, when given, must be the values ||y - D.unit solution||
-    and ``solution.block_norms()`` computed here otherwise."""
-    if residual_norm is None:
-        residual_norm = vector_norm(y - D.unit @ solution.entries)
-    if norms is None:
-        norms = solution.block_norms()
-    support = tuple(int(i) for i in np.flatnonzero(norms > support_tol))
-    return RecoveryResult(solution, support, iterations,
-                          float(np.ldexp(residual_norm, D.exponent)), status)
+def _results(D: BlockDictionary, solutions: list[BlockVector], ys: np.ndarray,
+             iterations: list[int], statuses: list[str],
+             support_rel_tol: float = 0.0) -> list[RecoveryResult]:
+    """The RecoveryResult of each solution for its measurement in ys, in
+    unit's units.  The block norms of all solutions come from one 2-D
+    ``BlockStructure.norms`` call; a solution's support is its blocks of
+    norm above max(ZERO_BLOCK_TOL, support_rel_tol times its largest block
+    norm).  Its residual norm is ||y - D.unit solution||, one matrix-vector
+    product per solution, taken back to D's units by one ldexp."""
+    if not solutions:
+        return []
+    norms = D.structure.norms(np.stack([x.entries for x in solutions], axis=1))
+    occupied = norms > np.maximum(ZERO_BLOCK_TOL, support_rel_tol * norms.max(axis=0))
+    return [RecoveryResult(x, tuple(np.flatnonzero(column).tolist()), iters,
+                           float(np.ldexp(vector_norm(y - D.unit @ x.entries), D.exponent)),
+                           status)
+            for x, y, column, iters, status
+            in zip(solutions, ys, occupied.T, iterations, statuses)]
 
 
 def hp0_exhaustive(D: BlockDictionary, y, **options) -> RecoveryResult:
@@ -141,15 +145,10 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, *, tol: float = 1e-8,
     yvs = D.unit_measurements(ys)
     y_norms = np.array([vector_norm(yv) for yv in yvs])
     feas_tols = tol * np.maximum(y_norms, 2.0 ** -D.exponent)
-    zero = BlockVector.zeros(D.structure)
-
-    results: list[RecoveryResult | None] = [None] * len(yvs)
-    open_trials = []
-    for j, yv in enumerate(yvs):
-        if y_norms[j] <= feas_tols[j]:
-            results[j] = _result(D, zero, yv, 0, STATUS_EXACT, residual_norm=float(y_norms[j]))
-        else:
-            open_trials.append(j)
+    solutions = [BlockVector.zeros(D.structure)] * len(yvs)
+    iterations = [0] * len(yvs)
+    status = [STATUS_EXACT] * len(yvs)
+    open_trials = np.flatnonzero(y_norms > feas_tols).tolist()
     evaluated = 0
     for k in range(1, depth + 1):
         if not open_trials:
@@ -164,13 +163,11 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, *, tol: float = 1e-8,
             if found is None:
                 still_open.append(j)
             else:
-                solution, status = found
-                results[j] = _result(D, solution, yvs[j], evaluated, status)
+                (solutions[j], status[j]), iterations[j] = found, evaluated
         open_trials = still_open
     for j in open_trials:
-        results[j] = _result(D, zero, yvs[j], evaluated, STATUS_INFEASIBLE,
-                             residual_norm=float(y_norms[j]))
-    return results
+        iterations[j], status[j] = evaluated, STATUS_INFEASIBLE
+    return _results(D, solutions, yvs, iterations, status)
 
 
 def _screen(bases, Y: np.ndarray, y_norms: np.ndarray,
@@ -353,16 +350,8 @@ def hbp_solve_batch(D: BlockDictionary, ys, *, rho: float = 1.0, tol_primal: flo
             active, y, u, w, lam = (active[running], y[:, running], u[:, running],
                                     w[:, running], lam[:, running])
     U[:, active] = u
-
-    results = []
-    for j in range(len(ys)):
-        sol = BlockVector(U[:, j], structure)
-        # One pass of block norms feeds both the cutoff and the support.
-        norms = sol.block_norms()
-        support_tol = max(ZERO_BLOCK_TOL, BP_SUPPORT_REL_TOL * float(norms.max()))
-        results.append(_result(D, sol, Y[:, j], iterations[j], status[j],
-                               support_tol=support_tol, norms=norms))
-    return results
+    return _results(D, [BlockVector(U[:, j], structure) for j in range(len(ys))], Y.T,
+                    iterations, status, support_rel_tol=BP_SUPPORT_REL_TOL)
 
 
 def homp(D: BlockDictionary, y, **options) -> RecoveryResult:
@@ -386,14 +375,18 @@ def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
     Each running trial's correlations are its own product of ``D.unit^H``
     with its residual, so its pick is that of a pursuit of it alone, ties
     included; one block-norm pass over ``D.unit_sigma`` weighs them all, D's
-    own weights times 2^-exponent.  The pseudo-inverses of the enlarged
-    supports come from ``D.factors`` (kept by p0, or factored in one batched
-    SVD per stack width).  Each trial's fit, residual and stop test stay its
-    own, so every trial gets its own RecoveryResult, in the order of ys,
-    equal bit for bit to a pursuit of it alone.  A fit is the
-    pseudo-inverse times y, scattered into zeros; its residual y - Phi
-    solution is the one the next stop test takes the norm of, and the
-    result's ``residual_norm`` is that norm from the trial's last stop test.
+    own weights times 2^-exponent.  Block i's rows of the adjoint and its
+    sigma_min are both scaled by 2^-f_i, f_i the exponent of that sigma_min,
+    once per call: exact, so the weights keep their bits, and no block's
+    correlations underflow next to another's however far apart the blocks'
+    scales lie.  The pseudo-inverses of the enlarged supports come from
+    ``D.factors`` (kept by p0, or factored in one batched SVD per stack
+    width).  Each trial's fit, residual and stop test stay its own, so every
+    trial gets its own RecoveryResult, in the order of ys, equal bit for bit
+    to a pursuit of it alone.  A fit is the pseudo-inverse times y,
+    scattered into zeros; its residual y - Phi solution is the one the next
+    stop test takes the norm of, and the result's ``residual_norm`` is that
+    norm.
     """
     max_iter = D.n_blocks if max_iter is None else exact_number("max_iter", max_iter, int)
     if max_iter < 1:
@@ -402,18 +395,22 @@ def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
         raise ValueError("tol_res must be nonnegative")
     yvs = D.unit_measurements(ys)
     stops = [tol_res * max(vector_norm(yv), 2.0 ** -D.exponent) for yv in yvs]
-    adjoint, smin = D.unit.conj().T, D.unit_sigma[:, :1]
+    # The C-ordered conjugate is scaled and then transposed, so the adjoint
+    # is laid out as D.unit.conj().T and the BLAS rounds its products alike.
+    exponents = np.frexp(D.unit_sigma[:, 0])[1]
+    adjoint = D.unit.conj()
+    floats = adjoint.view(np.float64)
+    np.ldexp(floats, -np.repeat(exponents, 2 * np.array(D.structure.sizes)), out=floats)
+    adjoint, smin = adjoint.T, np.ldexp(D.unit_sigma[:, :1], -exponents[:, None])
     solutions = [np.zeros(D.structure.dim, dtype=np.complex128) for _ in yvs]
     residuals = [yv.copy() for yv in yvs]
-    residual_norms = [0.0] * len(yvs)
     selected: list[list[int]] = [[] for _ in yvs]
     status = [STATUS_EXACT] * len(yvs)
     running = range(len(yvs))
     while True:
         still = []
         for j in running:
-            residual_norms[j] = vector_norm(residuals[j])
-            if residual_norms[j] <= stops[j]:
+            if vector_norm(residuals[j]) <= stops[j]:
                 continue
             if len(selected[j]) >= max_iter or len(selected[j]) == D.n_blocks:
                 status[j] = STATUS_MAX_ITER
@@ -433,10 +430,8 @@ def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
             solutions[j] = np.zeros(D.structure.dim, dtype=np.complex128)
             solutions[j][D.structure.column_indices(support)] = pinv @ yvs[j]
             residuals[j] = yvs[j] - D.unit @ solutions[j]
-    return [_result(D, BlockVector(solution, D.structure), yv, len(chosen), outcome,
-                    residual_norm=residual_norm)
-            for solution, yv, chosen, outcome, residual_norm
-            in zip(solutions, yvs, selected, status, residual_norms)]
+    return _results(D, [BlockVector(x, D.structure) for x in solutions], yvs,
+                    [len(chosen) for chosen in selected], status)
 
 
 def guarantee_check(report: CoherenceReport, s: int) -> tuple[bool, bool]:

@@ -1,15 +1,17 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsparse.blocks import _SUBSET_CHUNK, support_stacks
+import hsparse
+from hsparse.blocks import _SUBSET_CHUNK, cross_gram, support_stacks
 from hsparse import (BlockDictionary, BlockStructure, BlockVector,
-                     best_concentration_set, block_least_squares, block_sigma,
-                     concentration_epsilon, cross_block_norm, cross_norm_table,
+                     best_concentration_set, block_least_squares,
+                     concentration_epsilon, cross_block_norm,
                      h0_norm, h1_norm, hilbert_coherence, uniform_structure)
 
 
@@ -29,6 +31,19 @@ block_sizes = st.one_of(st.lists(st.integers(1, 3), min_size=1, max_size=7),
 def vec(entries, *sizes):
     return BlockVector(np.asarray(entries, dtype=complex),
                        BlockStructure(tuple(sizes)))
+
+
+def own_sigma(D, i):
+    """Smallest and largest singular value of block i in D's own units."""
+    return tuple(np.ldexp(D.unit_sigma[i], D.exponent).tolist())
+
+
+def own_table(D1, D2=None):
+    """Every tile norm of D1.cross_gram (D2 None) or cross_gram(D1, D2), in D's own units."""
+    grams = D1.cross_gram if D2 is None else cross_gram(D1, D2)
+    i, j = np.indices(grams.bounds.shape).reshape(2, -1)
+    exponent = D1.exponent + (D1 if D2 is None else D2).exponent
+    return np.ldexp(grams.norms(i, j), exponent).reshape(grams.bounds.shape)
 
 
 class TestStructure:
@@ -109,7 +124,10 @@ class TestNorms:
     def test_norms_match_reduceat_bit_for_bit(self, sizes, uniform, columns, seed):
         """Block norms of a vector or of the columns of a matrix equal
         sqrt(add.reduceat(abs(x)**2, offsets)) bit for bit, for uniform
-        blocks of every size and for mixed sizes."""
+        blocks of every size and for mixed sizes; each column's equal those
+        of the column alone, and x 2^600 and x 2^-600, whose squares would
+        overflow or underflow, give the norms times exactly 2^600 and
+        2^-600, warning nothing."""
         if uniform:
             sizes = [sizes[0]] * len(sizes)
         structure = BlockStructure(tuple(sizes))
@@ -118,7 +136,14 @@ class TestNorms:
         scale = 10.0 ** rng.integers(-3, 4, size=shape)
         x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         expected = np.sqrt(np.add.reduceat(np.abs(x) ** 2, structure.offsets))
-        assert np.array_equal(structure.norms(x), expected)
+        norms = structure.norms(x)
+        assert np.array_equal(norms, expected)
+        for j in range(0 if columns is None else columns):
+            assert np.array_equal(norms[:, j], structure.norms(x[:, j]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (600, -600):
+                assert np.array_equal(structure.norms(x * 2.0 ** k), np.ldexp(norms, k))
 
     def test_h1_single_block(self):
         assert h1_norm(vec([3, 4], 2)) == pytest.approx(5.0)
@@ -139,18 +164,18 @@ class TestNorms:
 class TestBlockSigma:
     def test_unit_column(self):
         D = BlockDictionary(np.array([[1.0], [0.0]]), uniform_structure(1))
-        assert block_sigma(D, 0) == pytest.approx((1.0, 1.0))
+        assert own_sigma(D, 0) == pytest.approx((1.0, 1.0))
 
     def test_orthonormal_block_is_isometry(self):
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 3)))
         D = BlockDictionary(q, BlockStructure((3,)))
-        smin, smax = block_sigma(D, 0)
+        smin, smax = own_sigma(D, 0)
         assert smin == pytest.approx(1.0, abs=1e-12)
         assert smax == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_block(self):
         D = BlockDictionary(np.diag([1.0, 2.0]), BlockStructure((2,)))
-        assert block_sigma(D, 0) == pytest.approx((1.0, 2.0))
+        assert own_sigma(D, 0) == pytest.approx((1.0, 2.0))
 
     def test_rejects_rank_deficient_block(self):
         mat = np.array([[1.0, 2.0], [2.0, 4.0]])   # dependent columns
@@ -161,11 +186,11 @@ class TestBlockSigma:
     @given(sizes=block_sizes, extra_rows=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
     def test_sigma_matches_per_block_svd(self, sizes, extra_rows, seed):
         """The per-size batched SVDs of D.unit give the per-block loop's values
-        on D.unit bit for bit, and block_sigma, which takes them back to D's
-        units by its exponent, those of the loop on D."""
+        on D.unit bit for bit, and taken back to D's units by its exponent,
+        those of the loop on D."""
         D = gaussian_dictionary(sizes, extra_rows, seed)
         for matrix, sigma in [(D.unit, D.unit_sigma),
-                              (D.matrix, [block_sigma(D, i) for i in range(D.n_blocks)])]:
+                              (D.matrix, np.ldexp(D.unit_sigma, D.exponent))]:
             loop = [np.linalg.svd(matrix[:, D.structure.block_slice(i)], compute_uv=False)[[-1, 0]]
                     for i in range(D.n_blocks)]
             assert np.array_equal(sigma, loop)
@@ -217,14 +242,14 @@ class TestCrossBlockNorm:
         mat = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
         D = BlockDictionary(mat, BlockStructure((1, 2, 3) * 2))
         oracle = [[cross_block_norm(D, i, j) for j in range(6)] for i in range(6)]
-        np.testing.assert_allclose(cross_norm_table(D), oracle, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(own_table(D), oracle, rtol=0, atol=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(sizes=block_sizes, extra_rows=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
     def test_self_table_is_symmetric_and_matches_pair_norms(self, sizes, extra_rows, seed):
         """The upper-triangle table, mirrored, holds every pair norm in both orderings."""
         D = gaussian_dictionary(sizes, extra_rows, seed)
-        table = cross_norm_table(D)
+        table = own_table(D)
         assert np.array_equal(table, table.T)
         for i in range(D.n_blocks):
             for j in range(D.n_blocks):
@@ -238,23 +263,26 @@ class TestCrossBlockNorm:
         # reference: the pair norms inside the concatenated dictionary
         both = BlockDictionary(mat, BlockStructure((2, 3, 1, 1, 4)))
         oracle = [[cross_block_norm(both, i, 2 + j) for j in range(3)] for i in range(2)]
-        table = cross_norm_table(D1, D2)
+        table = own_table(D1, D2)
         assert table.shape == (2, 3)
         np.testing.assert_allclose(table, oracle, rtol=0, atol=1e-13)
 
 
-def test_values_past_the_float_range_in_own_units_raise():
-    """block_sigma and cross_norm_table take unit's values back to D's units;
-    where that leaves the float range they raise a ValueError naming the
-    overflow, and warn nothing, while mu_h, read on unit, is finite."""
+def test_mu_h_near_the_float_range_is_finite():
+    """Entries near 1.5e308 put the blocks' singular values and tile norms
+    past the float range in D's own units; mu_h reads unit, so it is finite
+    and warns nothing."""
     D = BlockDictionary([[1.5e308, 0.75e308], [1.5e308, -1.5e308], [0, 1.5e308]],
                         uniform_structure(2))
-    for i in range(2):
-        with pytest.raises(ValueError, match="block .* overflows"):
-            block_sigma(D, i)
-    with pytest.raises(ValueError, match="table overflows"):
-        cross_norm_table(D)
     assert hilbert_coherence(D) == pytest.approx(0.25, rel=1e-15)
+
+
+def test_public_names_resolve():
+    """Every name in hsparse.__all__ resolves; the D-units helpers are gone."""
+    for name in hsparse.__all__:
+        assert getattr(hsparse, name) is not None
+    for name in ("block_sigma", "cross_norm_table", "_in_units"):
+        assert not hasattr(hsparse, name) and not hasattr(hsparse.blocks, name)
 
 
 class TestConcentration:

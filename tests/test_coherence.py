@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import hsparse.coherence as coherence
 from hsparse.blocks import column_stacks, cross_gram
-from hsparse import (BlockDictionary, BlockStructure, block_coherences, block_sigma,
-                     coherence_report, cross_block_norm, cross_norm_table, guarantee_check,
+from hsparse import (BlockDictionary, BlockStructure, block_coherences,
+                     coherence_report, cross_block_norm, guarantee_check,
                      hilbert_coherence, mutual_hilbert_coherence, spark_exhaustive,
                      identity_dft_pair, multicoset_matrix, MultiCosetSpec,
                      random_block_dictionary, uniform_structure)
@@ -285,8 +285,8 @@ def kernel_spark_oracle_blocks(D, tol=1e-10):
 
 
 def sigma_min(D):
-    """Each block's smallest singular value in D's own units, from block_sigma."""
-    return np.array([block_sigma(D, i)[0] for i in range(D.n_blocks)])
+    """Each block's smallest singular value in D's own units, from its SVD."""
+    return np.array([np.linalg.svd(D.block(i), compute_uv=False)[-1] for i in range(D.n_blocks)])
 
 
 def pairwise_hilbert_coherence(D):
@@ -768,7 +768,7 @@ def test_cross_gram_is_the_shared_read_only_value():
     frobenius = [[np.linalg.norm(D.block(i).conj().T @ D.block(j)) for j in range(5)]
                  for i in range(5)]
     np.testing.assert_allclose(bounds, frobenius, rtol=1e-13)
-    assert np.array_equal(bounds, bounds.T) and np.all(bounds >= cross_norm_table(D))
+    assert np.array_equal(bounds, bounds.T) and np.all(bounds >= tile_table(D))
     for array in (value.gram, value.bounds, D.unit, D.unit_sigma):
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -781,22 +781,29 @@ def test_cross_gram_is_the_shared_read_only_value():
 
 # ------------------------------------------------ maxima without the table
 
+def tile_table(D1, D2=None):
+    """Every tile norm of D1.cross_gram (D2 None) or cross_gram(D1, D2), in unit's units."""
+    grams = D1.cross_gram if D2 is None else cross_gram(D1, D2)
+    i, j = np.indices(grams.bounds.shape).reshape(2, -1)
+    return grams.norms(i, j).reshape(grams.bounds.shape)
+
+
 def table_mu_h(D):
     """mu_h read off the whole table, as hilbert_coherence computed it before."""
-    scaled = cross_norm_table(D) / sigma_min(D)[:, None] ** 2
+    scaled = tile_table(D) / D.unit_sigma[:, :1] ** 2
     return float(scaled[~np.eye(D.n_blocks, dtype=bool)].max())
 
 
 def table_mu_block(D):
     """mu_block read off the whole table, with block_coherences' scaling."""
-    scale = float(np.mean(np.linalg.norm(D.matrix, axis=0) ** 2))
-    raw = float(cross_norm_table(D)[np.triu_indices(D.n_blocks, 1)].max())
+    scale = float(np.mean(np.linalg.norm(D.unit, axis=0) ** 2))
+    raw = float(tile_table(D)[np.triu_indices(D.n_blocks, 1)].max())
     return raw / scale / D.structure.sizes[0]
 
 
 def table_mutual(D1, D2):
-    scale = np.outer(sigma_min(D1), sigma_min(D2))
-    return float((cross_norm_table(D1, D2) / scale).max())
+    scale = np.outer(D1.unit_sigma[:, 0], D2.unit_sigma[:, 0])
+    return float((tile_table(D1, D2) / scale).max())
 
 
 block_size_lists = st.one_of(

@@ -7,7 +7,7 @@ from hsparse import (CorrelationSequence, CrossCorrelationTable, MultiCosetSpec,
                      dirichlet_coherence, fourier_basis, hilbert_coherence,
                      identity_basis, identity_dft_pair, multicoset_matrix,
                      random_block_dictionary, si_mutual_coherence,
-                     spark_exhaustive, block_sigma)
+                     spark_exhaustive)
 
 
 class TestMultiCoset:
@@ -98,7 +98,7 @@ class TestIdentityDftPair:
 
     def test_bases_are_unitary(self):
         for D in (identity_basis(6), fourier_basis(6)):
-            assert block_sigma(D, 0) == pytest.approx((1.0, 1.0), abs=1e-12)
+            assert np.ldexp(D.unit_sigma[0], D.exponent) == pytest.approx((1.0, 1.0), abs=1e-12)
             assert np.allclose(D.matrix @ D.matrix.conj().T, np.eye(6), atol=1e-12)
 
 
@@ -125,7 +125,7 @@ class TestRandomBlockDictionary:
         for seed in range(10):
             D = random_block_dictionary(8, (2, 2, 2, 2), seed)
             for i in range(4):
-                assert block_sigma(D, i)[0] > 0
+                assert D.unit_sigma[i, 0] > 0
 
     def test_row_count_validated(self):
         with pytest.raises(ValueError, match="rows"):

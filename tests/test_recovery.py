@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import hsparse.blocks as blocks
 import hsparse.recovery as recovery
 from hsparse import (BlockDictionary, BlockStructure, BlockVector,
-                     ZERO_BLOCK_TOL, block_sigma, coherence_report, complex_standard_normal,
+                     ZERO_BLOCK_TOL, coherence_report, complex_standard_normal,
                      guarantee_check, h1_norm, hbp_solve, hbp_solve_batch, homp,
                      homp_batch, hp0_exhaustive, hp0_exhaustive_batch,
                      identity_dft_pair, random_block_dictionary,
@@ -540,6 +540,51 @@ def test_omp_and_bp_are_scale_free_on_random_dictionaries(algo, seed):
         assert_scale_free(SCALE_FREE_SOLVERS[algo], D, ys)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solvers_on_blocks_200_decades_apart():
+    """D = diag(1, 1e-200) in single-column blocks with y = (0, 1): the
+    solution's square (1e400) would overflow, and block 1's squared
+    correlation underflow.  p0 and omp return block 1 "exact", omp in one
+    step; bp's pseudo-inverse cuts 1e-200 under RANK_TOL, so its range test
+    reports "infeasible"."""
+    D = BlockDictionary(np.diag([1.0, 1e-200]), uniform_structure(2))
+    y = np.array([0.0, 1.0])
+    assert (hp0_exhaustive(D, y).support, hp0_exhaustive(D, y).status) == ((1,), "exact")
+    got = homp(D, y)
+    assert (got.support, got.status, got.iterations) == ((1,), "exact", 1)
+    assert hbp_solve(D, y).status == "infeasible"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       spread=st.lists(st.integers(-450, 450), min_size=8, max_size=8))
+def test_p0_and_omp_ignore_each_blocks_scale(seed, spread):
+    """Block i of a random 12-row dictionary with blocks of 1-3 columns is
+    scaled by 2^k_i, the k_i up to 900 apart.  A signal planted in one block
+    i, with coefficients 2^-min(k_i, 0) so that it stays above the absolute
+    cutoff and floor, is returned by p0, and by omp in one step wherever omp
+    returns it in one step on the unscaled dictionary: p0's fit and omp's
+    pick read a block only relative to its own scale.  (A longer pursuit
+    fits stacks of blocks far apart in scale, whose rounding in the other
+    blocks the absolute cutoff does not scale with.)  Nothing warns."""
+    rng = np.random.default_rng(seed)
+    structure = BlockStructure(tuple(int(d) for d in rng.integers(1, 4, size=8)))
+    base = complex_standard_normal(rng, (12, structure.dim))
+    ks = np.array(spread)
+    D0 = BlockDictionary(base, structure)
+    D = BlockDictionary(base * 2.0 ** np.repeat(ks, structure.sizes), structure)
+    for i, k in enumerate(ks.tolist()):
+        coefficients = complex_standard_normal(rng, structure.sizes[i])
+        y0 = D0.block(i) @ coefficients
+        y = D.block(i) @ (coefficients * 2.0 ** -min(k, 0))
+        assert hp0_exhaustive(D, y, max_cardinality=1).support == (i,), i
+        reference = homp(D0, y0)
+        if (reference.support, reference.iterations) == ((i,), 1):
+            got = homp(D, y)
+            assert (got.support, got.iterations) == ((i,), 1), i
+
+
 @pytest.mark.parametrize("solve", [hp0_exhaustive, homp, hbp_solve], ids=["p0", "omp", "bp"])
 def test_measurement_past_the_float_range_rejected(solve):
     """D unscaled with y = D v 2^520: 2 M d ||y 2^-exponent||^2 leaves the
@@ -594,7 +639,7 @@ def homp_checked_steps(D, y, tol_res=1e-10, max_iter=None):
     max_iter = D.n_blocks if max_iter is None else max_iter
     yv = D.measurement(y)
     stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
-    smin = np.array([block_sigma(D, i)[0] for i in range(D.n_blocks)])
+    smin = np.array([np.linalg.svd(D.block(i), compute_uv=False)[-1] for i in range(D.n_blocks)])
     solution = BlockVector.zeros(D.structure)
     residual = yv.copy()
     selected = []
