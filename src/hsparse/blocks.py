@@ -138,8 +138,14 @@ class BlockStructure:
         if self._dim == self.n_blocks:
             return mags
         power = np.frexp(np.maximum.reduceat(mags, self._offsets, axis=0))[1]
-        np.ldexp(mags, -np.repeat(power, self.sizes, axis=0), out=mags)
+        np.ldexp(mags, -self.spread(power), out=mags)
         return np.ldexp(np.sqrt(self.block_sums(np.square(mags, out=mags))), power)
+
+    def spread(self, values) -> np.ndarray:
+        """``repeat(values, sizes, axis=0)``, or values itself if every block is one coordinate."""
+        if self._dim == self.n_blocks:
+            return values
+        return np.repeat(values, self.sizes, axis=0)
 
     def block_sums(self, x, axis: int = 0) -> np.ndarray:
         """Sum of each block of x along axis, ``add.reduceat(x, offsets, axis)``;
@@ -259,8 +265,8 @@ class BlockDictionary:
 
     @cached_property
     def pinv(self) -> np.ndarray:
-        """bp's pseudo-inverse of unit (RANK_TOL cutoff), built on first read; read-only."""
-        pinv = np.linalg.pinv(self.unit, rcond=RANK_TOL)
+        """bp's pseudo-inverse of unit by ``_screening_basis``, built on first read; read-only."""
+        pinv = _screening_basis(self.unit[None])[0][0]
         pinv.flags.writeable = False
         return pinv
 
@@ -322,31 +328,28 @@ class BlockDictionary:
                 factors[i] = pinv[row]
         return factors
 
-    def measurement(self, y) -> np.ndarray:
-        """y as a flat contiguous complex vector, one finite entry per row.
+    def unit_measurements(self, ys) -> np.ndarray:
+        """Row j is ys[j], one finite entry per row, times 2^-exponent,
+        exactly (ldexp on the float view), as the solvers read it.
         ValueError when 2 M d ||y 2^-exponent||^2 leaves the float range (d
         the widest block), which bounds the squares a solver forms in
         measurement space and keeps every entry of y 2^-exponent finite."""
-        yv = np.ascontiguousarray(y, dtype=np.complex128).reshape(-1)
-        if yv.size != self.shape[0]:
-            raise ValueError(f"measurement length {yv.size} does not match {self.shape[0]} rows")
-        # Python's hypot neither overflows nor warns, and is inf or NaN when
-        # an entry is; a norm past 2^1023 fails the test all the same.
-        m, p = math.frexp(math.hypot(*yv.view(np.float64).tolist()))
-        unit = math.ldexp(m, min(p - self.exponent, 1023))
-        if not 2 * self.shape[0] * max(self.structure.sizes) * unit * unit < math.inf:
-            if not np.isfinite(yv).all():
-                raise ValueError("measurement has non-finite entries")
-            raise ValueError("measurement too large for the dictionary: "
-                             "2 M d ||y 2^-exponent||^2 leaves the float range")
-        return yv
-
-    def unit_measurements(self, ys) -> np.ndarray:
-        """Row j is ``measurement(ys[j])`` times 2^-exponent, exactly (ldexp
-        on the float view), as the solvers read it."""
-        scaled = np.empty((len(ys), self.shape[0]), dtype=np.complex128)
+        rows = self.shape[0]
+        scaled = np.empty((len(ys), rows), dtype=np.complex128)
         for j, y in enumerate(ys):
-            scaled[j] = self.measurement(y)
+            yv = np.asarray(y, dtype=np.complex128).reshape(-1)
+            if yv.size != rows:
+                raise ValueError(f"measurement length {yv.size} does not match {rows} rows")
+            scaled[j] = yv
+            # Python's hypot neither overflows nor warns, and is inf or NaN
+            # when an entry is; a norm past 2^1023 fails the test all the same.
+            m, p = math.frexp(math.hypot(*scaled[j].view(np.float64).tolist()))
+            unit = math.ldexp(m, min(p - self.exponent, 1023))
+            if not 2 * rows * max(self.structure.sizes) * unit * unit < math.inf:
+                if not np.isfinite(yv).all():
+                    raise ValueError("measurement has non-finite entries")
+                raise ValueError("measurement too large for the dictionary: "
+                                 "2 M d ||y 2^-exponent||^2 leaves the float range")
         floats = scaled.view(np.float64)
         np.ldexp(floats, -self.exponent, out=floats)
         return scaled
@@ -505,25 +508,23 @@ def best_concentration_set(v: BlockVector, k: int) -> ConcentrationCertificate:
     if not 0 <= k <= n:
         raise ValueError(f"set size {k} out of range [0, {n}]")
     norms = v.block_norms()
-    total = float(norms.sum())
-    if total <= 0.0:
-        raise ValueError("zero signal has no concentration profile")
-    order = np.argsort(-norms, kind="stable")
-    chosen = tuple(sorted(int(i) for i in order[:k]))
-    on_set = float(norms[list(chosen)].sum()) if chosen else 0.0
-    eps = min(1.0, max(0.0, 1.0 - on_set / total))
-    return ConcentrationCertificate(chosen, eps, total, on_set)
+    return _concentration(norms, sorted(np.argsort(-norms, kind="stable")[:k].tolist()))
 
 
 def concentration_epsilon(v: BlockVector, blocks) -> float:
     """Epsilon of the given block set: the mixed-norm share it misses."""
     idx = sorted({v.structure.check_index(i) for i in blocks})
-    norms = v.block_norms()
+    return _concentration(v.block_norms(), idx).epsilon
+
+
+def _concentration(norms: np.ndarray, blocks: list[int]) -> ConcentrationCertificate:
+    """The certificate of a sorted block list; both sums run in block-index order."""
     total = float(norms.sum())
     if total <= 0.0:
         raise ValueError("zero signal has no concentration profile")
-    on_set = float(norms[idx].sum()) if idx else 0.0
-    return min(1.0, max(0.0, 1.0 - on_set / total))
+    on_set = float(norms[blocks].sum())
+    return ConcentrationCertificate(tuple(blocks), min(1.0, max(0.0, 1.0 - on_set / total)),
+                                    total, on_set)
 
 
 def block_least_squares(D: BlockDictionary, support, y) -> tuple[BlockVector, float]:
@@ -533,15 +534,14 @@ def block_least_squares(D: BlockDictionary, support, y) -> tuple[BlockVector, fl
     the support are zero) together with the residual norm.  Singular values of
     the stacked blocks below RANK_TOL times the largest are treated as zero,
     so rank-deficient stacks get the minimum-norm minimizer.  The fit reads
-    y 2^-exponent, the stack of unit and its pseudo-inverse from
-    ``D.factors`` (the one p0 keeps for the support, or one factored
-    afresh); the residual norm goes back to D's units by one ldexp.  y is
-    read by ``D.measurement``, so its range is checked as in the solvers.
+    ``D.unit_measurements`` of y, range-checked as in the solvers, and the
+    pseudo-inverse of the stack of unit from ``D.factors`` (kept by p0, or
+    factored afresh); the residual norm goes back to D's units by one ldexp.
     """
     idx = tuple(sorted({D.structure.check_index(i) for i in support}))
     if not idx:
         raise ValueError("support must contain at least one block")
-    yv = np.ldexp(D.measurement(y).view(np.float64), -D.exponent).view(np.complex128)
+    yv = D.unit_measurements([y])[0]
     cols = D.structure.column_indices(idx)
     coef = D.factors([idx])[0] @ yv
     residual = vector_norm(yv - np.ascontiguousarray(D.unit[:, cols]) @ coef)
@@ -643,8 +643,8 @@ def column_stacks(matrix: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _screening_basis(stacks):
     """(pinv, cond, basis) of a (B, M, w) batch of stacks, taken on a
-    contiguous copy; the one routine that factors a support (see
-    screening_bases)."""
+    contiguous copy (see screening_bases); the one routine that factors a
+    pseudo-inverse, of every support and of bp's ``D.pinv``."""
     stacks = np.ascontiguousarray(stacks)
     # numpy's pinv(stacks, rcond=RANK_TOL) step by step, which keeps the
     # singular values that cond needs.  The SVD is of the conjugate, so

@@ -290,11 +290,7 @@ def hbp_solve_batch(D: BlockDictionary, ys, *, rho: float = 1.0, tol_primal: flo
     if not max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
     Y = np.ascontiguousarray(D.unit_measurements(ys).T)
-    mat = D.unit
-    pinv = D.pinv
-    structure = D.structure
-    # The test block_sums makes: single-coordinate blocks need no repeat.
-    sizes = None if structure.dim == structure.n_blocks else np.asarray(structure.sizes)
+    mat, pinv, structure = D.unit, D.pinv, D.structure
 
     def prox(v: np.ndarray) -> np.ndarray:
         # max(0, 1 - 1/(rho max(||v_i||, 1e-300))) v_i with the ufuncs of
@@ -308,9 +304,7 @@ def hbp_solve_batch(D: BlockDictionary, ys, *, rho: float = 1.0, tol_primal: flo
         np.divide(1.0, factor, out=factor)
         np.subtract(1.0, factor, out=factor)
         np.maximum(0.0, factor, out=factor)
-        if sizes is not None:
-            factor = np.repeat(factor, sizes, axis=0)
-        return factor * v
+        return structure.spread(factor) * v
 
     def column_norms(x: np.ndarray) -> np.ndarray:
         # np.linalg.norm(x, axis=0) without its dispatch: the same expression.
@@ -400,7 +394,7 @@ def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
     exponents = np.frexp(D.unit_sigma[:, 0])[1]
     adjoint = D.unit.conj()
     floats = adjoint.view(np.float64)
-    np.ldexp(floats, -np.repeat(exponents, 2 * np.array(D.structure.sizes)), out=floats)
+    np.ldexp(floats, -np.repeat(D.structure.spread(exponents), 2), out=floats)
     adjoint, smin = adjoint.T, np.ldexp(D.unit_sigma[:, :1], -exponents[:, None])
     solutions = [np.zeros(D.structure.dim, dtype=np.complex128) for _ in yvs]
     residuals = [yv.copy() for yv in yvs]

@@ -240,6 +240,23 @@ class TestExperimentAndCertify:
         assert "seed=7" in err     # the summary line reports the seed that ran
         assert json.loads((tmp_path / "sweep.json").read_text())["seed"] == 7
 
+    def test_experiment_dict_flag_matches_file_config(self, tmp_path, capsys):
+        """--dict FILE sweeps the dictionary a config names as {"kind": "file",
+        "path": FILE}: the two CSV files are equal byte for byte."""
+        dict_path = str(tmp_path / "d.json")
+        save_block_dictionary(dict_path, random_block_dictionary(6, (1, 2, 1, 2, 1), 3))
+        flags = ["--algos", "p0,omp,bp", "--s-min", "1", "--s-max", "2", "--trials", "3"]
+        config = {"dictionary": {"kind": "file", "path": dict_path},
+                  "out": str(tmp_path / "config")}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        for source in (["--dict", dict_path, "--out", str(tmp_path / "flag")],
+                       ["--config", str(tmp_path / "c.json")]):
+            code, _, _ = run(capsys, "--seed", "4", "experiment", *source, *flags)
+            assert code == 0
+        flag_csv = (tmp_path / "flag.csv").read_bytes()
+        assert flag_csv == (tmp_path / "config.csv").read_bytes()
+        assert len(flag_csv.splitlines()) == 1 + 3 * 2 * 3
+
     @pytest.mark.parametrize("config_seed, ran", [(None, 3), (7, 7)])
     def test_experiment_summary_seed_with_flag(self, tmp_path, capsys, config_seed, ran):
         """--seed 3 runs when the config names no seed; a config seed wins."""
@@ -311,6 +328,20 @@ class TestExperimentAndCertify:
         code, out, _ = run(capsys, "certify", dict_path)
         assert code == 0
         assert json.loads(out)["mu_comparison"] == "equal"
+
+    def test_certify_vacuous_composite_bound(self, tmp_path, capsys):
+        """Three blocks of three unit columns around one shared direction, in
+        9 rows: nu is about 0.93, so 1 - (d - 1) nu < 0 and the composite
+        bound guarantees nothing.  mu_hat and mu_comparison read "invalid",
+        which is no anomaly: certify exits 0."""
+        mat = np.full((9, 9), 1 / 3) + 0.3 * np.eye(9)
+        dict_path = str(tmp_path / "d.json")
+        save_block_dictionary(dict_path, BlockDictionary(mat / np.linalg.norm(mat, axis=0),
+                                                         uniform_structure(3, 3)))
+        code, out, _ = run(capsys, "certify", dict_path)
+        doc = json.loads(out)
+        assert code == 0 and doc["nu"] == pytest.approx(0.93, abs=0.01)
+        assert doc["mu_hat"] == doc["mu_comparison"] == "invalid"
 
     @pytest.mark.parametrize("period", ["1e-160", "1e-80", "1e80", "1e150"])
     def test_certify_multicoset_is_scale_free(self, period, tmp_path, capsys):

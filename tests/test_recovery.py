@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hsparse.blocks as blocks
@@ -125,12 +125,18 @@ def p0_reference(D, y, tol=1e-8, max_cardinality=None):
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(2, 6), sizes=st.lists(st.integers(1, 3), min_size=2, max_size=7),
        seed=st.integers(0, 2**32 - 1),
-       case=st.sampled_from(["planted", "duplicate", "unstructured"]),
+       case=st.sampled_from(["planted", "duplicate", "unstructured", "near"]),
        depth=st.one_of(st.none(), st.integers(1, 3)))
+@example(rows=6, sizes=[1, 2, 1, 2], seed=0, case="near", depth=1)   # block 1
 def test_p0_matches_per_support_reference(rows, sizes, seed, case, depth):
     """Planted, duplicate-block (non-unique), unstructured (infeasible up to a
-    shallow depth, or fitted only by stacks wider than the rows) measurements."""
+    shallow depth, or fitted only by stacks wider than the rows) and near
+    measurements.  A near one is planted on one well-conditioned block and
+    moved off its range by 1.5 feas_tol at tol 1e-14: the screen's rounding
+    allowance lets the block through and its refit rejects it, and no block
+    spans the rows, so a depth-1 search ends "infeasible"."""
     assume(max(sizes) <= rows)
+    tol = 1e-8
     rng = np.random.default_rng(seed)
     structure = BlockStructure(tuple(sizes))
     shape = (rows, structure.dim)
@@ -142,11 +148,18 @@ def test_p0_matches_per_support_reference(rows, sizes, seed, case, depth):
     D = BlockDictionary(mat, structure)
     if case == "unstructured":
         y = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    elif case == "near":
+        block = int(rng.integers(len(sizes)))
+        assume(max(sizes) < rows and np.linalg.cond(D.block(block)) < 10)
+        tol, depth = 1e-14, 1
+        _, y = planted(D, [block], seed=seed % 1000)
+        away = np.linalg.qr(D.block(block), mode="complete")[0][:, sizes[block]]
+        y = y + 1.5 * tol * max(np.linalg.norm(y), 1.0) * away
     else:
         s = min(int(rng.integers(1, 3)), len(sizes))
         _, y = planted(D, sorted(rng.choice(len(sizes), s, replace=False)), seed=seed % 1000)
-    got = hp0_exhaustive(D, y, max_cardinality=depth)
-    status, support, iterations, solution = p0_reference(D, y, max_cardinality=depth)
+    got = hp0_exhaustive(D, y, tol=tol, max_cardinality=depth)
+    status, support, iterations, solution = p0_reference(D, y, tol=tol, max_cardinality=depth)
     assert (got.status, got.support, got.iterations) == (status, support, iterations)
     assert np.array_equal(got.solution.entries, solution)
 
@@ -362,6 +375,9 @@ class TestHbp:
             hbp_solve(D, np.zeros(4), rho=0.0)
         with pytest.raises(ValueError, match="must be below 1"):
             hbp_solve(D, np.zeros(4), tol_primal=1.5)
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter must be at least 1"):
+                hbp_solve(D, np.zeros(4), max_iter=max_iter)
 
     @pytest.mark.parametrize("field", ["rho", "tol_primal", "tol_dual"])
     def test_nan_params_rejected(self, field):
@@ -464,6 +480,9 @@ class TestHomp:
         r = homp(D, y, max_iter=1)
         assert r.status == "max-iterations"
         assert r.iterations == 1
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter must be at least 1"):
+                homp(D, y, max_iter=max_iter)
 
 
 def eight_row_case():
@@ -599,7 +618,7 @@ def test_measurement_past_the_float_range_rejected(solve):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_block_least_squares_rejects_a_measurement_past_the_float_range():
-    """block_least_squares reads y through D.measurement, so it raises
+    """block_least_squares reads y through D.unit_measurements, so it raises
     the solvers' ValueError, without a warning, for y = D e_0 2^520 on D
     unscaled, and for y = 2^30 on D 2^-1000, where y 2^-exponent itself
     leaves the float range.  At 2^505 it gives the unscaled fit times
@@ -637,7 +656,7 @@ def homp_checked_steps(D, y, tol_res=1e-10, max_iter=None):
     """Reference omp loop whose every refit is a checked block_least_squares
     call, weighing its picks in D's own units, not unit's."""
     max_iter = D.n_blocks if max_iter is None else max_iter
-    yv = D.measurement(y)
+    yv = np.array(y, dtype=complex)
     stop = tol_res * max(float(np.linalg.norm(yv)), 1.0)
     smin = np.array([np.linalg.svd(D.block(i), compute_uv=False)[-1] for i in range(D.n_blocks)])
     solution = BlockVector.zeros(D.structure)
@@ -892,9 +911,8 @@ def hbp_loop_reference(D, ys, rho=1.0, tol_primal=1e-9, tol_dual=1e-9, max_iter=
     r <= 1), so the decisions hold under any rounding that moves every r by
     less than margin.  Like the solver it works in unit's units: D.unit,
     y 2^-exponent and the range test's floor 2^-exponent."""
-    Y = np.empty((D.shape[0], len(ys)), dtype=np.complex128)
-    for j, y in enumerate(ys):
-        Y[:, j] = np.ldexp(D.measurement(y).view(float), -D.exponent).view(complex)
+    scaled = np.ldexp(np.array(ys, dtype=np.complex128).view(float), -D.exponent)
+    Y = np.ascontiguousarray(scaled.view(complex).T)
     mat = D.unit
     pinv = D.pinv
     sizes = np.asarray(D.structure.sizes)
