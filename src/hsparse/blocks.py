@@ -30,7 +30,8 @@ import numpy as np
 
 # Absolute cutoff deciding whether a block counts as occupied.
 ZERO_BLOCK_TOL = 1e-10
-# Relative singular-value cutoff for pseudo-inverses and injectivity checks.
+# Relative singular-value cutoff for pseudo-inverses, injectivity checks and
+# the kernel basis of uncertainty.kernel_sample.
 RANK_TOL = 1e-12
 # Most block subsets per batch of support_stacks.  256-row width groups
 # raised the peak RSS of certify and p0 runs by 0.5-2 MB, in their tiles and
@@ -375,8 +376,8 @@ class ConcentrationCertificate:
 
 def h0_norm(v: BlockVector, tol: float = ZERO_BLOCK_TOL) -> int:
     """Number of blocks whose l2 norm exceeds tol."""
-    if not tol >= 0:   # also rejects NaN
-        raise ValueError("tolerance must be nonnegative")
+    if not 0 <= tol < math.inf:   # also rejects NaN
+        raise ValueError("tolerance must be nonnegative and finite")
     return int(np.count_nonzero(v.block_norms() > tol))
 
 

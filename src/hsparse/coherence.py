@@ -26,8 +26,9 @@ SPARK_DEFICIENCY_TOL = 1e-10
 SPARK_ENUMERATION_CAP = 20
 # Relative spread of column norms that the composite family accepts as equal.
 UNIT_COLUMN_TOL = 1e-12
-# Absolute margin by which spark may fall short of 1 + 1/mu_h and still pass.
-SPARK_BOUND_SLACK = 1e-9
+# Absolute slack on an exact theorem inequality (spark >= 1 + 1/mu_h, the
+# uncertainty audits' bounds) when it is evaluated in floating point.
+AUDIT_SLACK = 1e-9
 # Multiple of eps * (M + (w + 1) fro) that the spark screen subtracts from
 # its bound on lambda_min / t of a w x w Gram tile of trace t: it covers the
 # rounding of D^H D (about M eps), the Cholesky backward error (about
@@ -77,7 +78,7 @@ class CoherenceReport:
         """Whether spark >= 1 + 1/mu_h holds; None when spark was skipped."""
         if self.spark is None:
             return None
-        return self.spark >= self.spark_lower_bound - SPARK_BOUND_SLACK
+        return self.spark >= self.spark_lower_bound - AUDIT_SLACK
 
     def to_mapping(self) -> dict:
         """Flat key/value view used by reports and the CLI."""

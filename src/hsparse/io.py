@@ -1,10 +1,11 @@
-"""File formats: matrices/vectors, key-value reports, correlation tables.
+"""File formats: array documents and flat key-value reports.
 
-Everything is plain text.  Matrices and vectors share one JSON layout
-({rows, cols, block_sizes, real, imag}, row-major); analysis results are
-flat key-value JSON; experiment tables are CSV.  Floats are always written
-with 17 significant digits so parsing reproduces the double exactly and
-identical runs produce byte-identical files.
+Everything is plain text.  Dictionaries, vectors and measurements share one
+JSON layout ({rows, cols, block_sizes, real, imag}, row-major); analysis
+results are flat key-value JSON; experiment tables are CSV (``csv_cell``).
+Floats are written with 17 significant digits so parsing reproduces the
+double exactly and identical runs produce byte-identical files; numeric
+fields read back go through ``exact_number``, the one rule for them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import numpy as np
 
 from .blocks import BlockDictionary, BlockStructure, BlockVector
-from .models import CorrelationSequence, CrossCorrelationTable
 
 
 def format_float(x: float) -> str:
@@ -148,36 +148,6 @@ def load_measurement(path) -> np.ndarray:
     if mat.shape[1] != 1:
         raise ValueError("expected a single-column vector document")
     return mat.reshape(-1)
-
-
-def load_correlation_table(path) -> CrossCorrelationTable:
-    """Read a cross-correlation table document.
-
-    Layout: {"grid_size": G, "entries": [{"left", "right", "lag_offset",
-    "real": [...], "imag": [...]}, ...]}.
-    """
-    doc = load_document(path)
-    try:
-        grid = exact_number("grid_size", doc["grid_size"], int)
-        raw_entries = doc["entries"]
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"malformed correlation table: {err}") from err
-    if not isinstance(raw_entries, list):
-        raise ValueError("malformed correlation table: entries must be a list")
-    entries = []
-    for pos, raw in enumerate(raw_entries):
-        try:
-            real, imag = _float_array("real", raw["real"]), _float_array("imag", raw["imag"])
-            left = exact_number("left", raw["left"], int)
-            right = exact_number("right", raw["right"], int)
-            lag_offset = exact_number("lag_offset", raw.get("lag_offset", 0), int)
-            if real.size != imag.size:
-                raise ValueError("correlation sequence real/imag lengths differ")
-            entries.append(CorrelationSequence(left=left, right=right, lag_offset=lag_offset,
-                                               values=tuple(real + 1j * imag)))
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
-            raise ValueError(f"malformed correlation table: entry {pos}: {err}") from err
-    return CrossCorrelationTable(tuple(entries), grid_size=grid)
 
 
 def csv_cell(value) -> str:

@@ -138,8 +138,8 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, *, tol: float = 1e-8,
     n = D.n_blocks
     if n > exact_number("cap", cap, int):
         raise ValueError("exhaustive search infeasible; raise cap explicitly")
-    if not tol >= 0:   # also rejects NaN
-        raise ValueError("tol must be nonnegative")
+    if not 0 <= tol < math.inf:   # also rejects NaN
+        raise ValueError("tol must be nonnegative and finite")
     depth = n if max_cardinality is None else min(
         exact_number("max_cardinality", max_cardinality, int), n)
     yvs = D.unit_measurements(ys)
@@ -282,8 +282,8 @@ def hbp_solve_batch(D: BlockDictionary, ys, *, rho: float = 1.0, tol_primal: flo
     the column's own stop tests, or "infeasible".
     """
     # Negated comparisons, so that NaN fails them too.
-    if not (rho > 0 and tol_primal > 0 and tol_dual > 0):
-        raise ValueError("splitting parameters must be positive")
+    if not (0 < rho < math.inf and tol_primal > 0 and tol_dual > 0):
+        raise ValueError("splitting parameters must be positive and finite")
     if not (tol_primal < 1 and tol_dual < 1):
         raise ValueError("tolerances must be below 1")
     max_iter = exact_number("max_iter", max_iter, int)   # 3.0 is kept as 3, for range()
@@ -385,8 +385,8 @@ def homp_batch(D: BlockDictionary, ys, *, tol_res: float = 1e-10,
     max_iter = D.n_blocks if max_iter is None else exact_number("max_iter", max_iter, int)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if not tol_res >= 0:   # also rejects NaN
-        raise ValueError("tol_res must be nonnegative")
+    if not 0 <= tol_res < math.inf:   # also rejects NaN
+        raise ValueError("tol_res must be nonnegative and finite")
     yvs = D.unit_measurements(ys)
     stops = [tol_res * max(vector_norm(yv), 2.0 ** -D.exponent) for yv in yvs]
     # The C-ordered conjugate is scaled and then transposed, so the adjoint

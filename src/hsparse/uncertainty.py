@@ -17,16 +17,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blocks import (BlockDictionary, BlockVector, NumericalAnomaly,
+from .blocks import (RANK_TOL, BlockDictionary, BlockVector, NumericalAnomaly,
                      best_concentration_set, concentration_epsilon,
                      uniform_structure)
-from .coherence import hilbert_coherence, mutual_hilbert_coherence
+from .coherence import AUDIT_SLACK, hilbert_coherence, mutual_hilbert_coherence
 from .models import complex_standard_normal, unitary_dft
 
-# Numerical-rank cutoff for the kernel basis.
-KERNEL_RANK_TOL = 1e-12
-# Comparison slack when evaluating the (exact) theorem inequalities.
-AUDIT_SLACK = 1e-9
 # Relative residual ||D.unit v|| / ||v|| up to which v counts as a kernel
 # vector; for unit-norm columns at most twice as loose as in D's own units.
 KERNEL_RESIDUAL_TOL = 1e-10
@@ -74,13 +70,13 @@ def kernel_sample(D: BlockDictionary, seed: int) -> BlockVector:
     """Unit-norm random vector in the numerical kernel of D.
 
     A complex Gaussian draw is projected onto the span of the right singular
-    vectors whose singular values fall below KERNEL_RANK_TOL relative to the
+    vectors whose singular values fall below RANK_TOL relative to the
     largest.  Deterministic per seed.
     """
     mat = D.matrix
     n_cols = mat.shape[1]
     _, s, vh = np.linalg.svd(mat)
-    rank = int(np.count_nonzero(s > KERNEL_RANK_TOL * s[0]))
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
     if rank >= n_cols:
         raise ValueError("trivial kernel: the dictionary is injective")
     basis = vh[rank:].conj().T
@@ -101,8 +97,8 @@ def kernel_uncertainty_audit(D: BlockDictionary, v: BlockVector,
     hold for a kernel vector, ||D.unit v|| <= tol_kernel ||v|| (scale-free,
     like mu_h); the full profile pinpoints the offending set size.
     """
-    if not tol_kernel >= 0:   # also rejects NaN
-        raise ValueError("tol_kernel must be nonnegative")
+    if not 0 <= tol_kernel < math.inf:   # also rejects NaN
+        raise ValueError("tol_kernel must be nonnegative and finite")
     if v.structure != D.structure:
         raise ValueError("vector and dictionary use different block structures")
     vn = v.norm()
@@ -136,8 +132,8 @@ def gup_audit(D1: BlockDictionary, D2: BlockDictionary, u: BlockVector,
     ||D2|| ||v|| (Frobenius), all from ``D1.unit`` and ``D2.unit`` in one
     power-of-two scale: scale-free, and kernel rounding residue matches.
     """
-    if not tol_match >= 0:   # also rejects NaN
-        raise ValueError("tol_match must be nonnegative")
+    if not 0 <= tol_match < math.inf:   # also rejects NaN
+        raise ValueError("tol_match must be nonnegative and finite")
     if u.structure != D1.structure or v.structure != D2.structure:
         raise ValueError("signal and dictionary block structures disagree")
     if u.norm() <= 0.0 or v.norm() <= 0.0:

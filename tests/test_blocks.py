@@ -114,7 +114,7 @@ class TestNorms:
         assert h0_norm(vec([1e-14, 0, 0, 1], 2, 2), tol=1e-10) == 1
 
     def test_h0_rejects_negative_tol(self):
-        for tol in (-1.0, float("nan")):
+        for tol in (-1.0, float("nan"), float("inf")):   # inf used to count 0 blocks
             with pytest.raises(ValueError):
                 h0_norm(vec([1, 0], 2), tol=tol)
 
@@ -206,6 +206,14 @@ class TestBlockSigma:
     def test_rejects_too_wide_block(self):
         with pytest.raises(ValueError, match="rows"):
             BlockDictionary(np.ones((1, 2)), BlockStructure((2,)))
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones(4), "two-dimensional"),
+        (np.ones((4, 3)), "matrix has 3 columns but partition covers 4"),
+    ], ids=["one-dimensional", "column-count"])
+    def test_rejects_matrix_of_wrong_shape(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            BlockDictionary(matrix, BlockStructure((2, 2)))
 
 
 class TestCrossBlockNorm:

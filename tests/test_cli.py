@@ -221,6 +221,17 @@ class TestUncertaintyCommands:
         assert code == 2
         assert json.loads(out)["anomaly"] is True
 
+    def test_zero_coherence_kernel_audit_exits_two(self, tmp_path, capsys):
+        """At --tol-kernel 1 the identity's e_0 passes the kernel test, and the
+        orthogonal blocks then give the zero coherence no kernel can have."""
+        paths = {k: str(tmp_path / f"{k}.json") for k in ("d", "v")}
+        save_block_dictionary(paths["d"], BlockDictionary(np.eye(4), uniform_structure(4)))
+        save_block_vector(paths["v"], BlockVector(np.eye(4)[0], uniform_structure(4)))
+        code, out, err = run(capsys, "uncertainty", "audit-kernel", "--dict", paths["d"],
+                             "--vector", paths["v"], "--tol-kernel", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical anomaly: zero coherence") and "Traceback" not in err
+
 
 class TestExperimentAndCertify:
     def test_experiment_with_config(self, tmp_path, capsys):
@@ -405,12 +416,13 @@ class TestExitCodes:
         {"dictionary": {"kind": "identity_dft", "n": [4]}},
         {"dictionary": {"kind": "multicoset", "n": 8, "rows": [1, 2], "period": [1]}},
         {"dictionary": {"kind": "file", "path": 0}},
+        {"dictionary": {"n": 4}},
     ], ids=["unknown-key", "string-value", "list", "fractional-max-iter", "nan",
             "string-trials", "string-s-max", "bool-seed", "number-algorithms",
             "nested-algorithms", "number-in-algorithms",
             "number-out", "top-level-list", "negative-p0-tol", "negative-omp-tol-res",
             "number-block-sizes", "number-multicoset-rows", "list-n", "list-period",
-            "number-path"])
+            "number-path", "no-kind"])
     def test_malformed_config_is_validation_error(self, override, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         doc = {"dictionary": {"kind": "identity_dft", "n": 4}, "algorithms": ["bp"]}
@@ -419,6 +431,23 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert "hsparse: exit=1" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["model", "random", "--rows", "4", "--block-sizes", "2,x", "--out", "{n}"],
+         "expected a comma-separated integer list"),
+        (["model", "identity-dft", "--n", "1", "--out", "{n}"], "need dimension at least 2"),
+        (["experiment", "--algos", "omp"], "needs a dictionary"),
+        (["experiment", "--dict", "{d}", "--algos", ","], "need at least one algorithm"),
+        (["recover", "--algo", "omp", "--dict", "{d}", "--obs", "{d}"],
+         "expected a single-column vector document"),
+    ], ids=["block-sizes", "identity-dft-n", "no-dictionary", "no-algorithm", "dictionary-as-obs"])
+    def test_rejected_arguments_are_validation_errors(self, argv, message, tmp_path, capsys):
+        paths = {"d": str(tmp_path / "d.json"), "n": str(tmp_path / "new.json")}
+        save_block_dictionary(paths["d"], identity_dft_pair(4))
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not os.path.exists(paths["n"])
 
     def test_non_finite_dictionary_is_validation_error(self, tmp_path, capsys):
         dict_path = tmp_path / "d.json"
@@ -448,7 +477,8 @@ class TestExitCodes:
     def test_nan_tolerance_is_validation_error(self, flag, tmp_path, capsys):
         """Each input would pass its check under NaN: a spark of 5 on
         identity_dft(4) (the true spark is 4), a vector outside the kernel,
-        and two signals whose images differ."""
+        and two signals whose images differ.  inf passed the last two too:
+        the kernel audit exited 2 and the pair audit 0."""
         D = identity_dft_pair(4)
         paths = {k: str(tmp_path / f"{k}.json") for k in ("d", "u", "v")}
         save_block_dictionary(paths["d"], D)
@@ -460,9 +490,10 @@ class TestExitCodes:
                 "--tol-match": ["uncertainty", "audit-pair", "--dict-a", paths["d"],
                                 "--dict-b", paths["d"], "--u", paths["u"], "--v", paths["v"],
                                 "--set-u", "0", "--set-v", "1"]}[flag]
-        code, out, err = run(capsys, *argv, flag, "nan")
-        assert code == 1
-        assert out == "" and "must be nonnegative" in err
+        for value in ("nan",) if flag == "--tol-spark" else ("nan", "inf"):
+            code, out, err = run(capsys, *argv, flag, value)
+            assert code == 1
+            assert out == "" and "must be nonnegative" in err
 
     @pytest.mark.parametrize("command, value", [("spark", "1.5"), ("spark", "1"),
                                                 ("analyze", "1.5"), ("analyze", "inf")])

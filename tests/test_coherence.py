@@ -62,8 +62,9 @@ class TestHilbertCoherence:
 
     def test_single_block_rejected(self):
         D = BlockDictionary(np.eye(3), BlockStructure((3,)))
-        with pytest.raises(ValueError, match="single subspace"):
-            hilbert_coherence(D)
+        for coherence_of in (hilbert_coherence, block_coherences):
+            with pytest.raises(ValueError, match="single subspace"):
+                coherence_of(D)
 
     def test_invariant_under_global_scaling(self):
         D = unit_norm_dict(6, 10, 3)

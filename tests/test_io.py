@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hsparse import BlockDictionary, BlockStructure, BlockVector, identity_dft_pair
 from hsparse import io as hio
 from hsparse.io import (dumps_document, format_float, load_block_dictionary,
-                        load_block_vector, load_correlation_table,
-                        load_measurement, save_block_dictionary,
+                        load_block_vector, load_measurement, save_block_dictionary,
                         save_block_vector, save_measurement)
 
 
@@ -144,75 +143,6 @@ def test_array_documents_round_trip_bit_exact(tmp_path_factory, sizes, data):
     loaded = load_block_dictionary(path)
     assert np.array_equal(bits(loaded.matrix), bits(D.matrix))
     assert loaded.structure == D.structure
-
-
-class TestCorrelationTable:
-    def test_load(self, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps({
-            "grid_size": 16,
-            "entries": [
-                {"left": 0, "right": 1, "lag_offset": -2,
-                 "real": [0.5, 0.5], "imag": [0.0, 0.0]},
-            ],
-        }))
-        table = load_correlation_table(path)
-        assert table.grid_size == 16
-        assert table.entries[0].values == (0.5, 0.5)
-        assert table.entries[0].lag_offset == -2
-
-    def test_ragged_entry_rejected(self, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps({
-            "grid_size": 8,
-            "entries": [{"left": 0, "right": 0, "real": [1.0], "imag": []}],
-        }))
-        with pytest.raises(ValueError, match="lengths differ"):
-            load_correlation_table(path)
-
-    @pytest.mark.parametrize("entries", [
-        [5],
-        [None],
-        [{"left": 0, "right": 1, "real": [1.0]}],
-        [{"right": 1, "real": [1.0], "imag": [0.0]}],
-        [{"left": [0], "right": 1, "real": [1.0], "imag": [0.0]}],
-        5,
-    ])
-    def test_malformed_entry_rejected(self, tmp_path, entries):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps({"grid_size": 4, "entries": entries}))
-        with pytest.raises(ValueError, match="malformed correlation table"):
-            load_correlation_table(path)
-
-    @pytest.mark.parametrize("real", [[float("nan"), 0.5], [0.5, float("inf")], ["0.5", 0.5],
-                                      [True, 0.5]], ids=["nan", "inf", "string", "bool"])
-    def test_non_finite_or_non_number_values_rejected(self, tmp_path, real):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps({"grid_size": 8, "entries": [
-            {"left": 0, "right": 0, "real": real, "imag": [0.0, 0.0]}]}))
-        with pytest.raises(ValueError, match="malformed correlation table: entry 0"):
-            load_correlation_table(path)
-
-    @pytest.mark.parametrize("field, value", [
-        ("grid_size", 16.5), ("grid_size", True), ("left", 0.5),
-        ("right", True), ("lag_offset", -1.5), ("lag_offset", "2"),
-    ])
-    def test_non_integral_field_rejected(self, tmp_path, field, value):
-        entry = {"left": 0, "right": 1, "lag_offset": -2, "real": [0.5], "imag": [0.0]}
-        doc = {"grid_size": 16, "entries": [entry]}
-        (doc if field == "grid_size" else entry)[field] = value
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=field):
-            load_correlation_table(path)
-
-    def test_integral_floats_read_as_integers(self, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps({"grid_size": 16.0, "entries": [
-            {"left": 0.0, "right": 1.0, "lag_offset": -2.0, "real": [0.5], "imag": [0.0]}]}))
-        table = load_correlation_table(path)
-        assert (table.grid_size, table.entries[0].left, table.entries[0].lag_offset) == (16, 0, -2)
-        assert isinstance(table.grid_size, int)
 
 
 class TestCsvCells:

@@ -371,8 +371,9 @@ class TestHbp:
 
     def test_params_validated(self):
         D = identity_dft_pair(4)
-        with pytest.raises(ValueError, match="must be positive"):
-            hbp_solve(D, np.zeros(4), rho=0.0)
+        for rho in (0.0, math.inf):   # inf never shrinks and used to report "converged"
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                hbp_solve(D, np.zeros(4), rho=rho)
         with pytest.raises(ValueError, match="must be below 1"):
             hbp_solve(D, np.zeros(4), tol_primal=1.5)
         for max_iter in (0, -1):
@@ -408,11 +409,12 @@ def test_homp_non_integral_max_iter_rejected(batch, value):
             homp(D, y, max_iter=value)
 
 
-@pytest.mark.parametrize("value", [-1.0, float("nan")])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), math.inf])
 @pytest.mark.parametrize("solve, option", [(hp0_exhaustive, "tol"), (homp, "tol_res")])
 def test_negative_tolerance_rejected(solve, option, value):
     """Rejected up front; -1 used to end a full search "infeasible" (p0) or
-    "max-iterations" (omp), and NaN "infeasible" (p0) or "exact" at zero (omp)."""
+    "max-iterations" (omp), NaN "infeasible" (p0) or "exact" at zero (omp),
+    and inf "exact" with an empty support in both."""
     D = identity_dft_pair(8)
     _, y = planted(D, (1, 9), seed=0)
     with pytest.raises(ValueError, match=f"{option} must be nonnegative"):

@@ -89,6 +89,12 @@ class TestKernelAudit:
         with pytest.raises(ValueError, match="zero vector"):
             kernel_uncertainty_audit(D, BlockVector(np.zeros(8), D.structure))
 
+    def test_mismatched_structure_rejected(self):
+        D = identity_dft_pair(4)
+        v = BlockVector(kernel_sample(D, 0).entries, BlockStructure((2,) * 4))
+        with pytest.raises(ValueError, match="different block structures"):
+            kernel_uncertainty_audit(D, v)
+
     @pytest.mark.parametrize("k", [-200, -60, 60, 200])
     def test_kernel_test_is_scale_free(self, k):
         """The kernel test reads D.unit, so D 2^k accepts its own kernel sample
@@ -253,6 +259,14 @@ class TestGupAudit:
         u = BlockVector(np.ones(4), I4.structure)
         with pytest.raises(ValueError, match="nonzero"):
             gup_audit(I4, I4, z, u, (0,), (0,))
+
+    def test_mismatched_structure_rejected(self):
+        I4 = identity_basis(4)
+        u = BlockVector(np.ones(4), I4.structure)
+        pairs = BlockVector(np.ones(4), BlockStructure((2, 2)))
+        for first, second in ((pairs, u), (u, pairs)):
+            with pytest.raises(ValueError, match="block structures disagree"):
+                gup_audit(I4, I4, first, second, (0,), (0,))
 
 
 class TestPicketFence:
