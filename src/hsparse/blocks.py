@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +76,7 @@ class BlockStructure:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(d) for d in self.sizes)
+        sizes = tuple(index(d) for d in self.sizes)
         if len(sizes) == 0:
             raise ValueError("a block structure needs at least one block")
         if any(d < 1 for d in sizes):
@@ -101,7 +102,7 @@ class BlockStructure:
         return self._offsets
 
     def check_index(self, i: int) -> int:
-        i = int(i)
+        i = index(i)
         if not 0 <= i < self.n_blocks:
             raise ValueError(f"block index {i} out of range [0, {self.n_blocks})")
         return i

@@ -9,6 +9,7 @@ generator families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class MultiCosetSpec:
     period: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "coset_rows", tuple(int(k) for k in self.coset_rows))
+        object.__setattr__(self, "n", index(self.n))
+        object.__setattr__(self, "coset_rows", tuple(index(k) for k in self.coset_rows))
         if self.n < 1:
             raise ValueError("need at least one spectral cell")
         if not 1 <= len(self.coset_rows) <= self.n:
@@ -126,7 +128,7 @@ def random_block_dictionary(m: int, block_sizes, seed: int,
         raise ValueError("need at least as many rows as the widest block")
     last_error: Exception | None = None
     for attempt in range(10):
-        rng = np.random.default_rng(int(seed) + attempt)
+        rng = np.random.default_rng(index(seed) + attempt)
         mat = complex_standard_normal(rng, (m, structure.dim))
         if normalize == "columns":
             mat = mat / np.linalg.norm(mat, axis=0, keepdims=True)

@@ -142,6 +142,8 @@ def hp0_exhaustive_batch(D: BlockDictionary, ys, *, tol: float = 1e-8,
         raise ValueError("tol must be nonnegative and finite")
     depth = n if max_cardinality is None else min(
         exact_number("max_cardinality", max_cardinality, int), n)
+    if depth < 0:
+        raise ValueError("max_cardinality must be nonnegative")
     yvs = D.unit_measurements(ys)
     y_norms = np.array([vector_norm(yv) for yv in yvs])
     feas_tols = tol * np.maximum(y_norms, 2.0 ** -D.exponent)

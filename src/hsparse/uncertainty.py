@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from operator import index
 
 import numpy as np
 
@@ -80,7 +81,7 @@ def kernel_sample(D: BlockDictionary, seed: int) -> BlockVector:
     if rank >= n_cols:
         raise ValueError("trivial kernel: the dictionary is injective")
     basis = vh[rank:].conj().T
-    g = complex_standard_normal(np.random.default_rng(int(seed)), n_cols)
+    g = complex_standard_normal(np.random.default_rng(index(seed)), n_cols)
     z = basis @ (basis.conj().T @ g)
     nz = float(np.linalg.norm(z))
     if nz == 0.0:

@@ -472,3 +472,22 @@ class TestSupportStacks:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: block_least_squares(hsparse.identity_dft_pair(4), [k], np.ones(4)),
+    lambda k: concentration_epsilon(vec(np.arange(1, 9), *[1] * 8), [k]),
+    lambda k: BlockStructure((k, 1)),
+    lambda k: hsparse.MultiCosetSpec(8, (1, k)),
+    lambda k: hsparse.MultiCosetSpec(k, (1, 2)),
+    lambda k: hsparse.random_block_dictionary(4, (1, 1), k),
+    lambda k: hsparse.kernel_sample(hsparse.identity_dft_pair(4), k),
+], ids=["block-index", "concentration-index", "block-size", "coset-row", "coset-n",
+        "dictionary-seed", "kernel-seed"])
+def test_integer_arguments_are_read_exactly(call):
+    """A float is rejected, as by Python's own sequences, and a numpy integer
+    is accepted; int() used to truncate 2.5 to 2, and MultiCosetSpec kept a
+    float n as given."""
+    with pytest.raises(TypeError):
+        call(2.5)
+    call(np.int64(2))

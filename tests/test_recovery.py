@@ -421,14 +421,16 @@ def test_negative_tolerance_rejected(solve, option, value):
         solve(D, y, **{option: value})
 
 
-@pytest.mark.parametrize("value", [2.5, True])
-@pytest.mark.parametrize("option", ["max_cardinality", "cap"])
+@pytest.mark.parametrize("option, value", [
+    *((option, value) for option in ("cap", "max_cardinality") for value in (2.5, True)),
+    ("max_cardinality", -1)])
 def test_hp0_non_integral_option_rejected(option, value):
-    """Rejected up front; max_cardinality=2.5 used to search to depth 2 and
-    True to depth 1."""
+    """Rejected up front; max_cardinality=2.5 used to search to depth 2, True
+    to depth 1, and -1 to end "infeasible" after 0 iterations, as depth 0."""
     D = identity_dft_pair(8)
     _, y = planted(D, (1, 9), seed=0)
-    with pytest.raises(ValueError, match=f"{option} must be an integer"):
+    message = "must be nonnegative" if value == -1 else "must be an integer"
+    with pytest.raises(ValueError, match=f"{option} {message}"):
         hp0_exhaustive(D, y, **{option: value})
 
 
